@@ -16,16 +16,18 @@ half trapezoid weight; dropping it would lose the clamped stiffness."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import List, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .errors import DegenerateIdentityError, ParameterDomainError
+from .errors import (ConsistencyError, DegenerateIdentityError,
+                     ParameterDomainError)
 from .grids import RadialProfile
-from .quadrature import sphere_area, weighted_radial_integral
+from .params import require_n5, sstar
+from .quadrature import sphere_area
 
 
 @dataclass(frozen=True)
@@ -38,11 +40,9 @@ class BNConfig:
     max_iters: int = 600
     grad_tol: float = 1e-6
     value_tol: float = 1e-12
-    seed: int = 0
 
     def __post_init__(self):
-        if self.n < 5:
-            raise ParameterDomainError(f"need n >= 5, got n={self.n}")
+        require_n5(self.n)
         if self.N_r < 9:
             raise ParameterDomainError("need at least 9 radial nodes")
 
@@ -61,17 +61,9 @@ class BNReport:
     r3_residual: Optional[float] = None
 
     def as_dict(self) -> dict:
-        return {
-            "s_lambda": self.s_lambda,
-            "lambda21": self.lambda21,
-            "sstar_num": self.sstar_num,
-            "attained_evidence": self.attained_evidence,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "el_residual": self.el_residual,
-            "pohozaev_A_residual": self.pohozaev_A_residual,
-            "r3_residual": self.r3_residual,
-        }
+        """Every field but the profile."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "profile"}
 
 
 def _bn_nodes(N_r: int, r_min: float) -> np.ndarray:
@@ -241,7 +233,7 @@ def minimize_bn(cfg: BNConfig) -> BNReport:
     M = r.size - 1
     lambda21 = bn_lambda21(n, cfg.N_r, cfg.r_min, cfg.stab)
     if not lambda21 >= 0.25 * n**2 * (1.0 - 1e-6):
-        raise AssertionError(f"lambda21={lambda21} below n^2/4={0.25 * n**2}")
+        raise ConsistencyError(f"lambda21={lambda21} below n^2/4={0.25 * n**2}")
     if lam >= lambda21:
         raise ParameterDomainError(
             f"lambda={lam} >= lambda21={lambda21:.6f}: quotient not coercive"
@@ -304,13 +296,7 @@ def minimize_bn(cfg: BNConfig) -> BNReport:
     if u[np.argmax(np.abs(u))] < 0:
         u = -u
 
-    energy_U = weighted_radial_integral(
-        lambda s: _talenti_lap(s, n) ** 2, n, 0.0
-    )
-    mass_U = weighted_radial_integral(
-        lambda s: np.power(1.0 + s**2, 0.5 * (4 - n)) ** two_ss, n, 0.0
-    )
-    sstar_num = energy_U / mass_U ** (2.0 / two_ss)
+    sstar_num = sstar(n)
 
     if S < sstar_num * (1.0 - 3e-3):
         evidence = "dips-below"
@@ -338,15 +324,6 @@ def minimize_bn(cfg: BNConfig) -> BNReport:
             r3_residual=res.get("res_r3"),
         )
     return report
-
-
-def _talenti_lap(r: np.ndarray, n: int) -> np.ndarray:
-    phi = 1.0 + r**2
-    d2 = (4 - n) * np.power(phi, 0.5 * (2 - n)) + (4 - n) * (2 - n) * r**2 * np.power(
-        phi, -0.5 * n
-    )
-    d1 = (4 - n) * r * np.power(phi, 0.5 * (2 - n))
-    return d2 + (n - 1) / r * d1
 
 
 def pohozaev_residuals(report: BNReport, cfg: BNConfig) -> dict:
@@ -417,7 +394,7 @@ def dimension_probe(
                 lam=float(lam),
                 s_lambda=rep.s_lambda,
                 sstar_num=rep.sstar_num,
-                below_sstar=rep.s_lambda < rep.sstar_num * (1.0 - 3e-3),
+                below_sstar=rep.attained_evidence == "dips-below",
                 pohozaev_A=rep.pohozaev_A_residual,
                 converged=rep.converged,
             )

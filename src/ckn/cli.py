@@ -75,6 +75,23 @@ def _emit(text: str, out: Optional[str]) -> None:
         fh.write(text)
 
 
+def _write(args, payload, header: Sequence[str],
+           rows: Optional[Sequence[Sequence]] = None) -> None:
+    """Emit `payload` as JSON, or `header` over `rows` as CSV; `rows`
+    defaults to the one row of payload values under `header`."""
+    if args.format == "csv":
+        if rows is None:
+            rows = [[payload[k] for k in header]]
+        _emit(_csv(header, rows), args.out)
+    else:
+        _emit(_json_text(payload), args.out)
+
+
+def _write_table(args, header: Sequence[str], table: List) -> None:
+    """A table: one JSON object per row, or CSV."""
+    _write(args, [dict(zip(header, row)) for row in table], header, table)
+
+
 def _diag(msg: str) -> None:
     print(msg, file=sys.stderr)
 
@@ -107,11 +124,13 @@ def _float_list(text: str) -> List[float]:
         raise ParameterDomainError(f"bad float list {text!r}") from exc
 
 
-def _range_triple(text: str) -> Tuple[float, float, float]:
+def _alpha_range(text: str) -> List[float]:
+    from .grids import alpha_grid
+
     vals = _float_list(text)
     if len(vals) != 3:
         raise ParameterDomainError(f"range expects lo,hi,step, got {text!r}")
-    return vals[0], vals[1], vals[2]
+    return alpha_grid(*vals)
 
 
 def _read_config(path: str) -> dict:
@@ -167,21 +186,21 @@ def _apply_config(args: argparse.Namespace, argv: Sequence[str]) -> None:
 def _common_flags(sp: argparse.ArgumentParser, default_format: str = "json") -> None:
     sp.add_argument("--format", choices=("csv", "json"), default=default_format)
     sp.add_argument("--out", default=None, help="output file (default: stdout)")
-    sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--grid", default=None, metavar="L,N",
-                    help="line-grid override for solver-backed commands")
     sp.add_argument("--config", default=None, help="flat key=value config file")
+
+
+def _grid_flag(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--grid", default=None, metavar="L,N",
+                    help="line grid on [-L, L] with N nodes (default 12,2001)")
 
 
 def _min_config(args) -> "MinimizationConfig":
     from .grids import LineGrid
     from .radial_solver import MinimizationConfig
 
-    kw = {"seed": args.seed}
-    if args.grid is not None:
-        L, N = _parse_grid(args.grid)
-        kw["grid"] = LineGrid(L, N)
-    return MinimizationConfig(**kw)
+    if args.grid is None:
+        return MinimizationConfig()
+    return MinimizationConfig(grid=LineGrid(*_parse_grid(args.grid)))
 
 
 def _jobs(args) -> int:
@@ -209,15 +228,9 @@ def _fan_out(worker, tasks: List, jobs: int) -> List:
 
 
 def _scan_worker(task) -> "ScanRow":
-    n, q, alpha, cfg = task
-    from .radial_solver import ScanRow, scan_row
+    from .radial_solver import scan_row_or_nan
 
-    try:
-        return scan_row(n, q, alpha, cfg)
-    except Exception:
-        return ScanRow(alpha=float(alpha), mu_q=math.nan, s_q_rad=math.nan,
-                       s2_rad=math.nan, rellich=math.nan, sq_positive=False,
-                       bs_closed_form=False, bs_certificate=False, converged=False)
+    return scan_row_or_nan(*task)
 
 
 def _phase_worker(task) -> tuple:
@@ -271,11 +284,7 @@ def _cmd_constants(args) -> int:
         "rellich_full_sphere": float(rc_full.value),
         "rellich_half_sphere": float(rc_half.value),
     }
-    if args.format == "csv":
-        keys = [k for k, v in payload.items() if v is not None]
-        _emit(_csv(keys, [[payload[k] for k in keys]]), args.out)
-    else:
-        _emit(_json_text(payload), args.out)
+    _write(args, payload, [k for k, v in payload.items() if v is not None])
     return EXIT_OK
 
 
@@ -293,11 +302,7 @@ def _cmd_radial_min(args) -> int:
     if args.save_profile:
         from .grids import save_profile
         save_profile(args.save_profile, res.profile)
-    if args.format == "csv":
-        keys = list(payload)
-        _emit(_csv(keys, [[payload[k] for k in keys]]), args.out)
-    else:
-        _emit(_json_text(payload), args.out)
+    _write(args, payload, list(payload))
     if not res.converged and not res.degenerate:
         _diag(f"radial-min did not converge (el_residual={res.el_residual:.3g})")
         return EXIT_UNCONVERGED
@@ -309,20 +314,11 @@ SCAN_HEADER = ("alpha", "mu_q", "s_q_rad", "s2_rad", "rellich", "sq_positive",
 
 
 def _cmd_scan(args) -> int:
-    lo, hi, step = _range_triple(args.alpha_range)
-    if step <= 0 or not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ParameterDomainError("need a finite alpha range with positive step")
+    alphas = _alpha_range(args.alpha_range)
     cfg = _min_config(args)
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    alphas = [lo + k * step for k in range(count)]
     rows = _fan_out(_scan_worker, [(args.n, args.q, a, cfg) for a in alphas],
                     _jobs(args))
-    if args.format == "json":
-        _emit(_json_text([{k: getattr(r, k) for k in SCAN_HEADER} for r in rows]),
-              args.out)
-    else:
-        _emit(_csv(SCAN_HEADER, [[getattr(r, k) for k in SCAN_HEADER] for r in rows]),
-              args.out)
+    _write_table(args, SCAN_HEADER, [[getattr(r, k) for k in SCAN_HEADER] for r in rows])
     return EXIT_OK
 
 
@@ -334,25 +330,16 @@ def _cmd_phase(args) -> int:
     from .phase import POSITIVITY_NOTE
 
     if args.alpha_range is not None:
-        lo, hi, step = _range_triple(args.alpha_range)
-        if step <= 0:
-            raise ParameterDomainError("need a positive alpha step")
-        count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-        alphas = [lo + k * step for k in range(count)]
+        alphas = _alpha_range(args.alpha_range)
     elif args.alpha is not None:
         alphas = [args.alpha]
     else:
         raise ParameterDomainError("phase needs --alpha or --alpha-range")
     rows = _fan_out(_phase_worker,
                     [(args.n, a, args.q, args.model) for a in alphas], _jobs(args))
-    if args.format == "json":
-        payload = {
-            "rows": [dict(zip(PHASE_HEADER, r)) for r in rows],
-            "note": POSITIVITY_NOTE,
-        }
-        _emit(_json_text(payload), args.out)
-    else:
-        _emit(_csv(PHASE_HEADER, rows), args.out)
+    payload = {"rows": [dict(zip(PHASE_HEADER, r)) for r in rows],
+               "note": POSITIVITY_NOTE}
+    _write(args, payload, PHASE_HEADER, rows)
     return EXIT_OK
 
 
@@ -363,13 +350,10 @@ def _cmd_critical_check(args) -> int:
     payload = {"n": args.n, "alpha": args.alpha, "predicate": rep["predicate"],
                "coefficient": rep["coefficient"],
                "interval": list(rep["interval"])}
-    if args.format == "csv":
-        _emit(_csv(("n", "alpha", "predicate", "coefficient",
-                    "interval_lo", "interval_hi"),
-                   [[args.n, args.alpha, rep["predicate"], rep["coefficient"],
-                     rep["interval"][0], rep["interval"][1]]]), args.out)
-    else:
-        _emit(_json_text(payload), args.out)
+    _write(args, payload, ("n", "alpha", "predicate", "coefficient",
+                           "interval_lo", "interval_hi"),
+           [[args.n, args.alpha, rep["predicate"], rep["coefficient"],
+             *rep["interval"]]])
     return EXIT_OK
 
 
@@ -383,47 +367,29 @@ def _cmd_talenti_verify(args) -> int:
                                 panel_count=2 * ctx.panel_count,
                                 grading_levels=ctx.grading_levels + 40)
     rep = talenti_identity_suite(args.n, _float_list(args.a_values), ctx=ctx)
-    worst = max([rep.ratio_relerr] + list(rep.expansion_relerrs.values())
-                + list(rep.identity_relerrs.values()))
-    payload = rep.as_dict()
-    payload["worst_relerr"] = worst
-    payload["tol"] = args.tol
-    payload["passed"] = worst <= args.tol
-    if args.format == "csv":
-        _emit(_csv(("n", "I", "J", "ratio_relerr", "sstar_num", "worst_relerr",
-                    "passed"),
-                   [[rep.n, rep.I, rep.J, rep.ratio_relerr, rep.sstar_num,
-                     worst, payload["passed"]]]), args.out)
-    else:
-        _emit(_json_text(payload), args.out)
+    worst = rep.worst_relerr
+    payload = {**rep.as_dict(), "worst_relerr": worst, "tol": args.tol,
+               "passed": worst <= args.tol}
+    _write(args, payload, ("n", "I", "J", "ratio_relerr", "sstar_num",
+                           "worst_relerr", "passed"))
     if not payload["passed"]:
         _diag(f"talenti-verify: worst relative error {worst:.3g} > tol {args.tol:g}")
         return EXIT_UNCONVERGED
     return EXIT_OK
 
 
-def _default_ball_profile(n: int) -> "RadialProfile":
-    from .grids import RadialProfile
-
-    r = np.linspace(0.0, 1.0, 2001)
-    return RadialProfile(nodes=r, values=(1.0 - r**2) ** 3, n=n)
-
-
 def _cmd_shifted_weight(args) -> int:
     from .critical import shifted_weight_lemma_check
+    from .grids import RadialProfile, load_profile
 
     if args.profile:
-        from .grids import load_profile
         u = load_profile(args.profile)
     else:
-        u = _default_ball_profile(args.n)
+        r = np.linspace(0.0, 1.0, 2001)
+        u = RadialProfile(nodes=r, values=(1.0 - r**2) ** 3, n=args.n)
     rep = shifted_weight_lemma_check(args.n, args.a, u,
                                      t_values=_float_list(args.t_values))
-    payload = rep.as_dict()
-    if args.format == "csv":
-        _emit(_csv(("t", "f"), list(zip(rep.t_values, rep.f_values))), args.out)
-    else:
-        _emit(_json_text(payload), args.out)
+    _write(args, rep.as_dict(), ("t", "f"), list(zip(rep.t_values, rep.f_values)))
     return EXIT_OK
 
 
@@ -431,13 +397,10 @@ def _cmd_ueps(args) -> int:
     from .critical import ueps_family
 
     rep = ueps_family(args.n, getattr(args, "lam"), _float_list(args.epsilons))
-    payload = rep.as_dict()
-    if args.format == "csv":
-        _emit(_csv(("epsilon", "ratio", "biharmonic_excess", "mass_deficit"),
-                   list(zip(rep.epsilons, rep.ratios, rep.biharmonic_excess,
-                            rep.mass_deficits))), args.out)
-    else:
-        _emit(_json_text(payload), args.out)
+    _write(args, rep.as_dict(),
+           ("epsilon", "ratio", "biharmonic_excess", "mass_deficit"),
+           list(zip(rep.epsilons, rep.ratios, rep.biharmonic_excess,
+                    rep.mass_deficits)))
     return EXIT_OK
 
 
@@ -446,7 +409,7 @@ def _bn_config(args) -> "BNConfig":
 
     return BNConfig(n=args.n, lam=getattr(args, "lam", 0.0), N_r=args.nr,
                     r_min=args.r_min, stab=args.stab,
-                    max_iters=args.max_iters, seed=args.seed)
+                    max_iters=args.max_iters)
 
 
 def _cmd_bn(args) -> int:
@@ -457,11 +420,7 @@ def _cmd_bn(args) -> int:
     if args.save_profile:
         from .grids import save_profile
         save_profile(args.save_profile, rep.profile)
-    if args.format == "csv":
-        keys = [k for k, v in payload.items() if not isinstance(v, str)]
-        _emit(_csv(keys, [[payload[k] for k in keys]]), args.out)
-    else:
-        _emit(_json_text(payload), args.out)
+    _write(args, payload, [k for k, v in payload.items() if not isinstance(v, str)])
     if not rep.converged:
         _diag(f"bn did not converge (el_residual={rep.el_residual:.3g})")
         return EXIT_UNCONVERGED
@@ -470,8 +429,7 @@ def _cmd_bn(args) -> int:
 
 PROBE_HEADER = ("lambda", "s_lambda", "sstar_num", "below_sstar", "pohozaev_A",
                 "converged")
-_PROBE_ATTRS = ("lam", "s_lambda", "sstar_num", "below_sstar", "pohozaev_A",
-                "converged")
+_PROBE_ATTRS = ("lam",) + PROBE_HEADER[1:]
 
 
 def _cmd_bn_probe(args) -> int:
@@ -479,11 +437,7 @@ def _cmd_bn_probe(args) -> int:
     lams = _float_list(args.lambdas)
     rows = _fan_out(_probe_worker, [(args.n, lam, cfg) for lam in lams],
                     _jobs(args))
-    table = [[getattr(r, k) for k in _PROBE_ATTRS] for r in rows]
-    if args.format == "json":
-        _emit(_json_text([dict(zip(PROBE_HEADER, row)) for row in table]), args.out)
-    else:
-        _emit(_csv(PROBE_HEADER, table), args.out)
+    _write_table(args, PROBE_HEADER, [[getattr(r, k) for k in _PROBE_ATTRS] for r in rows])
     return EXIT_OK
 
 
@@ -494,9 +448,7 @@ def _cmd_bn_probe(args) -> int:
 def _suite_talenti(args) -> Tuple[bool, dict]:
     from .critical import talenti_identity_suite
 
-    rep = talenti_identity_suite(args.n, (-3.0, -2.5, 1.0, 2.0))
-    worst = max([rep.ratio_relerr] + list(rep.expansion_relerrs.values())
-                + list(rep.identity_relerrs.values()))
+    worst = talenti_identity_suite(args.n, (-3.0, -2.5, 1.0, 2.0)).worst_relerr
     return worst <= 1e-6, {"worst_relerr": worst, "tol": 1e-6}
 
 
@@ -562,12 +514,8 @@ def _cmd_verify(args) -> int:
         results[name] = {"passed": ok, **detail}
         _diag(f"verify {name}: {'PASS' if ok else 'FAIL'}")
         all_ok = all_ok and ok
-    payload = {"passed": all_ok, "suites": results}
-    if args.format == "csv":
-        _emit(_csv(("suite", "passed"),
-                   [[k, v["passed"]] for k, v in results.items()]), args.out)
-    else:
-        _emit(_json_text(payload), args.out)
+    _write(args, {"passed": all_ok, "suites": results}, ("suite", "passed"),
+           [[k, v["passed"]] for k, v in results.items()])
     return EXIT_OK if all_ok else EXIT_UNCONVERGED
 
 
@@ -591,6 +539,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--q", type=float, required=True)
     sp.add_argument("--save-profile", default=None)
+    _grid_flag(sp)
     _common_flags(sp)
     sp.set_defaults(run=_cmd_radial_min)
 
@@ -599,6 +548,10 @@ def build_parser() -> _Parser:
     sp.add_argument("--q", type=float, required=True)
     sp.add_argument("--alpha-range", required=True, metavar="LO,HI,STEP")
     sp.add_argument("--jobs", type=int, default=None)
+    sp.add_argument("--seed", type=int, default=42,
+                    help="accepted for older scripts; has no effect, every "
+                         "start is deterministic")
+    _grid_flag(sp)
     _common_flags(sp, default_format="csv")
     sp.set_defaults(run=_cmd_scan)
 

@@ -15,14 +15,17 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.interpolate import make_interp_spline
 
-from .errors import ParameterDomainError, SupportViolationError, SupportWarning
+from .errors import (ConsistencyError, ParameterDomainError,
+                     SupportViolationError, SupportWarning)
 from .grids import RadialProfile
+from .params import (bubble_energy, bubble_mass, phase_thresholds, require_n5,
+                     sstar)
 from .quadrature import (DEFAULT_CTX, QuadratureContext, sphere_area,
                          weighted_radial_integral)
 
@@ -78,6 +81,11 @@ class TalentiReport:
             "identity_relerrs": dict(self.identity_relerrs),
         }
 
+    @property
+    def worst_relerr(self) -> float:
+        return max([self.ratio_relerr, *self.expansion_relerrs.values(),
+                    *self.identity_relerrs.values()])
+
 
 def _relerr(lhs: float, rhs: float) -> float:
     scale = max(abs(lhs), abs(rhs), 1e-300)
@@ -93,9 +101,9 @@ def talenti_identity_suite(
 
     All left-hand sides are assembled from the analytic derivatives of U,
     never from finite differences, so the recorded relative errors measure
-    only the quadrature."""
-    if n < 5:
-        raise ParameterDomainError(f"need n >= 5, got n={n}")
+    only the quadrature.  `sstar_num` is the closed form; its quadrature
+    value is kept as the check identity_relerrs["sstar"]."""
+    require_n5(n)
 
     U = lambda r: talenti(r, n)
     Up = lambda r: talenti_d1(r, n)
@@ -127,7 +135,8 @@ def talenti_identity_suite(
     energy = weighted_radial_integral(lambda r: lap(r) ** 2, n, 0.0, ctx=ctx)
     two_ss = 2.0 * n / (n - 4)
     mass = weighted_radial_integral(lambda r: U(r) ** two_ss, n, 0.0, ctx=ctx)
-    sstar_num = energy / mass ** (2.0 / two_ss)
+    sstar_num = sstar(n)
+    identity_relerrs["sstar"] = _relerr(energy / mass ** (2.0 / two_ss), sstar_num)
 
     expansion_relerrs: Dict[float, float] = {}
     coefficients: Dict[float, float] = {}
@@ -163,12 +172,11 @@ def strictness_sign_check(n: int, alpha: float) -> dict:
     """Sign of c(n, -alpha/2), cross-checked against the interval form.
 
     With x = a^2 + 2a = ((alpha-2)^2 - 4)/4 and j the bracket constant,
-    c = x (x - j); hence c < 0 iff 2 < |alpha - 2| < sqrt(4 + 2j)."""
-    if n < 5:
-        raise ParameterDomainError(f"need n >= 5, got n={n}")
+    c = x (x - j); hence c < 0 iff 2 < |alpha - 2| < sqrt(4 + 4j)."""
+    require_n5(n)
     a = -0.5 * float(alpha)
     coefficient = expansion_coefficient(n, a)
-    upper = math.sqrt(4.0 + 2.0 * (n - 2) ** 2 * (n - 4) / (n - 3))
+    upper = phase_thresholds(n).strictness_upper
     shift = abs(float(alpha) - 2.0)
     predicate = 2.0 < shift < upper
 
@@ -178,7 +186,7 @@ def strictness_sign_check(n: int, alpha: float) -> dict:
     j = (n - 2) ** 2 * (n - 4) / (2.0 * (n - 3))
     on_boundary = min(abs(x), abs(x - j)) < 1e-12 * max(1.0, j)
     if (coefficient < 0.0) != predicate and not on_boundary:
-        raise AssertionError(
+        raise ConsistencyError(
             f"sign route c={coefficient} disagrees with interval route "
             f"|alpha-2|={shift}, upper={upper}"
         )
@@ -204,19 +212,7 @@ class ShiftedWeightReport:
     grad_sq: float
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "a": self.a,
-            "C_a": self.C_a,
-            "e": list(self.e),
-            "t_values": list(self.t_values),
-            "f_values": list(self.f_values),
-            "inequality_ok": self.inequality_ok,
-            "fitted_t2_coeff": self.fitted_t2_coeff,
-            "fitted_t1_coeff": self.fitted_t1_coeff,
-            "f0": self.f0,
-            "grad_sq": self.grad_sq,
-        }
+        return asdict(self)
 
 
 def _profile_splines(u: RadialProfile):
@@ -365,22 +361,15 @@ def smoothstep_cutoff(r: np.ndarray) -> np.ndarray:
     return 1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
 
 
-def _smoothstep_d1(r: np.ndarray) -> np.ndarray:
+def _smoothstep_derivs(r: np.ndarray):
+    """First and second derivatives of `smoothstep_cutoff`."""
     s = (np.asarray(r, dtype=float) - 0.5) / 0.25
     inside = (s > 0.0) & (s < 1.0)
-    out = np.zeros_like(s)
+    d1, d2 = np.zeros_like(s), np.zeros_like(s)
     ss = s[inside]
-    out[inside] = -(30.0 * ss**2 - 60.0 * ss**3 + 30.0 * ss**4) / 0.25
-    return out
-
-
-def _smoothstep_d2(r: np.ndarray) -> np.ndarray:
-    s = (np.asarray(r, dtype=float) - 0.5) / 0.25
-    inside = (s > 0.0) & (s < 1.0)
-    out = np.zeros_like(s)
-    ss = s[inside]
-    out[inside] = -(60.0 * ss - 180.0 * ss**2 + 120.0 * ss**3) / 0.25**2
-    return out
+    d1[inside] = -(30.0 * ss**2 - 60.0 * ss**3 + 30.0 * ss**4) / 0.25
+    d2[inside] = -(60.0 * ss - 180.0 * ss**2 + 120.0 * ss**3) / 0.25**2
+    return d1, d2
 
 
 @dataclass(frozen=True)
@@ -397,18 +386,10 @@ class UepsReport:
     mass_deficits: List[float] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "lambda": self.lam,
-            "epsilons": list(self.epsilons),
-            "ratios": list(self.ratios),
-            "slope_biharmonic": self.slope_biharmonic,
-            "below_sstar": self.below_sstar,
-            "cutoff": "quintic-smoothstep[1/2,3/4]",
-            "sstar_num": self.sstar_num,
-            "biharmonic_excess": list(self.biharmonic_excess),
-            "mass_deficits": list(self.mass_deficits),
-        }
+        out = {("lambda" if f.name == "lam" else f.name): getattr(self, f.name)
+               for f in fields(self)}
+        out["cutoff"] = "quintic-smoothstep[1/2,3/4]"
+        return out
 
 
 def ueps_profile(n: int, eps: float, r: np.ndarray) -> np.ndarray:
@@ -417,7 +398,7 @@ def ueps_profile(n: int, eps: float, r: np.ndarray) -> np.ndarray:
 
 def _ueps_derivs(n: int, eps: float, r: np.ndarray):
     scale = eps ** (0.5 * (4 - n))
-    chi, chi1, chi2 = smoothstep_cutoff(r), _smoothstep_d1(r), _smoothstep_d2(r)
+    chi, (chi1, chi2) = smoothstep_cutoff(r), _smoothstep_derivs(r)
     s = r / eps
     U, U1, U2 = talenti(s, n), talenti_d1(s, n) / eps, talenti_d2(s, n) / eps**2
     v = scale * chi * U
@@ -436,8 +417,7 @@ def ueps_family(
 
     R(eps) = (int |Delta u_eps|^2 - lambda int |grad u_eps|^2)
              / (int u_eps^(2**))^(2/2**)."""
-    if n < 5:
-        raise ParameterDomainError(f"need n >= 5, got n={n}")
+    require_n5(n)
     epsilons = [float(e) for e in epsilons]
     if any(e <= 0.0 or e > 0.25 for e in epsilons):
         raise ParameterDomainError("epsilon values must lie in (0, 1/4]")
@@ -451,9 +431,7 @@ def ueps_family(
         )
 
     two_ss = 2.0 * n / (n - 4)
-    energy_U = weighted_radial_integral(lambda r: talenti_laplacian(r, n) ** 2, n, 0.0, ctx=ctx)
-    mass_U = weighted_radial_integral(lambda r: talenti(r, n) ** two_ss, n, 0.0, ctx=ctx)
-    sstar_num = energy_U / mass_U ** (2.0 / two_ss)
+    energy_U, mass_U, sstar_num = bubble_energy(n), bubble_mass(n), sstar(n)
 
     ratios: List[float] = []
     excess: List[float] = []

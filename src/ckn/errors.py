@@ -43,3 +43,7 @@ class UnconvergedResultError(CknError):
 
 class DegenerateIdentityError(CknError):
     """An integral identity degenerates for the given parameters."""
+
+
+class ConsistencyError(CknError):
+    """Two routes to the same quantity disagree beyond rounding."""

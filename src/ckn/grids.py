@@ -1,16 +1,30 @@
-"""Line and radial grids, sampled profiles, and the shared profile file
-format (`# kind=...` header plus two whitespace-separated columns)."""
+"""Line and radial grids, the alpha grid of parameter sweeps, sampled
+profiles, and the shared profile file format (`# kind=...` header plus two
+whitespace-separated columns)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import List, Union
 
 import numpy as np
 
-from .errors import GridError
+from .errors import GridError, ParameterDomainError
 from .params import DerivedParams
+
+
+def alpha_grid(lo: float, hi: float, step: float) -> List[float]:
+    """The exponents lo, lo + step, ... up to hi; a slack of 1e-9 steps keeps
+    an hi that lies on the grid despite rounding."""
+    lo, hi, step = float(lo), float(hi), float(step)
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)
+            and step > 0.0):
+        raise ParameterDomainError(
+            f"need finite alpha bounds and a finite positive step, got {lo},{hi},{step}"
+        )
+    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    return [lo + k * step for k in range(count)]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from typing import Dict, Optional, Union
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import GridError, SingularParameterError, SupportWarning
+from .errors import GridError, SupportWarning
 from .grids import LineGrid, LineProfile, RadialProfile, log_uniform_radial_nodes
 from .params import DerivedParams, derive_params, scaling_relation
 from .quadrature import DEFAULT_CTX, QuadratureContext, weighted_radial_integral

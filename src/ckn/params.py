@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import ParameterDomainError, SingularParameterError
+from .errors import (ConsistencyError, ParameterDomainError,
+                     SingularParameterError)
 
 Real = Union[int, float, Fraction]
 
@@ -23,14 +24,6 @@ def _coerce(*values: Real):
     if all(isinstance(v, (int, Fraction)) for v in values):
         return tuple(Fraction(v) for v in values)
     return tuple(float(v) for v in values)
-
-
-def _maybe_float(x):
-    return x
-
-
-def _sqrt(x: Real) -> float:
-    return math.sqrt(float(x))
 
 
 @dataclass(frozen=True)
@@ -106,12 +99,18 @@ def radial_closed_forms(n: int, alpha: Real) -> RadialClosedForms:
     (a,) = _coerce(alpha)
     g = gamma_alpha(n, a)
     s2 = g * g
-    # same value written as a product of linear factors; cross-check
+    # same value written as a product of linear factors; cross-check.  Both
+    # routes cancel terms of size gbar, so in floats they agree to a few
+    # ulps of gbar^2, not of s2 (which vanishes at alpha = n and 4 - n)
     alt = (n - 4 + a) ** 2 * (n - a) ** 2 / (Fraction(16) if isinstance(a, Fraction) else 16.0)
     if isinstance(a, Fraction):
-        assert s2 == alt
+        agree = s2 == alt
     else:
-        assert math.isclose(float(s2), float(alt), rel_tol=1e-12, abs_tol=1e-300)
+        agree = abs(float(s2) - float(alt)) <= 1e-12 * float(gbar_alpha(n, a)) ** 2
+    if not agree:
+        raise ConsistencyError(
+            f"s2_rad routes disagree at n={n}, alpha={alpha}: {s2} != {alt}"
+        )
     mu21 = ((n - a) / (Fraction(2) if isinstance(a, Fraction) else 2.0)) ** 2
     conj: Optional[Real] = None
     if n >= 3 and a != 2:
@@ -185,3 +184,34 @@ def phase_thresholds(n: int, q: Optional[Real] = None) -> PhaseThresholds:
         break_pos_sphere=break_pos_sphere,
         strictness_upper=strictness_upper,
     )
+
+
+# ---------------------------------------------------------------------------
+# Talenti bubble U(x) = (1 + |x|^2)^((4-n)/2) on R^n
+
+
+def require_n5(n: int) -> None:
+    """Reject n < 5, where the critical exponent 2n/(n-4) is not finite."""
+    if n < 5:
+        raise ParameterDomainError(f"need n >= 5, got n={n}")
+
+
+def sstar(n: int) -> float:
+    """Biharmonic Sobolev constant
+    S** = pi^2 n (n-4) (n^2-4) (Gamma(n/2)/Gamma(n))^(4/n),
+    attained by U (Swanson 1992; Edmunds-Fortunato-Jannelli 1990)."""
+    require_n5(n)
+    ratio = math.exp((4.0 / n) * (math.lgamma(0.5 * n) - math.lgamma(float(n))))
+    return math.pi ** 2 * n * (n - 4) * (n * n - 4) * ratio
+
+
+def bubble_mass(n: int) -> float:
+    """int U^(2**) = pi^(n/2) Gamma(n/2) / Gamma(n)."""
+    require_n5(n)
+    return math.exp(0.5 * n * math.log(math.pi) + math.lgamma(0.5 * n)
+                    - math.lgamma(float(n)))
+
+
+def bubble_energy(n: int) -> float:
+    """int |Delta U|^2 = S** (int U^(2**))^(2/2**), since U attains S**."""
+    return sstar(n) * bubble_mass(n) ** ((n - 4) / n)

@@ -13,14 +13,14 @@ so a positive defect Q = (q-2) xi^2 - 2(n-1) xi - (n-1)^2 certifies that no
 extremal is radial."""
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterDomainError, UnconvergedResultError
+from .errors import (ConsistencyError, ParameterDomainError,
+                     UnconvergedResultError)
 from .radial_solver import MinimizationResult, _assemble_form
 from .spectrum import (SpectrumModel, _nearest_sphere_level, full_sphere,
                        positivity_predicates)
@@ -45,19 +45,6 @@ class SymmetryCertificate:
     certified_broken: bool
     nearest_eigen_k: int
     eigen_distance: float
-
-    def as_dict(self) -> dict:
-        return {
-            "xi": self.xi,
-            "Q": self.Q,
-            "closed_form_broken": self.closed_form_broken,
-            "certified_broken": self.certified_broken,
-            "nearest_eigen_k": self.nearest_eigen_k,
-            "eigen_distance": self.eigen_distance,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict())
 
 
 def eigen_proximity(n: int, alpha: float):
@@ -128,7 +115,7 @@ def positivity_phase(n: int, alpha: float, model: SpectrumModel) -> PositivityRe
         # tolerate disagreement only within rounding distance of the threshold
         margin = abs(abs(float(alpha) - 2.0) - thr)
         if preds.break_pos != exceeded and margin > 1e-9 * max(1.0, thr):
-            raise AssertionError(
+            raise ConsistencyError(
                 "inconsistent positivity predicates away from the threshold"
             )
     return PositivityReport(

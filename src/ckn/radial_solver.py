@@ -9,16 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import ParameterDomainError, UnconvergedResultError
-from .grids import LineGrid, LineProfile
-from .params import (DerivedParams, conjugate_exponent, derive_params,
-                     gamma_alpha, gbar_alpha, radial_closed_forms,
+from .grids import LineGrid, LineProfile, alpha_grid
+from .params import (conjugate_exponent, derive_params, radial_closed_forms,
                      scaling_relation)
 from .quadrature import sphere_area
 
@@ -32,12 +31,11 @@ class MinimizationConfig:
     enforce_even: bool = True
     max_iters: int = 400
     grad_tol: float = 1e-6
-    value_tol: float = 1e-12
     seed: int = 0
 
     def __post_init__(self):
-        if self.grad_tol <= 0 or self.value_tol <= 0:
-            raise ParameterDomainError("tolerances must be positive")
+        if self.grad_tol <= 0:
+            raise ParameterDomainError("grad_tol must be positive")
         if self.max_iters < 1:
             raise ParameterDomainError("max_iters must be >= 1")
 
@@ -70,7 +68,7 @@ def _assemble_form(grid: LineGrid, gbar: float, gam: float):
     return A, ab
 
 
-def _init_vector(grid: LineGrid, init: str, seed: int, enforce_even: bool) -> np.ndarray:
+def _init_vector(grid: LineGrid, init: str, seed: int) -> np.ndarray:
     s = grid.s[1:-1]
     if init == "sech-bump":
         v = 1.0 / np.cosh(s) ** 2
@@ -84,13 +82,7 @@ def _init_vector(grid: LineGrid, init: str, seed: int, enforce_even: bool) -> np
             v = np.convolve(v, np.ones(5) / 5.0, mode="same")
     else:
         raise ParameterDomainError(f"unknown init {init!r}")
-    if enforce_even:
-        v = 0.5 * (v + v[::-1])
     return v
-
-
-def _zero_profile(grid: LineGrid, params: DerivedParams) -> LineProfile:
-    return LineProfile(grid=grid, values=np.zeros(grid.N), params=params)
 
 
 def minimize_mu_q(n: int, alpha: float, q: float, cfg: MinimizationConfig) -> MinimizationResult:
@@ -103,8 +95,9 @@ def minimize_mu_q(n: int, alpha: float, q: float, cfg: MinimizationConfig) -> Mi
     params = derive_params(n, float(alpha), float(q))
     grid = cfg.grid
     if float(alpha) in (float(4 - n), float(n)):
+        zero = LineProfile(grid=grid, values=np.zeros(grid.N), params=params)
         return MinimizationResult(
-            mu_q=0.0, s_q_rad=0.0, profile=_zero_profile(grid, params),
+            mu_q=0.0, s_q_rad=0.0, profile=zero,
             iterations=0, el_residual=0.0, converged=True, degenerate=True,
         )
     gam = float(params.gamma)
@@ -122,7 +115,7 @@ def minimize_mu_q(n: int, alpha: float, q: float, cfg: MinimizationConfig) -> Mi
     def symmetrize(v: np.ndarray) -> np.ndarray:
         return 0.5 * (v + v[::-1]) if cfg.enforce_even else v
 
-    w = normalize(symmetrize(_init_vector(grid, cfg.init, cfg.seed, cfg.enforce_even)))
+    w = normalize(symmetrize(_init_vector(grid, cfg.init, cfg.seed)))
     Aw = A @ w
     mu = float(w @ Aw)
     el_res = math.inf
@@ -165,24 +158,6 @@ def minimize_mu_q(n: int, alpha: float, q: float, cfg: MinimizationConfig) -> Mi
         el_residual=el_res,
         converged=converged,
     )
-
-
-def minimize_mu_q_adaptive(
-    n: int, alpha: float, q: float, cfg: MinimizationConfig,
-    rel_tol: float = 1e-6, max_doublings: int = 4,
-) -> MinimizationResult:
-    """Double the truncation half-length (keeping the spacing) until the
-    value moves by less than rel_tol."""
-    res = minimize_mu_q(n, alpha, q, cfg)
-    for _ in range(max_doublings):
-        if res.degenerate:
-            return res
-        wider = replace(cfg, grid=cfg.grid.doubled_extent())
-        res2 = minimize_mu_q(n, alpha, q, wider)
-        if abs(res2.mu_q - res.mu_q) <= rel_tol * max(abs(res.mu_q), 1e-300):
-            return res2
-        cfg, res = wider, res2
-    return res
 
 
 # ---------------------------------------------------------------------------
@@ -445,22 +420,17 @@ def scan_row(n: int, q: float, alpha: float, cfg: MinimizationConfig) -> ScanRow
     )
 
 
+def scan_row_or_nan(n: int, q: float, alpha: float, cfg: MinimizationConfig) -> ScanRow:
+    """`scan_row`, or an all-NaN unconverged row if it raises."""
+    try:
+        return scan_row(n, q, alpha, cfg)
+    except Exception:
+        return ScanRow(alpha=float(alpha), mu_q=math.nan, s_q_rad=math.nan,
+                       s2_rad=math.nan, rellich=math.nan, sq_positive=False,
+                       bs_closed_form=False, bs_certificate=False, converged=False)
+
+
 def alpha_scan(
     n: int, q: float, alpha_range: Tuple[float, float, float], cfg: MinimizationConfig
 ) -> List[ScanRow]:
-    lo, hi, step = (float(x) for x in alpha_range)
-    if step <= 0 or not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ParameterDomainError("need a finite range with positive step")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    alphas = [lo + k * step for k in range(count)]
-    rows = []
-    for a in alphas:
-        try:
-            rows.append(scan_row(n, q, a, cfg))
-        except Exception:
-            rows.append(ScanRow(
-                alpha=a, mu_q=math.nan, s_q_rad=math.nan, s2_rad=math.nan,
-                rellich=math.nan, sq_positive=False, bs_closed_form=False,
-                bs_certificate=False, converged=False,
-            ))
-    return rows
+    return [scan_row_or_nan(n, q, a, cfg) for a in alpha_grid(*alpha_range)]

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
-from .errors import InsufficientSpectrumError, ParameterDomainError
+from .errors import (ConsistencyError, InsufficientSpectrumError,
+                     ParameterDomainError)
 from .params import Real, gamma_alpha
 
 FULL_SPHERE = "full-sphere"
@@ -47,7 +47,8 @@ class SpectrumModel:
         return 1 if self.kind == HALF_SPHERE else 0
 
     def sphere_eigenvalue(self, k: int) -> int:
-        assert self.n is not None
+        if self.n is None:
+            raise ConsistencyError(f"a {self.kind} spectrum has no sphere levels")
         return k * (self.n - 2 + k)
 
     def first_two(self) -> Tuple[float, float]:
@@ -72,16 +73,6 @@ def half_sphere(n: int) -> SpectrumModel:
 
 def explicit_spectrum(eigenvalues: Sequence[float]) -> SpectrumModel:
     return SpectrumModel(kind=EXPLICIT, eigenvalues=tuple(float(x) for x in eigenvalues))
-
-
-def load_spectrum(path: Union[str, Path]) -> SpectrumModel:
-    """Read an explicit spectrum: one eigenvalue per line, '#' comments."""
-    values: List[float] = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            values.append(float(line))
-    return explicit_spectrum(values)
 
 
 def _nearest_sphere_level(model: SpectrumModel, target: Real) -> Tuple[int, Real]:
@@ -116,12 +107,7 @@ class RellichConstant:
 
 def rellich_constant(model: SpectrumModel, n: int, alpha: Real) -> RellichConstant:
     """Best q=2 constant: squared distance of -gamma_alpha to the spectrum."""
-    g = gamma_alpha(n, alpha)
-    target = -g
-    if model.kind == EXPLICIT:
-        dist = min(abs(target - ev) for ev in model.eigenvalues)
-        return RellichConstant(value=dist * dist, argmin_k=None)
-    k, dist = _nearest_sphere_level(model, target)
+    dist, k = spectral_distance(model, -gamma_alpha(n, alpha))
     return RellichConstant(value=dist * dist, argmin_k=k)
 
 

@@ -1,5 +1,6 @@
 """CLI dispatch: exit codes, output formats, config ingestion, and
 byte-stable parallel sweeps."""
+import dataclasses
 import json
 
 import pytest
@@ -141,3 +142,58 @@ def test_talenti_verify_exit_semantics(capsys):
     # an absurd tolerance cannot be met
     code, _, _ = run(capsys, "talenti-verify", "--n", "5", "--tol", "1e-30")
     assert code == EXIT_UNCONVERGED
+
+
+def test_constants_alpha_within_rounding_of_n(capsys):
+    code, out, err = run(capsys, "constants", "--n", "7", "--alpha",
+                         "7.000000000000001")
+    assert code == EXIT_OK, err
+    assert json.loads(out)["s2_rad"] < 1e-25
+
+
+def test_consistency_failure_exits_1(capsys, monkeypatch):
+    import ckn.phase
+    from ckn.params import phase_thresholds
+
+    wrong = dataclasses.replace(phase_thresholds(5), break_pos_sphere=100.0)
+    monkeypatch.setattr(ckn.phase, "phase_thresholds", lambda n, q=None: wrong)
+    code, out, err = run(capsys, "phase", "--n", "5", "--alpha", "10",
+                         "--jobs", "1")
+    assert code == EXIT_DOMAIN
+    assert "error:" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("bad", ["0,inf,1", "-inf,0,1", "0,nan,1", "0,1,inf", "0,1,0"])
+@pytest.mark.parametrize("command", ["phase", "scan"])
+def test_alpha_range_must_be_finite(capsys, command, bad):
+    code, out, err = run(capsys, command, "--n", "5", "--q", "3",
+                         f"--alpha-range={bad}", "--jobs", "1")
+    assert code == EXIT_DOMAIN
+    assert "parameter error" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("phase", "--n", "5", "--alpha=1", "--seed", "3", "--grid", "1,5"),
+    ("phase", "--n", "5", "--alpha=1", "--seed", "3"),
+    ("constants", "--n", "5", "--alpha", "0", "--seed", "3"),
+    ("constants", "--n", "5", "--alpha", "0", "--grid", "12,101"),
+    ("radial-min", "--n", "5", "--alpha", "1", "--q", "3", "--seed", "3"),
+    ("critical-check", "--n", "5", "--alpha", "5", "--grid", "12,101"),
+    ("ueps", "--n", "5", "--seed", "3"),
+    ("bn-probe", "--n", "5", "--lambdas", "0", "--seed", "3"),
+    ("verify", "--suite", "critical", "--grid", "12,101"),
+])
+def test_flags_without_effect_are_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_DOMAIN
+    assert "unrecognized arguments" in err
+    assert out == ""
+
+
+def test_radial_min_accepts_grid(capsys):
+    code, out, _ = run(capsys, "radial-min", "--n", "5", "--alpha", "1",
+                       "--q", "3", "--grid", "8,401")
+    assert code == EXIT_OK
+    assert json.loads(out)["converged"] is True

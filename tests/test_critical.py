@@ -1,5 +1,6 @@
 """Bubble identities, the strictness sign test, the shifted-weight
 comparison, and the concentrating family."""
+import dataclasses
 import math
 import warnings
 
@@ -9,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import beta as beta_fn
 
+import ckn.critical
 from ckn.critical import (strictness_sign_check, expansion_coefficient,
                           shifted_weight_lemma_check, smoothstep_cutoff,
                           talenti, talenti_identity_suite, talenti_laplacian,
                           ueps_family, ueps_profile)
-from ckn.errors import (ParameterDomainError, SupportViolationError,
-                        SupportWarning)
+from ckn.errors import (ConsistencyError, ParameterDomainError,
+                        SupportViolationError, SupportWarning)
+from ckn.params import phase_thresholds, sstar
 from ckn.grids import RadialProfile
 from ckn.quadrature import QuadratureContext, sphere_area, weighted_radial_integral
 
@@ -63,6 +66,14 @@ def test_sstar_frozen_values():
     )
 
 
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_closed_form_sstar_matches_quadrature(n):
+    rep = talenti_identity_suite(n, ())
+    assert rep.sstar_num == sstar(n)
+    assert rep.identity_relerrs["sstar"] <= 1e-12
+    assert rep.worst_relerr == max([rep.ratio_relerr, *rep.identity_relerrs.values()])
+
+
 def test_expansion_coefficient_closed_form():
     # c(n, a) = a(a+2)[a^2 + 2a - (n-2)^2 (n-4) / (2(n-3))]
     for n, a in ((5, -3.0), (6, 1.0), (7, -2.5)):
@@ -79,6 +90,13 @@ def test_strictness_interval_endpoint_sqrt13():
     rep = strictness_sign_check(5, 5.0)
     assert rep["interval"][1] == math.sqrt(13.0)  # exact float arithmetic
     assert rep["predicate"]
+
+
+def test_strictness_route_disagreement_is_a_library_error(monkeypatch):
+    wrong = dataclasses.replace(phase_thresholds(5), strictness_upper=10.0)
+    monkeypatch.setattr(ckn.critical, "phase_thresholds", lambda n: wrong)
+    with pytest.raises(ConsistencyError):
+        strictness_sign_check(5, 7.0)  # |alpha-2| = 5 is outside (2, sqrt 13)
 
 
 def test_strictness_outside_interval():

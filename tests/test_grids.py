@@ -1,11 +1,13 @@
 """Grid and profile containers plus the two-column profile file format."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ckn.errors import GridError
-from ckn.grids import (LineGrid, LineProfile, RadialProfile,
+from ckn.errors import GridError, ParameterDomainError
+from ckn.grids import (LineGrid, LineProfile, RadialProfile, alpha_grid,
                        load_profile, log_uniform_radial_nodes, save_profile)
 from ckn.params import derive_params
 
@@ -77,3 +79,14 @@ def test_grid_h_consistent(L, half):
     g = LineGrid(L, 2 * half + 1)
     s = g.s
     assert np.allclose(np.diff(s), g.h, rtol=1e-12, atol=1e-12)
+
+
+def test_alpha_grid():
+    assert alpha_grid(-1.0, 1.0, 0.5) == [-1.0, -0.5, 0.0, 0.5, 1.0]
+    # (0.3 - 0) / 0.1 rounds just below 3; the endpoint is still kept
+    assert len(alpha_grid(0.0, 0.3, 0.1)) == 4
+    assert alpha_grid(1.0, 0.0, 0.5) == []
+    for bad in ((0.0, math.inf, 1.0), (math.nan, 1.0, 0.1), (0.0, 1.0, 0.0),
+                (0.0, 1.0, -0.1), (0.0, 1.0, math.inf)):
+        with pytest.raises(ParameterDomainError):
+            alpha_grid(*bad)

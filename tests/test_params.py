@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ckn.errors import ParameterDomainError, SingularParameterError
-from ckn.params import (conjugate_exponent, derive_params, gamma_alpha,
-                        gbar_alpha, phase_thresholds, radial_closed_forms,
-                        scaling_relation)
+import ckn.params
+from ckn.errors import (ConsistencyError, ParameterDomainError,
+                        SingularParameterError)
+from ckn.params import (bubble_energy, bubble_mass, conjugate_exponent,
+                        derive_params, gamma_alpha, gbar_alpha,
+                        phase_thresholds, radial_closed_forms,
+                        scaling_relation, sstar)
 
 
 def test_derive_params_spot_values():
@@ -102,6 +105,36 @@ def test_phase_thresholds_closed_form():
     thr = phase_thresholds(5, 10.0)
     expect = 4.0 * (1.0 + math.sqrt(9.0)) / 8.0
     assert thr.bs1 == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("n,alpha", [(7, 7.000000000000001), (7, -3.0000000000000004),
+                                     (5, 5.000000000000001), (6, -2.0000000000000004)])
+def test_radial_closed_forms_within_rounding_of_a_root(n, alpha):
+    # gamma ~ 1e-15 here: the two routes to s2 agree only to ulps of gbar^2
+    forms = radial_closed_forms(n, alpha)
+    assert 0.0 <= float(forms.s2_rad) < 1e-25
+
+
+def test_radial_closed_forms_disagreement_is_a_library_error(monkeypatch):
+    monkeypatch.setattr(ckn.params, "gamma_alpha", lambda n, a: 1.0)
+    with pytest.raises(ConsistencyError):
+        radial_closed_forms(5, 0.0)
+
+
+def test_sstar_closed_form():
+    # S** at n = 5, 6 by the quadrature of the bubble quotient
+    assert sstar(5) == pytest.approx(102.38327344058293, rel=1e-14)
+    assert sstar(6) == pytest.approx(247.2844473661602, rel=1e-14)
+    for n in (5, 6, 7, 8):
+        # U attains S**: energy = S** mass^(2/2**)
+        assert bubble_energy(n) / bubble_mass(n) ** ((n - 4) / n) == pytest.approx(
+            sstar(n), rel=1e-15)
+    # int U^(2**) at n = 6 is pi^3 Gamma(3) / Gamma(6) = pi^3 / 60
+    assert bubble_mass(6) == pytest.approx(math.pi**3 / 60.0, rel=1e-15)
+    with pytest.raises(ParameterDomainError):
+        sstar(4)
+    with pytest.raises(ParameterDomainError):
+        bubble_mass(4)
 
 
 def test_dimension_domain_errors():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ckn.errors import ConsistencyError
 from ckn.params import radial_closed_forms
 from ckn.spectrum import (explicit_spectrum, full_sphere, half_sphere,
                           positivity_predicates, rellich_constant,
@@ -52,3 +53,8 @@ def test_spectrum_eigenvalues_monotone():
     assert lam == sorted(lam)
     assert lam[0] == 0.0
     assert lam[1] == 5.0  # k (n - 2 + k) at k = 1, n = 6
+
+
+def test_explicit_spectrum_has_no_sphere_levels():
+    with pytest.raises(ConsistencyError):
+        explicit_spectrum([1.0, 2.0]).sphere_eigenvalue(1)
