@@ -151,11 +151,14 @@ def _read_config(path: str) -> dict:
     return entries
 
 
-def _apply_config(args: argparse.Namespace, argv: Sequence[str]) -> None:
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                  argv: Sequence[str]) -> None:
     """Overlay config-file values under explicit flags.
 
     Precedence: built-in default < CKN_CONFIG file < --config file < flag.
-    A flag counts as explicit when it appears in argv."""
+    A flag counts as explicit when it appears in argv.  One file serves
+    every subcommand, so a key that is a flag of another subcommand is
+    ignored; a key that is a flag of none is refused."""
     paths = []
     env = os.environ.get("CKN_CONFIG")
     if env:
@@ -167,9 +170,21 @@ def _apply_config(args: argparse.Namespace, argv: Sequence[str]) -> None:
         merged.update(_read_config(p))
     if not merged:
         return
-    explicit = {tok.split("=", 1)[0].lstrip("-").replace("-", "_")
-                for tok in argv if tok.startswith("--")}
-    for key, value in merged.items():
+    # every flag of every subcommand, keyed by its dest (`lam`) and by its
+    # spelling (`lambda`)
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    actions = [a for sp in sub.choices.values() for a in sp._actions]
+    keys = {a.dest: a.dest for a in actions}
+    keys.update((opt.lstrip("-").replace("-", "_"), a.dest)
+                for a in actions for opt in a.option_strings)
+    explicit = {keys.get(name, name) for name in (
+        tok.split("=", 1)[0].lstrip("-").replace("-", "_")
+        for tok in argv if tok.startswith("--"))}
+    for name, value in merged.items():
+        if name not in keys:
+            raise ParameterDomainError(f"config key {name!r} names no flag")
+        key = keys[name]
         if key in explicit or not hasattr(args, key):
             continue
         current = getattr(args, key)
@@ -219,8 +234,10 @@ def _fan_out(worker, tasks: List, jobs: int) -> List:
     bytes do not depend on the job count."""
     if jobs <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
+    # about four chunks per worker: few round trips, balanced tails
+    chunksize = math.ceil(len(tasks) / (4 * jobs))
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return list(pool.map(worker, tasks))
+        return list(pool.map(worker, tasks, chunksize=chunksize))
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +315,12 @@ def _cmd_radial_min(args) -> int:
         "mu_q": res.mu_q, "s_q_rad": res.s_q_rad,
         "iterations": res.iterations, "el_residual": res.el_residual,
         "converged": res.converged, "degenerate": res.degenerate,
+        "status": res.status,
     }
     if args.save_profile:
         from .grids import save_profile
         save_profile(args.save_profile, res.profile)
-    _write(args, payload, list(payload))
+    _write(args, payload, [k for k, v in payload.items() if not isinstance(v, str)])
     if not res.converged and not res.degenerate:
         _diag(f"radial-min did not converge (el_residual={res.el_residual:.3g})")
         return EXIT_UNCONVERGED
@@ -632,7 +650,7 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))
-        _apply_config(args, argv)
+        _apply_config(parser, args, argv)
         return args.run(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -1,0 +1,78 @@
+"""The one constrained inverse iteration behind both minimizers:
+
+    minimize x.A x  on  sum weights |x|^p = 1,  A symmetric positive definite.
+
+At p = 2 it is inverse power iteration for the smallest eigenvalue of the
+pencil (A, diag weights)."""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Optional
+
+import numpy as np
+
+# converged when max|r| <= RESIDUAL_TOL * max|A x|
+RESIDUAL_TOL = 1e-6
+MAX_HALVINGS = 25
+
+
+@dataclass(frozen=True)
+class IterationResult:
+    x: np.ndarray
+    value: float
+    iterations: int
+    residual: float
+    status: str  # residual | stalled | max_iters
+
+
+def inverse_iteration(
+    A,
+    solve: Callable[[np.ndarray], np.ndarray],
+    x0: np.ndarray,
+    weights: np.ndarray,
+    p: float,
+    max_iters: int,
+    project: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+) -> IterationResult:
+    """Step along -solve(r), solve ~ A^{-1} and r = A x - value * weights
+    |x|^(p-2) x, halving the step until the value decreases or the residual
+    drops below 0.999 of its old size (near the fixed point the value change
+    is below rounding); if no halving is accepted the status is `stalled`.
+    `project` maps every iterate into a subspace before normalization."""
+
+    def normalize(v: np.ndarray) -> Optional[np.ndarray]:
+        if project is not None:
+            v = project(v)
+        m = float(weights @ np.abs(v) ** p)
+        return v / m ** (1.0 / p) if m > 0.0 and np.isfinite(m) else None
+
+    def state(v: np.ndarray):
+        Av = A @ v
+        value = float(v @ Av)
+        r = Av - value * (weights * np.abs(v) ** (p - 2.0) * v)
+        res = float(np.max(np.abs(r))) / max(float(np.max(np.abs(Av))), 1e-300)
+        return v, value, r, res
+
+    x, value, r, res = state(normalize(x0))
+    status, iterations = "max_iters", 0
+    # `iterations` counts residual checks, the last one included
+    for iterations in range(1, max_iters + 1):
+        if res <= RESIDUAL_TOL:
+            break
+        d = solve(r)
+        t = 1.0
+        for _ in range(MAX_HALVINGS):
+            cand = normalize(x - t * d)
+            if cand is not None:
+                cand_state = state(cand)
+                if cand_state[1] < value or cand_state[3] < 0.999 * res:
+                    x, value, r, res = cand_state
+                    break
+            t *= 0.5
+        else:
+            status = "stalled"
+            break
+    if res <= RESIDUAL_TOL:
+        status = "residual"
+    return IterationResult(x=x, value=value, iterations=iterations,
+                           residual=res, status=status)

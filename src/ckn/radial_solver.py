@@ -2,7 +2,7 @@
 
     mu_q = inf  int(|w''|^2 + 2 gbar |w'|^2 + gam^2 |w|^2) / (int |w|^q)^{2/q}
 
-by a preconditioned projected-gradient scheme, with an independent
+by one preconditioned inverse iteration (`descent`), with an independent
 multistart coordinate-descent oracle and the scaling/concavity laws as
 cross-checks."""
 from __future__ import annotations
@@ -15,6 +15,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from .descent import inverse_iteration
 from .errors import ParameterDomainError, UnconvergedResultError
 from .grids import LineGrid, LineProfile, alpha_grid
 from .params import (conjugate_exponent, derive_params, radial_closed_forms,
@@ -27,15 +28,11 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 @dataclass(frozen=True)
 class MinimizationConfig:
     grid: LineGrid = field(default_factory=lambda: LineGrid(12.0, 2001))
-    init: str = "sech-bump"  # sech-bump | gaussian-bump | random
-    enforce_even: bool = True
+    init: str = "sech-bump"  # sech-bump | random
     max_iters: int = 400
-    grad_tol: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
-        if self.grad_tol <= 0:
-            raise ParameterDomainError("grad_tol must be positive")
         if self.max_iters < 1:
             raise ParameterDomainError("max_iters must be >= 1")
 
@@ -49,6 +46,7 @@ class MinimizationResult:
     el_residual: float
     converged: bool
     degenerate: bool = False
+    status: str = "residual"  # residual | stalled | max_iters
 
 
 def _assemble_form(grid: LineGrid, gbar: float, gam: float):
@@ -72,8 +70,6 @@ def _init_vector(grid: LineGrid, init: str, seed: int) -> np.ndarray:
     s = grid.s[1:-1]
     if init == "sech-bump":
         v = 1.0 / np.cosh(s) ** 2
-    elif init == "gaussian-bump":
-        v = np.exp(-(s**2))
     elif init == "random":
         rng = np.random.default_rng(seed)
         v = rng.standard_normal(len(s))
@@ -86,11 +82,9 @@ def _init_vector(grid: LineGrid, init: str, seed: int) -> np.ndarray:
 
 
 def minimize_mu_q(n: int, alpha: float, q: float, cfg: MinimizationConfig) -> MinimizationResult:
-    """Preconditioned projected gradient on the constraint h*sum|w|^q = 1.
-
-    The search direction is A^{-1} r with r the constrained gradient, so a
-    unit step is a nonlinear inverse-power iteration; backtracking keeps the
-    value monotone.  The returned value is an upper bound on the discrete
+    """Inverse iteration (`descent.inverse_iteration`) on the even vectors
+    with h*sum|w|^q = 1, preconditioned by the banded Cholesky factor of
+    the form.  The returned value is an upper bound on the discrete
     infimum by construction."""
     params = derive_params(n, float(alpha), float(q))
     grid = cfg.grid
@@ -100,63 +94,23 @@ def minimize_mu_q(n: int, alpha: float, q: float, cfg: MinimizationConfig) -> Mi
             mu_q=0.0, s_q_rad=0.0, profile=zero,
             iterations=0, el_residual=0.0, converged=True, degenerate=True,
         )
-    gam = float(params.gamma)
-    gbar = float(params.gbar)
-    h = grid.h
-    A, ab = _assemble_form(grid, gbar, gam)
+    A, ab = _assemble_form(grid, float(params.gbar), float(params.gamma))
     cb = sla.cholesky_banded(ab, lower=False)
-
     q = float(q)
+    run = inverse_iteration(
+        A, lambda r: sla.cho_solve_banded((cb, False), r),
+        _init_vector(grid, cfg.init, cfg.seed), np.full(grid.N - 2, grid.h), q,
+        cfg.max_iters, project=lambda v: 0.5 * (v + v[::-1]),
+    )
 
-    def normalize(v: np.ndarray) -> np.ndarray:
-        mass = h * np.sum(np.abs(v) ** q)
-        return v / mass ** (1.0 / q)
-
-    def symmetrize(v: np.ndarray) -> np.ndarray:
-        return 0.5 * (v + v[::-1]) if cfg.enforce_even else v
-
-    w = normalize(symmetrize(_init_vector(grid, cfg.init, cfg.seed)))
-    Aw = A @ w
-    mu = float(w @ Aw)
-    el_res = math.inf
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iters + 1):
-        r = Aw - mu * h * np.abs(w) ** (q - 2.0) * w
-        el_res = float(np.max(np.abs(r))) / h
-        if el_res <= cfg.grad_tol * max(1.0, mu):
-            converged = True
-            break
-        d = sla.cho_solve_banded((cb, False), r)
-        t = 1.0
-        improved = False
-        while t > 1e-13:
-            cand = normalize(symmetrize(w - t * d))
-            Ac = A @ cand
-            mu_c = float(cand @ Ac)
-            r_c = Ac - mu_c * h * np.abs(cand) ** (q - 2.0) * cand
-            res_c = float(np.max(np.abs(r_c))) / h
-            # accept on value decrease, or (near the fixed point, where the
-            # value change is below rounding) on residual contraction
-            if mu_c < mu or res_c < 0.999 * el_res:
-                w, Aw, mu, el_res = cand, Ac, mu_c, res_c
-                improved = True
-                converged = el_res <= cfg.grad_tol * max(1.0, mu)
-                break
-            t *= 0.5
-        if not improved or converged:
-            break
-
-    full = np.zeros(grid.N)
-    full[1:-1] = w
-    omega = sphere_area(n)
     return MinimizationResult(
-        mu_q=mu,
-        s_q_rad=omega ** ((q - 2.0) / q) * mu,
-        profile=LineProfile(grid=grid, values=full, params=params),
-        iterations=it,
-        el_residual=el_res,
-        converged=converged,
+        mu_q=run.value,
+        s_q_rad=sphere_area(n) ** ((q - 2.0) / q) * run.value,
+        profile=LineProfile(grid=grid, values=np.pad(run.x, 1), params=params),
+        iterations=run.iterations,
+        el_residual=run.residual,
+        converged=run.status == "residual",
+        status=run.status,
     )
 
 
@@ -279,13 +233,14 @@ class ConsistencyReport:
     n2_ratio_const_err: Optional[float]
 
 
-def _s_value(n: int, alpha: float, q: float, cfg: MinimizationConfig) -> float:
+def _converged_min(n: int, alpha: float, q: float,
+                   cfg: MinimizationConfig) -> MinimizationResult:
     res = minimize_mu_q(n, alpha, q, cfg)
     if not res.converged:
         raise UnconvergedResultError(
-            f"solver did not converge at alpha={alpha}, q={q}"
+            f"solver did not converge at alpha={alpha}, q={q} ({res.status})"
         )
-    return res.s_q_rad
+    return res
 
 
 def _scaled_grid(n: int, alpha: float, base: LineGrid) -> LineGrid:
@@ -306,10 +261,10 @@ def consistency_suite(n: int, alpha: float, q: float, cfg: MinimizationConfig) -
         at = float(conjugate_exponent(n, alpha))
         if at != 4.0 - n:
             tau = float(scaling_relation(n, alpha, at).tau)
-            s_a = _s_value(n, alpha, q, cfg)
+            s_a = _converged_min(n, alpha, q, cfg).s_q_rad
             # the rescaled minimizer is |tau| times wider; match the window
             grid_t = LineGrid(cfg.grid.L * abs(tau), cfg.grid.N)
-            s_t = _s_value(n, at, q, replace(cfg, grid=grid_t))
+            s_t = _converged_min(n, at, q, replace(cfg, grid=grid_t)).s_q_rad
             pred = abs(tau) ** (3.0 + 2.0 / q) * s_t
             conjugate_relerr = abs(s_a - pred) / s_a
 
@@ -322,8 +277,8 @@ def consistency_suite(n: int, alpha: float, q: float, cfg: MinimizationConfig) -
     if at != 4.0 - n and alpha != 4.0 - n and at != float(n):
         g = abs(float(scaling_relation(n, alpha, at).g))
         tau_rev = float(scaling_relation(n, at, alpha).tau)
-        s_a = _s_value(n, alpha, q, cfg)
-        s_t = _s_value(n, at, q, cfg)
+        s_a = _converged_min(n, alpha, q, cfg).s_q_rad
+        s_t = _converged_min(n, at, q, cfg).s_q_rad
         mid = abs(tau_rev) ** (3.0 + 2.0 / q) * s_a
         lo = (1.0 - 4.0 * g / (n - at) ** 2) * s_t
         hi = (1.0 + 4.0 * g / (n - at) ** 2) * s_t
@@ -335,22 +290,19 @@ def consistency_suite(n: int, alpha: float, q: float, cfg: MinimizationConfig) -
     p_grid = np.linspace(p_lo, q + 1.0, 5)
     f = []
     for p in p_grid:
-        res = minimize_mu_q(n, alpha, float(p), cfg)
-        if not res.converged:
-            raise UnconvergedResultError(f"solver did not converge at q={p}")
-        f.append(0.5 * p * math.log(res.mu_q))
+        f.append(0.5 * p * math.log(_converged_min(n, alpha, float(p), cfg).mu_q))
     f = np.asarray(f)
     second = f[2:] - 2.0 * f[1:-1] + f[:-2]
     concavity_ok = bool(np.all(second <= 1e-6))
 
     asymptotic_ratio_err: Optional[Tuple[float, float]] = None
     if n >= 3:
-        s2 = _s_value(n, 2.0, q, cfg)
+        s2 = _converged_min(n, 2.0, q, cfg).s_q_rad
         ref = s2 / (n - 2) ** (3.0 + 2.0 / q)
         errs = []
         for a_big in (30.0, 60.0):
             grid = _scaled_grid(n, a_big, cfg.grid)
-            s_big = _s_value(n, a_big, q, replace(cfg, grid=grid))
+            s_big = _converged_min(n, a_big, q, replace(cfg, grid=grid)).s_q_rad
             ratio = s_big / abs(a_big - 2.0) ** (3.0 + 2.0 / q)
             errs.append(abs(ratio - ref) / ref)
         asymptotic_ratio_err = (errs[0], errs[1])
@@ -360,7 +312,7 @@ def consistency_suite(n: int, alpha: float, q: float, cfg: MinimizationConfig) -
         ratios = []
         for a in (-6.0, 0.0, 10.0):
             grid = _scaled_grid(2, a, cfg.grid)
-            s_a = _s_value(2, a, q, replace(cfg, grid=grid))
+            s_a = _converged_min(2, a, q, replace(cfg, grid=grid)).s_q_rad
             ratios.append(s_a / abs(a - 2.0) ** (3.0 + 2.0 / q))
         ratios = np.asarray(ratios)
         n2_ratio_const_err = float((ratios.max() - ratios.min()) / ratios.mean())
@@ -403,10 +355,7 @@ def scan_row(n: int, q: float, alpha: float, cfg: MinimizationConfig) -> ScanRow
     bs_cf = closed_form_breaking(n, alpha, q)
     bs_cert = False
     if res.converged and not res.degenerate:
-        try:
-            bs_cert = symmetry_certificate(res).certified_broken
-        except UnconvergedResultError:
-            bs_cert = False
+        bs_cert = symmetry_certificate(res).certified_broken
     return ScanRow(
         alpha=float(alpha),
         mu_q=res.mu_q,

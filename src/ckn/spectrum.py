@@ -90,25 +90,25 @@ def _nearest_sphere_level(model: SpectrumModel, target: Real) -> Tuple[int, Real
     return best_k, best
 
 
-def spectral_distance(model: SpectrumModel, value: Real) -> Tuple[Real, Optional[int]]:
-    """Distance from `value` to the spectrum; for sphere kinds also the level k
-    attaining it (smallest k on ties)."""
+def spectral_distance(model: SpectrumModel, value: Real) -> Tuple[Real, Real]:
+    """Distance from `value` to the spectrum, and the eigenvalue attaining it
+    (the smallest one on ties)."""
     if model.kind == EXPLICIT:
-        dists = [abs(value - ev) for ev in model.eigenvalues]
-        return min(dists), None
-    return _nearest_sphere_level(model, value)[::-1]
+        nearest = min(model.eigenvalues, key=lambda ev: abs(value - ev))
+        return abs(value - nearest), nearest
+    k, dist = _nearest_sphere_level(model, value)
+    return dist, model.sphere_eigenvalue(k)
 
 
 @dataclass(frozen=True)
 class RellichConstant:
     value: Real
-    argmin_k: Optional[int]
 
 
 def rellich_constant(model: SpectrumModel, n: int, alpha: Real) -> RellichConstant:
     """Best q=2 constant: squared distance of -gamma_alpha to the spectrum."""
-    dist, k = spectral_distance(model, -gamma_alpha(n, alpha))
-    return RellichConstant(value=dist * dist, argmin_k=k)
+    dist, _ = spectral_distance(model, -gamma_alpha(n, alpha))
+    return RellichConstant(value=dist * dist)
 
 
 @dataclass(frozen=True)
@@ -124,12 +124,7 @@ def positivity_predicates(model: SpectrumModel, n: int, alpha: Real) -> Positivi
     whether the positivity-breaking condition -gamma > (l1+l2)/2 holds."""
     g = gamma_alpha(n, alpha)
     target = -g
-    if model.kind == EXPLICIT:
-        dist = min(abs(float(target) - ev) for ev in model.eigenvalues)
-        nearest = min(model.eigenvalues, key=lambda ev: abs(float(target) - ev))
-    else:
-        k, dist = _nearest_sphere_level(model, target)
-        nearest = model.sphere_eigenvalue(k)
+    dist, nearest = spectral_distance(model, target)
     if isinstance(g, Fraction):
         member = dist == 0
     else:

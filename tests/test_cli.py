@@ -197,3 +197,74 @@ def test_radial_min_accepts_grid(capsys):
                        "--q", "3", "--grid", "8,401")
     assert code == EXIT_OK
     assert json.loads(out)["converged"] is True
+
+
+def test_phase_byte_identical_across_jobs(tmp_path):
+    """About 100 rows, so the pool hands out chunks of several tasks."""
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    args = ["phase", "--n", "5", "--q", "3", "--alpha-range=-20,24,0.44",
+            "--format", "csv"]
+    assert dispatch(args + ["--jobs", "1", "--out", str(out1)]) == EXIT_OK
+    assert dispatch(args + ["--jobs", "2", "--out", str(out2)]) == EXIT_OK
+    assert len(out1.read_text().splitlines()) == 102
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_config_key_of_no_subcommand_is_refused(capsys, monkeypatch, tmp_path):
+    cfg = tmp_path / "ckn.cfg"
+    cfg.write_text("qq = 4\n")
+    monkeypatch.setenv("CKN_CONFIG", str(cfg))
+    code, out, err = run(capsys, "constants", "--n", "5", "--alpha", "0",
+                         "--q", "3")
+    assert code == EXIT_DOMAIN
+    assert "parameter error" in err and "'qq'" in err
+    assert out == ""
+
+
+def test_config_key_of_another_subcommand_is_ignored(capsys, monkeypatch,
+                                                     tmp_path):
+    cfg = tmp_path / "ckn.cfg"
+    cfg.write_text("lam = 7\ngrid = 1,5\nq = 4\n")
+    monkeypatch.setenv("CKN_CONFIG", str(cfg))
+    code, out, _ = run(capsys, "constants", "--n", "5", "--alpha", "0")
+    assert code == EXIT_OK
+    assert json.loads(out)["q"] == 4.0
+
+
+def test_config_key_of_renamed_flag_yields_to_flag(capsys, monkeypatch,
+                                                    tmp_path):
+    # the key `lam` (the dest) and the flag `--lambda` name one setting
+    cfg = tmp_path / "ckn.cfg"
+    cfg.write_text("lam = 0.5\n")
+    monkeypatch.setenv("CKN_CONFIG", str(cfg))
+    _, out, _ = run(capsys, "ueps", "--n", "5", "--epsilons", "0.2")
+    assert json.loads(out)["lambda"] == 0.5
+    _, out, _ = run(capsys, "ueps", "--n", "5", "--epsilons", "0.2",
+                    "--lambda", "1")
+    assert json.loads(out)["lambda"] == 1.0
+
+
+def test_radial_min_reports_status(capsys):
+    code, out, _ = run(capsys, "radial-min", "--n", "5", "--alpha", "0",
+                       "--q", "3")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["status"] == "residual"
+    assert payload["converged"] is True
+    code, out, _ = run(capsys, "radial-min", "--n", "5", "--alpha", "0",
+                       "--q", "3", "--format", "csv")
+    assert out.splitlines()[0] == ("n,alpha,q,mu_q,s_q_rad,iterations,"
+                                   "el_residual,converged,degenerate")
+
+
+def test_bn_reports_stall_counted_as_converged(capsys):
+    """A known fault, pinned: at n = 5, lambda = 2 the minimization stalls
+    at a residual floor below 1e-3 and is reported converged."""
+    code, out, _ = run(capsys, "bn", "--n", "5", "--lambda", "2")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["converged"] is True
+    assert payload["status"] == "stalled"
+    code, out, _ = run(capsys, "bn", "--n", "5", "--lambda", "2",
+                       "--format", "csv")
+    assert "status" not in out.splitlines()[0]

@@ -1,0 +1,57 @@
+"""The constrained inverse iteration shared by the line and ball minimizers."""
+import numpy as np
+import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
+
+from ckn.descent import RESIDUAL_TOL, inverse_iteration
+
+
+def small_problem(m=40):
+    """A 1-D Dirichlet Laplacian plus a shift, and positive weights."""
+    one = np.ones(m)
+    A = sp.diags([-one[:-1], 2.0 * one + 0.1, -one[:-1]], [-1, 0, 1]).tocsr()
+    weights = 1.0 + 0.5 * np.sin(np.linspace(0.0, 3.0, m)) ** 2
+    return A, weights
+
+
+def test_p2_matches_smallest_generalized_eigenvalue():
+    A, weights = small_problem()
+    Ad = A.toarray()
+    run = inverse_iteration(A, lambda r: np.linalg.solve(Ad, r),
+                            np.ones(len(weights)), weights, 2.0, 400)
+    lam_min = sla.eigh(Ad, np.diag(weights), eigvals_only=True)[0]
+    assert run.status == "residual"
+    assert run.residual <= RESIDUAL_TOL
+    assert run.value == pytest.approx(lam_min, rel=1e-10)
+    assert float(weights @ run.x**2) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_one_iteration_reports_max_iters():
+    A, weights = small_problem()
+    Ad = A.toarray()
+    run = inverse_iteration(A, lambda r: np.linalg.solve(Ad, r),
+                            np.ones(len(weights)), weights, 2.0, 1)
+    assert run.status == "max_iters"
+    assert run.iterations == 1
+    assert run.residual > RESIDUAL_TOL
+
+
+def test_useless_direction_stalls():
+    # a zero search direction accepts no step
+    A, weights = small_problem()
+    run = inverse_iteration(A, np.zeros_like, np.ones(len(weights)),
+                            weights, 3.0, 50)
+    assert run.status == "stalled"
+    assert run.iterations == 1
+
+
+def test_projection_keeps_iterates_even():
+    A, weights = small_problem(41)
+    Ad = A.toarray()
+    x0 = np.linspace(0.0, 1.0, 41) ** 2
+    run = inverse_iteration(A, lambda r: np.linalg.solve(Ad, r), x0,
+                            np.ones(41), 3.0, 400,
+                            project=lambda v: 0.5 * (v + v[::-1]))
+    assert run.status == "residual"
+    np.testing.assert_array_equal(run.x, run.x[::-1])
