@@ -151,14 +151,17 @@ def _read_config(path: str) -> dict:
     return entries
 
 
-def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
-                  argv: Sequence[str]) -> None:
-    """Overlay config-file values under explicit flags.
+def _parse_args(parser: argparse.ArgumentParser,
+                argv: Sequence[str]) -> argparse.Namespace:
+    """Parse argv over config-file values.
 
     Precedence: built-in default < CKN_CONFIG file < --config file < flag.
-    A flag counts as explicit when it appears in argv.  One file serves
-    every subcommand, so a key that is a flag of another subcommand is
-    ignored; a key that is a flag of none is refused."""
+    A config value becomes the default of the flags it names, and argv is
+    parsed again, so each flag's own type applies and any spelling argparse
+    accepts counts as explicit.  One file serves every subcommand, so a key
+    that is a flag of another subcommand is ignored; a key that is a flag
+    of none is refused."""
+    args = parser.parse_args(argv)
     paths = []
     env = os.environ.get("CKN_CONFIG")
     if env:
@@ -169,7 +172,7 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
     for p in paths:
         merged.update(_read_config(p))
     if not merged:
-        return
+        return args
     # every flag of every subcommand, keyed by its dest (`lam`) and by its
     # spelling (`lambda`)
     sub = next(a for a in parser._actions
@@ -178,24 +181,14 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
     keys = {a.dest: a.dest for a in actions}
     keys.update((opt.lstrip("-").replace("-", "_"), a.dest)
                 for a in actions for opt in a.option_strings)
-    explicit = {keys.get(name, name) for name in (
-        tok.split("=", 1)[0].lstrip("-").replace("-", "_")
-        for tok in argv if tok.startswith("--"))}
     for name, value in merged.items():
         if name not in keys:
             raise ParameterDomainError(f"config key {name!r} names no flag")
-        key = keys[name]
-        if key in explicit or not hasattr(args, key):
-            continue
-        current = getattr(args, key)
-        if isinstance(current, bool):
-            setattr(args, key, value.lower() in ("1", "true", "yes", "on"))
-        elif isinstance(current, int):
-            setattr(args, key, int(value))
-        elif isinstance(current, float):
-            setattr(args, key, float(value))
-        else:
-            setattr(args, key, value)
+        for a in actions:
+            if a.dest == keys[name]:
+                a.default = (value.lower() in ("1", "true", "yes", "on")
+                             if isinstance(a, argparse._StoreTrueAction) else value)
+    return parser.parse_args(argv)
 
 
 def _common_flags(sp: argparse.ArgumentParser, default_format: str = "json") -> None:
@@ -649,8 +642,7 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
-        _apply_config(parser, args, argv)
+        args = _parse_args(parser, list(argv))
         return args.run(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -26,8 +26,8 @@ from .errors import (ConsistencyError, ParameterDomainError,
 from .grids import RadialProfile
 from .params import (bubble_energy, bubble_mass, phase_thresholds, require_n5,
                      sstar)
-from .quadrature import (DEFAULT_CTX, QuadratureContext, sphere_area,
-                         weighted_radial_integral)
+from .quadrature import (DEFAULT_CTX, QuadratureContext, gauss_panels,
+                         sphere_area, weighted_radial_integral)
 
 # ---------------------------------------------------------------------------
 # Talenti bubble and its analytic derivatives
@@ -241,16 +241,6 @@ def _check_ball_support(u: RadialProfile) -> float:
     return float(r[-1])
 
 
-def _gauss_grid_1d(a: float, b: float, panels: int, order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(a, b, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halfs = 0.5 * np.diff(edges)
-    nodes = (mids[:, None] + halfs[:, None] * x[None, :]).ravel()
-    weights = (halfs[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
 def shifted_weight_lemma_check(
     n: int,
     a: float,
@@ -278,8 +268,8 @@ def shifted_weight_lemma_check(
     c_a = a * (a + 2.0) * (n - 2) / float(n)
     omega_sec = sphere_area(n - 1)
 
-    r, wr = _gauss_grid_1d(0.0, r_max, r_panels, panel_order)
-    th, wth = _gauss_grid_1d(0.0, math.pi, theta_panels, panel_order)
+    r, wr = gauss_panels(np.linspace(0.0, r_max, r_panels + 1), panel_order)
+    th, wth = gauss_panels(np.linspace(0.0, math.pi, theta_panels + 1), panel_order)
     cos_th = np.cos(th)
     # measure factors, split by coordinate
     mr = wr * r ** (n - 1)
@@ -436,6 +426,11 @@ def ueps_family(
     ratios: List[float] = []
     excess: List[float] = []
     deficits: List[float] = []
+
+    def integral(g, *domains) -> float:
+        return sum(weighted_radial_integral(g, n, 0.0, domain=d, ctx=ctx)
+                   for d in domains)
+
     for eps in epsilons:
         def lap_sq(r: np.ndarray, eps: float = eps) -> np.ndarray:
             _, v1, v2 = _ueps_derivs(n, eps, r)
@@ -445,16 +440,24 @@ def ueps_family(
             _, v1, _ = _ueps_derivs(n, eps, r)
             return v1**2
 
-        def mass(r: np.ndarray, eps: float = eps) -> np.ndarray:
-            v, _, _ = _ueps_derivs(n, eps, r)
-            return np.abs(v) ** two_ss
+        def bubble_density(r: np.ndarray, eps: float = eps) -> np.ndarray:
+            # U_eps^(2**) without the cutoff
+            return (eps ** (0.5 * (4 - n)) * talenti(r / eps, n)) ** two_ss
 
-        num = weighted_radial_integral(lap_sq, n, 0.0, domain=(0.0, 0.75), ctx=ctx)
-        grd = weighted_radial_integral(grad_sq, n, 0.0, domain=(0.0, 0.75), ctx=ctx)
-        den = weighted_radial_integral(mass, n, 0.0, domain=(0.0, 0.75), ctx=ctx)
-        ratios.append((num - lam * grd) / den ** (2.0 / two_ss))
+        def cut_density(r: np.ndarray) -> np.ndarray:
+            return bubble_density(r) * (1.0 - smoothstep_cutoff(r) ** two_ss)
+
+        # the cutoff is only C^2 at r = 1/2, so |Delta u_eps|^2 has a corner
+        # there: integrate on each side of it
+        num = integral(lap_sq, (0.0, 0.5), (0.5, 0.75))
+        grd = integral(grad_sq, (0.0, 0.5), (0.5, 0.75))
+        # int U_eps^(2**) - int u_eps^(2**), integrated itself so that a
+        # small deficit keeps its digits
+        deficit = (integral(cut_density, (0.5, 0.75))
+                   + integral(bubble_density, (0.75, math.inf)))
+        ratios.append((num - lam * grd) / (mass_U - deficit) ** (2.0 / two_ss))
         excess.append(num - energy_U)
-        deficits.append(mass_U - den)
+        deficits.append(deficit)
 
     if len(epsilons) >= 2:
         slope = float(

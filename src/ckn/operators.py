@@ -13,7 +13,8 @@ from scipy.interpolate import CubicSpline
 from .errors import GridError, SupportWarning
 from .grids import LineGrid, LineProfile, RadialProfile, log_uniform_radial_nodes
 from .params import DerivedParams, derive_params, scaling_relation
-from .quadrature import DEFAULT_CTX, QuadratureContext, weighted_radial_integral
+from .quadrature import (DEFAULT_CTX, QuadratureContext, gauss_panels,
+                         weighted_radial_integral)
 
 NODE_MATCH_RTOL = 1e-9
 
@@ -137,17 +138,12 @@ def _spline_quadratic_form(
 ) -> float:
     """Exact integral of S''^2 + 2 gbar S'^2 + gam^2 S^2 over the knot span
     (4-point Gauss per interval is exact up to degree 7)."""
-    x = spline.x
-    nodes, wts = np.polynomial.legendre.leggauss(4)
-    mid = 0.5 * (x[:-1] + x[1:])
-    half = 0.5 * np.diff(x)
-    pts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+    pts, wts = gauss_panels(spline.x, 4)
     s0 = spline(pts)
     s1 = spline(pts, nu=1)
     s2 = spline(pts, nu=2)
     vals = s2**2 + 2.0 * gbar * s1**2 + gam**2 * s0**2
-    w2d = (half[:, None] * wts[None, :]).ravel()
-    return float(np.sum(w2d * vals))
+    return float(np.sum(wts * vals))
 
 
 def _trap_nonuniform(x: np.ndarray, f: np.ndarray) -> float:

@@ -1,6 +1,6 @@
-"""Weighted radial quadrature: omega_n * int r^(n-1+p) f(r) dr on intervals
-and half-lines, with geometric grading at singular endpoints and a tangent
-substitution for the tail."""
+"""The panel Gauss-Legendre rule of ckn, and weighted radial quadrature
+omega_n * int r^(n-1+p) f(r) dr on intervals and half-lines, with geometric
+grading at singular endpoints and a tangent substitution for the tail."""
 from __future__ import annotations
 
 import math
@@ -31,21 +31,24 @@ class QuadratureContext:
     grading_ratio: float = 0.5
     grading_levels: int = 80
 
-    def nodes_weights(self) -> Tuple[np.ndarray, np.ndarray]:
-        return np.polynomial.legendre.leggauss(self.panel_order)
-
 
 DEFAULT_CTX = QuadratureContext()
 
 
-def _gauss_on(a: float, b: float, ctx: QuadratureContext) -> Tuple[np.ndarray, np.ndarray]:
-    x, w = ctx.nodes_weights()
+def gauss_panels(edges, order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule with `order` nodes on each panel
+    [edges[i], edges[i+1]], panels of zero width dropped; nodes and
+    weights run panel by panel, left to right."""
+    a, b = _live_panels(edges)
+    x, w = np.polynomial.legendre.leggauss(order)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
-def _panels(a: float, b: float, count: int) -> np.ndarray:
-    return np.linspace(a, b, count + 1)
+def _live_panels(edges) -> Tuple[np.ndarray, np.ndarray]:
+    edges = np.asarray(edges, dtype=float)
+    keep = edges[1:] > edges[:-1]
+    return edges[:-1][keep], edges[1:][keep]
 
 
 def _graded_panels(a: float, b: float, ctx: QuadratureContext) -> np.ndarray:
@@ -58,25 +61,15 @@ def _graded_panels(a: float, b: float, ctx: QuadratureContext) -> np.ndarray:
     return np.array(edges[::-1])
 
 
-def _integrate_edges(
-    f: Callable[[np.ndarray], np.ndarray],
-    weight_pow: float,
-    edges: np.ndarray,
-    ctx: QuadratureContext,
-) -> float:
-    pieces = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
-        r, w = _gauss_on(float(a), float(b), ctx)
-        fr = np.asarray(f(r), dtype=float)
-        vals = w * np.power(r, weight_pow) * fr
-        if not np.all(np.isfinite(vals)):
-            raise IntegrandError(f"non-finite integrand on panel [{a}, {b}]")
-        pieces.append(vals)
-    if not pieces:
-        return 0.0
-    return float(np.sum(np.concatenate(pieces)))
+def _panel_sum(vals: np.ndarray, edges: np.ndarray, order: int, where: str) -> float:
+    """Sum of the weighted integrand values; IntegrandError names the first
+    panel holding a non-finite one."""
+    finite = np.isfinite(vals)
+    if not np.all(finite):
+        k = int(np.argmin(finite)) // order
+        a, b = _live_panels(edges)
+        raise IntegrandError(f"non-finite integrand on {where} [{a[k]}, {b[k]}]")
+    return float(np.sum(vals))
 
 
 def weighted_radial_integral(
@@ -117,23 +110,17 @@ def _finite_part(f, weight_pow, a, b, ctx) -> float:
         # wide ratio: log-spaced panels resolve power-law/log-scale structure
         edges = np.exp(np.linspace(math.log(a), math.log(b), ctx.panel_count + 1))
     else:
-        edges = _panels(a, b, ctx.panel_count)
-    return _integrate_edges(f, weight_pow, edges, ctx)
+        edges = np.linspace(a, b, ctx.panel_count + 1)
+    r, w = gauss_panels(edges, ctx.panel_order)
+    vals = w * np.power(r, weight_pow) * np.asarray(f(r), dtype=float)
+    return _panel_sum(vals, edges, ctx.panel_order, "panel")
 
 
 def _tail_part(f, weight_pow, cut, ctx) -> float:
     # r = cut + tan(theta), theta in [0, pi/2)
-    x, w = np.polynomial.legendre.leggauss(ctx.panel_order)
     edges = np.linspace(0.0, 0.5 * math.pi, ctx.panel_count + 1)
-    pieces = []
-    for ta, tb in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (ta + tb), 0.5 * (tb - ta)
-        theta = mid + half * x
-        r = cut + np.tan(theta)
-        jac = 1.0 / np.cos(theta) ** 2
-        fr = np.asarray(f(r), dtype=float)
-        vals = half * w * np.power(r, weight_pow) * fr * jac
-        if not np.all(np.isfinite(vals)):
-            raise IntegrandError(f"non-finite integrand on tail panel [{ta}, {tb}]")
-        pieces.append(vals)
-    return float(np.sum(np.concatenate(pieces)))
+    theta, w = gauss_panels(edges, ctx.panel_order)
+    r = cut + np.tan(theta)
+    jac = 1.0 / np.cos(theta) ** 2
+    vals = w * np.power(r, weight_pow) * np.asarray(f(r), dtype=float) * jac
+    return _panel_sum(vals, edges, ctx.panel_order, "tail panel")

@@ -354,7 +354,9 @@ def scan_row(n: int, q: float, alpha: float, cfg: MinimizationConfig) -> ScanRow
     res = minimize_mu_q(n, alpha, q, cfg)
     bs_cf = closed_form_breaking(n, alpha, q)
     bs_cert = False
-    if res.converged and not res.degenerate:
+    # the second-variation test needs q > 2; below it closed_form_breaking
+    # is False as well
+    if res.converged and not res.degenerate and q > 2:
         bs_cert = symmetry_certificate(res).certified_broken
     return ScanRow(
         alpha=float(alpha),

@@ -268,3 +268,31 @@ def test_bn_reports_stall_counted_as_converged(capsys):
     code, out, _ = run(capsys, "bn", "--n", "5", "--lambda", "2",
                        "--format", "csv")
     assert "status" not in out.splitlines()[0]
+
+
+def test_scan_at_q2_reports_converged_rows(capsys):
+    code, out, _ = run(capsys, "scan", "--n", "5", "--q", "2",
+                       "--alpha-range", "0,1,1", "--jobs", "1")
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [r[-1] for r in rows] == ["true", "true"]
+    assert rows[0][1] == "1.6740561902333677"  # radial-min's mu_q at alpha = 0
+    assert [r[-2] for r in rows] == ["false", "false"]
+
+
+def test_config_value_takes_the_flags_type(capsys, monkeypatch, tmp_path):
+    cfg = tmp_path / "ckn.cfg"
+    cfg.write_text("jobs = 2\nq = 3\n")
+    monkeypatch.setenv("CKN_CONFIG", str(cfg))
+    code, out, err = run(capsys, "phase", "--n", "5", "--alpha-range=0,1,0.5")
+    assert code == EXIT_OK, err
+    assert len(json.loads(out)["rows"]) == 3
+
+
+def test_abbreviated_flag_beats_config(capsys, monkeypatch, tmp_path):
+    cfg = tmp_path / "ckn.cfg"
+    cfg.write_text("lam = 0.5\n")
+    monkeypatch.setenv("CKN_CONFIG", str(cfg))
+    _, out, _ = run(capsys, "ueps", "--n", "5", "--epsilons", "0.2",
+                    "--lamb", "1")
+    assert json.loads(out)["lambda"] == 1.0

@@ -7,6 +7,7 @@ The main oracle is the Beta-function identity
 valid for 0 < mu < 2 nu, which covers every power-law-times-bubble moment
 the rest of the package integrates."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 from scipy.special import beta as beta_fn
 
 from ckn.errors import DivergentWeightError, IntegrandError
-from ckn.quadrature import (DEFAULT_CTX, QuadratureContext, sphere_area,
-                            weighted_radial_integral)
+from ckn.quadrature import (DEFAULT_CTX, QuadratureContext, gauss_panels,
+                            sphere_area, weighted_radial_integral)
 
 
 def bubble_moment(n, p, nu):
@@ -98,3 +99,43 @@ def test_doubled_panels_tighten():
     err_coarse = abs(weighted_radial_integral(f, 5, -2.0, ctx=coarse_ctx) - exact)
     err_fine = abs(weighted_radial_integral(f, 5, -2.0, ctx=fine) - exact)
     assert err_fine <= err_coarse
+
+
+@pytest.mark.parametrize("domain,calls", [((0.0, 1.0), 1), ((0.5, 2.0), 1),
+                                          ((0.1, 10.0), 1), ((0.0, math.inf), 2)])
+def test_integrand_called_once_per_part(domain, calls):
+    seen = []
+
+    def f(r):
+        seen.append(r.size)
+        return np.exp(-r)
+
+    weighted_radial_integral(f, 5, 0.0, domain=domain)
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize("order", [1, 4, 12])
+def test_gauss_panels_exact_to_degree_2order_minus_1(order):
+    edges = np.array([-1.0, -0.3, 0.2, 0.2, 1.7, 2.0, 2.0])
+    x, w = gauss_panels(edges, order)
+    assert x.size == w.size == 4 * order  # the two zero-width panels dropped
+    assert np.all(np.diff(x) > 0.0)
+    deg = 2 * order - 1
+    exact = (2.0 ** (deg + 1) - (-1.0) ** (deg + 1)) / (deg + 1)
+    assert np.sum(w * x**deg) == pytest.approx(exact, rel=1e-13)
+    assert np.sum(w) == pytest.approx(3.0, rel=1e-15)
+
+
+def test_integrand_error_names_the_panel():
+    edges = np.linspace(0.5, 2.0, DEFAULT_CTX.panel_count + 1)
+    bad = lambda r: np.where(r > 1.0, np.nan, 1.0)
+    with pytest.raises(IntegrandError,
+                       match=re.escape(f"on panel [{edges[21]}, {edges[22]}]")):
+        weighted_radial_integral(bad, 5, 0.0, domain=(0.5, 2.0))
+    # r = 1 + tan(theta): the tail's theta panels are [k pi/128, (k+1) pi/128]
+    theta = np.linspace(0.0, 0.5 * math.pi, DEFAULT_CTX.panel_count + 1)
+    k = int(np.searchsorted(theta, math.atan(2.0)))
+    bad = lambda r: np.where(r > 3.0, np.inf, np.exp(-r))
+    with pytest.raises(IntegrandError,
+                       match=re.escape(f"on tail panel [{theta[k - 1]}, {theta[k]}]")):
+        weighted_radial_integral(bad, 5, 0.0)
