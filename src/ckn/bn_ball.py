@@ -8,11 +8,12 @@ lambda_21 = inf int|Delta u|^2 / int|grad u|^2 (>= n^2/4), Pohozaev
 residuals of the associated Euler-Lagrange problem, and a lambda probe
 for critical-dimension behavior.
 
-Discretization: uniform nodes r_j = j h on [0, 1]; the clamped end is
-eliminated (u_M = 0, ghost u_(M+1) = u_(M-1)), and regularity at the
-origin uses even reflection (u_(-1) = u_1, Delta u(0) = 2n (u_1-u_0)/h^2).
-The boundary row Delta u(1) = 2 u_(M-1)/h^2 enters the energy with its
-half trapezoid weight; dropping it would lose the clamped stiffness."""
+Discretization: the origin plus log-spaced nodes r_1 = r_min < ... <
+r_M = 1, with three-point stencils; the clamped end is eliminated
+(u_M = 0, ghost u_(M+1) = u_(M-1)), and regularity at the origin uses
+even reflection (u_(-1) = u_1, Delta u(0) = 2n (u_1-u_0)/r_1^2). The
+boundary row Delta u(1) = 2 u_(M-1)/h^2 enters the energy with its
+half-cell weight; dropping it would lose the clamped stiffness."""
 from __future__ import annotations
 
 import math
@@ -23,9 +24,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .descent import inverse_iteration
+from .descent import RESIDUAL_TOL, inverse_iteration, upper_bands
 from .errors import (ConsistencyError, DegenerateIdentityError,
-                     ParameterDomainError)
+                     ParameterDomainError, UnconvergedResultError)
 from .grids import RadialProfile
 from .params import require_n5, sstar
 from .quadrature import sphere_area
@@ -37,7 +38,6 @@ class BNConfig:
     lam: float = 1.0
     N_r: int = 2001
     r_min: float = 1e-6
-    stab: float = 1.0
     max_iters: int = 600
 
     def __post_init__(self):
@@ -94,36 +94,23 @@ def _assemble_bn(n: int, r: np.ndarray, radial_power: float = 0.0):
     slips through the Laplacian for free and collapses the lambda_21
     quotient."""
     M = r.size - 1
-    rows_d, cols_d, vals_d = [], [], []
-    # origin: Delta u(0) = 2n (u_1 - u_0)/r_1^2
-    rows_d += [0, 0]
-    cols_d += [0, 1]
-    vals_d += [-2.0 * n / r[1] ** 2, 2.0 * n / r[1] ** 2]
-    rows_c, cols_c, vals_c = [], [], []
-    for j in range(1, M):
-        hm = r[j] - r[j - 1]
-        hp = r[j + 1] - r[j]
-        den = hm * hp * (hm + hp)
-        # second derivative
-        s2 = (2.0 * hp / den, -2.0 * (hm + hp) / den, 2.0 * hm / den)
-        # first derivative
-        s1 = (-(hp**2) / den, (hp**2 - hm**2) / den, (hm**2) / den)
-        c1 = (n - 1) / r[j]
-        for k, col in enumerate((j - 1, j, j + 1)):
-            if col <= M - 1:
-                rows_d.append(j)
-                cols_d.append(col)
-                vals_d.append(s2[k] + c1 * s1[k])
-                rows_c.append(j)
-                cols_c.append(col)
-                vals_c.append(s1[k])
-    # clamped end: u_M = 0, mirrored ghost -> Delta u(1) = 2 u_(M-1)/h^2
-    h_end = r[M] - r[M - 1]
-    rows_d.append(M)
-    cols_d.append(M - 1)
-    vals_d.append(2.0 / h_end**2)
-    D = sp.csr_matrix((vals_d, (rows_d, cols_d)), shape=(M + 1, M))
-    C = sp.csr_matrix((vals_c, (rows_c, cols_c)), shape=(M + 1, M))
+    h = np.diff(r)
+    hm, hp = h[:-1], h[1:]  # spacing below and above r_j, j = 1..M-1
+    den = hm * hp * (hm + hp)
+    # weights of u'' and u' on the nodes j-1, j, j+1
+    s2 = (2.0 * hp / den, -2.0 * (hm + hp) / den, 2.0 * hm / den)
+    s1 = (-(hp**2) / den, (hp**2 - hm**2) / den, hm**2 / den)
+    c1 = (n - 1) / r[1:-1]
+    lap = [s2[k] + c1 * s1[k] for k in range(3)]
+    # origin: Delta u(0) = 2n (u_1 - u_0)/r_1^2; clamped end: u_M = 0 and
+    # the mirrored ghost give Delta u(1) = 2 u_(M-1)/h^2.  Built on all M+1
+    # nodes; dropping column M eliminates u_M.
+    a = 2.0 * n / r[1] ** 2
+    D = sp.diags([np.append(lap[0], 2.0 / h[-1] ** 2),
+                  np.concatenate(([-a], lap[1], [0.0])),
+                  np.append(a, lap[2])], [-1, 0, 1], format="csr")[:, :M]
+    C = sp.diags([np.append(s1[0], 0.0), np.concatenate(([0.0], s1[1], [0.0])),
+                  np.append(0.0, s1[2])], [-1, 0, 1], format="csr")[:, :M]
 
     mid = np.empty(M + 2)
     mid[0] = 0.0
@@ -134,52 +121,33 @@ def _assemble_bn(n: int, r: np.ndarray, radial_power: float = 0.0):
     return D, C, w
 
 
-def _quadratic_forms(n: int, r: np.ndarray, radial_power: float = 0.0, stab: float = 0.0):
-    """Energy and gradient forms; `stab` adds the oscillation penalty
-    stab * sum w_j (delta^2 (Delta u))_j^2.
+def _gram(A: sp.csr_matrix, w: np.ndarray) -> sp.csr_matrix:
+    """The form u -> sum_j w_j (A u)_j^2."""
+    return (A.T @ sp.diags(w) @ A).tocsr()
+
+
+def _quadratic_forms(n: int, r: np.ndarray):
+    """Energy form with the oscillation penalty sum w_j (delta^2 (Delta
+    u))_j^2 over the interior nodes, the gradient form, and the weights.
 
     The penalty is O(spacing^4) relative on resolved profiles but O(1) on
     grid-scale spikes. Without it a two-node bubble beats the Sobolev
     constant: pointwise finite differences underestimate the Delta-energy
     of an unresolved peak while the |u|^(2**) mass sees its full height."""
-    D, C, w = _assemble_bn(n, r, radial_power)
-    W = sp.diags(w)
-    B = (D.T @ W @ D).tocsr()
-    if stab > 0.0:
-        M = r.size - 1
-        rows, cols, vals = [], [], []
-        for j in range(1, M):
-            for col, val in ((j - 1, 1.0), (j, -2.0), (j + 1, 1.0)):
-                rows.append(j)
-                cols.append(col)
-                vals.append(val)
-        S2 = sp.csr_matrix((vals, (rows, cols)), shape=(M + 1, M + 1))
-        T = (S2 @ D).tocsr()
-        B = (B + stab * (T.T @ W @ T)).tocsr()
-    G = (C.T @ W @ C).tocsr()
-    return B, G, w
+    D, C, w = _assemble_bn(n, r)
+    T = D[:-2] - 2.0 * D[1:-1] + D[2:]
+    return _gram(D, w) + _gram(T, w[1:-1]), _gram(C, w), w
 
 
-def _to_banded_upper(A: sp.csr_matrix, bandwidth: int) -> np.ndarray:
-    m = A.shape[0]
-    ab = np.zeros((bandwidth + 1, m))
-    Ad = A.todia()
-    for off, data in zip(Ad.offsets, Ad.data):
-        if 0 <= off <= bandwidth:
-            ab[bandwidth - off, :] = data
-    return ab
-
-
-def _make_spd_solver(A: sp.csr_matrix, bandwidth: int = 2):
+def _make_spd_solver(A: sp.csr_matrix):
     """Banded Cholesky solve with symmetric Jacobi scaling.
 
     The r^(n-1) measure makes the raw forms ill-conditioned by many orders
     of magnitude near the origin; scaling to unit diagonal keeps the
-    factorization accurate on fine grids."""
-    d = A.diagonal()
-    s = 1.0 / np.sqrt(d)
-    As = (sp.diags(s) @ A @ sp.diags(s)).tocsr()
-    cb = cholesky_banded(_to_banded_upper(As, bandwidth))
+    factorization accurate on fine grids.  The penalty's delta^2 widens the
+    forms to four bands above the diagonal."""
+    s = 1.0 / np.sqrt(A.diagonal())
+    cb = cholesky_banded(upper_bands(sp.diags(s) @ A @ sp.diags(s), 4))
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         return s * cho_solve_banded((cb, False), s * rhs)
@@ -187,33 +155,28 @@ def _make_spd_solver(A: sp.csr_matrix, bandwidth: int = 2):
     return solve
 
 
-def bn_lambda21(
-    n: int,
-    N_r: int = 2001,
-    r_min: float = 1e-6,
-    stab: float = 1.0,
-    max_iters: int = 400,
-    tol: float = 1e-12,
-) -> float:
-    """Smallest eigenvalue of int|Delta u|^2 / int|grad u|^2 by power
-    iteration on the inverse pencil."""
+# power iterations bn_lambda21 may take; it needs 14-18 on 201-4001 nodes
+LAMBDA21_MAX_ITERS = 100
+
+
+def bn_lambda21(n: int, N_r: int = 2001, r_min: float = 1e-6) -> float:
+    """Smallest eigenvalue rho of int|Delta u|^2 / int|grad u|^2 by power
+    iteration on the inverse pencil, stopped on the minimizers' rule
+    max|B x - rho G x| <= RESIDUAL_TOL max|B x|."""
     r = _bn_nodes(N_r, r_min)
     M = r.size - 1
-    B, G, _ = _quadratic_forms(n, r, stab=stab)
-    solve = _make_spd_solver(B, bandwidth=4)
+    B, G, _ = _quadratic_forms(n, r)
+    solve = _make_spd_solver(B)
     x = np.sin(math.pi * np.arange(1, M + 1) / (M + 1))
-    rho_old = 0.0
-    for _ in range(max_iters):
+    for _ in range(LAMBDA21_MAX_ITERS):
         y = solve(G @ x)
-        nrm = math.sqrt(float(y @ (G @ y)))
-        x = y / nrm
-        num = float(x @ (B @ x))
-        den = float(x @ (G @ x))
-        rho = num / den
-        if abs(rho - rho_old) <= tol * abs(rho):
-            break
-        rho_old = rho
-    return rho
+        x = y / math.sqrt(float(y @ (G @ y)))
+        Bx, Gx = B @ x, G @ x
+        rho = float(x @ Bx) / float(x @ Gx)
+        if np.max(np.abs(Bx - rho * Gx)) <= RESIDUAL_TOL * np.max(np.abs(Bx)):
+            return rho
+    raise UnconvergedResultError(
+        f"lambda21 power iteration unconverged after {LAMBDA21_MAX_ITERS} steps")
 
 
 def _bn_inits(n: int, r: np.ndarray) -> List[np.ndarray]:
@@ -230,7 +193,7 @@ def _bn_inits(n: int, r: np.ndarray) -> List[np.ndarray]:
 def minimize_bn(cfg: BNConfig) -> BNReport:
     n, lam = cfg.n, float(cfg.lam)
     r = _bn_nodes(cfg.N_r, cfg.r_min)
-    lambda21 = bn_lambda21(n, cfg.N_r, cfg.r_min, cfg.stab)
+    lambda21 = bn_lambda21(n, cfg.N_r, cfg.r_min)
     if not lambda21 >= 0.25 * n**2 * (1.0 - 1e-6):
         raise ConsistencyError(f"lambda21={lambda21} below n^2/4={0.25 * n**2}")
     if lam >= lambda21:
@@ -238,9 +201,9 @@ def minimize_bn(cfg: BNConfig) -> BNReport:
             f"lambda={lam} >= lambda21={lambda21:.6f}: quotient not coercive"
         )
 
-    B, G, w = _quadratic_forms(n, r, stab=cfg.stab)
+    B, G, w = _quadratic_forms(n, r)
     A = (B - lam * G).tocsr()
-    solve = _make_spd_solver(A, bandwidth=4)
+    solve = _make_spd_solver(A)
     # the clamped node u_M = 0 carries no mass
     runs = [inverse_iteration(A, solve, u0, w[:-1], 2.0 * n / (n - 4), cfg.max_iters)
             for u0 in _bn_inits(n, r)]
@@ -275,7 +238,10 @@ def minimize_bn(cfg: BNConfig) -> BNReport:
         el_residual=best.residual,
         status=best.status,
     )
-    if lam > 0.0 and converged:
+    # the identities hold for a minimizer, and below S** the infimum is
+    # attained; at S** minimizing sequences may concentrate and the profile
+    # solves nothing (Brezis-Nirenberg)
+    if lam > 0.0 and converged and evidence == "dips-below":
         res = pohozaev_residuals(report, cfg)
         report = replace(
             report,
@@ -306,8 +272,9 @@ def pohozaev_residuals(report: BNReport, cfg: BNConfig) -> dict:
     M = vals.size - 1
     u = vals[:-1]
 
-    B, G, w = _quadratic_forms(n, nodes)
-    grad_sq = float(u @ (G @ u))
+    # the identities hold for the unpenalized forms
+    D, C, w = _assemble_bn(n, nodes)
+    grad_sq = float(u @ (_gram(C, w) @ u))
     # one-sided u_rr(1) using u(1) = u'(1) = 0 and two interior values
     d1 = nodes[M] - nodes[M - 1]
     d2 = nodes[M] - nodes[M - 2]
@@ -318,11 +285,11 @@ def pohozaev_residuals(report: BNReport, cfg: BNConfig) -> dict:
     out = {"res_A": res_A}
 
     if n == 5:
-        B2, G2, w2 = _quadratic_forms(n, nodes, radial_power=2.0)
-        t1 = 5.0 * float(u @ (B2 @ u))
+        w2 = _assemble_bn(n, nodes, radial_power=2.0)[2]
+        t1 = 5.0 * float(u @ (_gram(D, w2) @ u))
         t2 = 6.0 * grad_sq
         t3 = 2.0 * lam * grad_sq
-        t4 = lam * float(u @ (G2 @ u))
+        t4 = lam * float(u @ (_gram(C, w2) @ u))
         t5 = 1.4 * float(w2[:-1] @ np.abs(u) ** 10.0)
         scale_r3 = max(abs(t) for t in (t1, t2, t3, t4, t5))
         out["res_r3"] = abs(t1 - t2 - t3 + t4 + t5) / scale_r3
@@ -359,3 +326,13 @@ def dimension_probe(
             )
         )
     return rows
+
+
+def probe_row_or_nan(n: int, lam: float, cfg: Optional[BNConfig] = None) -> ProbeRow:
+    """`dimension_probe`'s row at one lambda, or an all-NaN unconverged row
+    if it raises."""
+    try:
+        return dimension_probe(n, [lam], cfg)[0]
+    except Exception:
+        return ProbeRow(lam=float(lam), s_lambda=math.nan, sstar_num=math.nan,
+                        below_sstar=False, pohozaev_A=math.nan, converged=False)

@@ -160,7 +160,7 @@ def _parse_args(parser: argparse.ArgumentParser,
     parsed again, so each flag's own type applies and any spelling argparse
     accepts counts as explicit.  One file serves every subcommand, so a key
     that is a flag of another subcommand is ignored; a key that is a flag
-    of none is refused."""
+    of none, or a value outside its flag's choices, is refused."""
     args = parser.parse_args(argv)
     paths = []
     env = os.environ.get("CKN_CONFIG")
@@ -188,7 +188,14 @@ def _parse_args(parser: argparse.ArgumentParser,
             if a.dest == keys[name]:
                 a.default = (value.lower() in ("1", "true", "yes", "on")
                              if isinstance(a, argparse._StoreTrueAction) else value)
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    # argparse checks `choices` on the command line only
+    for a in sub.choices[args.command]._actions:
+        if a.choices is not None and getattr(args, a.dest) not in a.choices:
+            raise ParameterDomainError(
+                f"config value {getattr(args, a.dest)!r} of {a.dest!r} is not "
+                f"one of {', '.join(a.choices)}")
+    return args
 
 
 def _common_flags(sp: argparse.ArgumentParser, default_format: str = "json") -> None:
@@ -257,14 +264,9 @@ def _phase_worker(task) -> tuple:
 
 
 def _probe_worker(task) -> "ProbeRow":
-    n, lam, cfg = task
-    from .bn_ball import ProbeRow, dimension_probe
+    from .bn_ball import probe_row_or_nan
 
-    try:
-        return dimension_probe(n, [lam], cfg)[0]
-    except Exception:
-        return ProbeRow(lam=float(lam), s_lambda=math.nan, sstar_num=math.nan,
-                        below_sstar=False, pohozaev_A=math.nan, converged=False)
+    return probe_row_or_nan(*task)
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +421,7 @@ def _bn_config(args) -> "BNConfig":
     from .bn_ball import BNConfig
 
     return BNConfig(n=args.n, lam=getattr(args, "lam", 0.0), N_r=args.nr,
-                    r_min=args.r_min, stab=args.stab,
-                    max_iters=args.max_iters)
+                    r_min=args.r_min, max_iters=args.max_iters)
 
 
 def _cmd_bn(args) -> int:
@@ -611,7 +612,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--nr", type=int, default=2001,
                         help="radial nodes on [0, 1]")
         sp.add_argument("--r-min", type=float, default=1e-6)
-        sp.add_argument("--stab", type=float, default=1.0)
         sp.add_argument("--max-iters", type=int, default=600)
 
     sp = sub.add_parser("bn", help="perturbed critical minimization on the ball")

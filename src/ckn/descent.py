@@ -3,7 +3,8 @@
     minimize x.A x  on  sum weights |x|^p = 1,  A symmetric positive definite.
 
 At p = 2 it is inverse power iteration for the smallest eigenvalue of the
-pencil (A, diag weights)."""
+pencil (A, diag weights).  Both minimizers hand their forms to the banded
+Cholesky factorization through `upper_bands`."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -23,6 +24,15 @@ class IterationResult:
     iterations: int
     residual: float
     status: str  # residual | stalled | max_iters
+
+
+def upper_bands(A, u: int) -> np.ndarray:
+    """Symmetric A with u superdiagonals in LAPACK's upper band layout,
+    ab[u + i - j, j] = A[i, j], as `scipy.linalg.cholesky_banded` takes it."""
+    ab = np.zeros((u + 1, A.shape[0]))
+    for k in range(u + 1):
+        ab[u - k, k:] = A.diagonal(k)
+    return ab
 
 
 def inverse_iteration(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (ConsistencyError, ParameterDomainError,
                      UnconvergedResultError)
-from .radial_solver import MinimizationResult, _assemble_form
+from .radial_solver import MinimizationResult
 from .spectrum import (SpectrumModel, _nearest_sphere_level, full_sphere,
                        positivity_predicates)
 from .params import gamma_alpha, phase_thresholds
@@ -70,13 +70,9 @@ def symmetry_certificate(
     if q <= 2:
         raise ParameterDomainError("the second-variation test needs q > 2")
 
-    grid = result.profile.grid
+    # the converged value mu_q is w.A w of the line form at the profile
     w = result.profile.values[1:-1]
-    A, _ = _assemble_form(grid, float(params.gbar), float(params.gamma))
-    h = grid.h
-    quad = float(w @ (A @ w))
-    mass2 = h * float(np.sum(w**2))
-    xi = math.sqrt(quad / mass2)
+    xi = math.sqrt(result.mu_q / (result.profile.grid.h * float(np.sum(w**2))))
     Q = (q - 2.0) * xi**2 - 2.0 * (n - 1) * xi - (n - 1) ** 2
 
     prox = eigen_proximity(n, float(params.alpha))

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .descent import inverse_iteration
+from .descent import inverse_iteration, upper_bands
 from .errors import ParameterDomainError, UnconvergedResultError
 from .grids import LineGrid, LineProfile, alpha_grid
 from .params import (conjugate_exponent, derive_params, radial_closed_forms,
@@ -59,11 +59,7 @@ def _assemble_form(grid: LineGrid, gbar: float, gam: float):
     D1 = sp.diags([-one[:-1], one[:-1]], [-1, 1]) / (2.0 * h)
     A = h * (D2.T @ D2 + 2.0 * gbar * D1.T @ D1 + gam**2 * sp.identity(M))
     A = A.tocsr()
-    ab = np.zeros((3, M))
-    ab[0, 2:] = A.diagonal(2)
-    ab[1, 1:] = A.diagonal(1)
-    ab[2, :] = A.diagonal(0)
-    return A, ab
+    return A, upper_bands(A, 2)
 
 
 def _init_vector(grid: LineGrid, init: str, seed: int) -> np.ndarray:

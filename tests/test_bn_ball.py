@@ -5,10 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from ckn.bn_ball import (BNConfig, BNReport, _bn_nodes, bn_lambda21,
-                         dimension_probe, minimize_bn, pohozaev_residuals)
-from ckn.errors import DegenerateIdentityError, ParameterDomainError
+from ckn import bn_ball
+from ckn.bn_ball import (BNConfig, BNReport, _bn_nodes, _quadratic_forms,
+                         bn_lambda21, dimension_probe, minimize_bn,
+                         pohozaev_residuals, probe_row_or_nan)
+from ckn.errors import (DegenerateIdentityError, ParameterDomainError,
+                        UnconvergedResultError)
 from ckn.grids import RadialProfile
 
 QUICK = dict(N_r=801, max_iters=400)
@@ -43,6 +47,39 @@ def test_lambda21_stable_under_refinement():
     a = bn_lambda21(6, N_r=801)
     b = bn_lambda21(6, N_r=1601)
     assert abs(a - b) / b <= 5e-3
+
+
+@pytest.mark.parametrize("N_r", [201, 801])
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_lambda21_matches_dense_pencil(n, N_r):
+    B, G, _ = _quadratic_forms(n, _bn_nodes(N_r, 1e-6))
+    m = B.shape[0]
+    top = sla.eigh(G.toarray(), B.toarray(), eigvals_only=True,
+                   subset_by_index=[m - 1, m - 1])[0]
+    assert bn_lambda21(n, N_r=N_r) == pytest.approx(1.0 / top, rel=1e-7)
+
+
+def test_lambda21_stops_on_the_residual_rule(monkeypatch):
+    solves = []
+    make = bn_ball._make_spd_solver
+
+    def counting(A):
+        solve = make(A)
+
+        def wrapped(rhs):
+            solves.append(1)
+            return solve(rhs)
+        return wrapped
+
+    monkeypatch.setattr(bn_ball, "_make_spd_solver", counting)
+    bn_lambda21(6)
+    assert 0 < len(solves) <= 30
+
+
+def test_lambda21_cap_raises(monkeypatch):
+    monkeypatch.setattr(bn_ball, "LAMBDA21_MAX_ITERS", 2)
+    with pytest.raises(UnconvergedResultError):
+        bn_lambda21(6, N_r=201)
 
 
 def test_minimize_rejects_supercritical_lambda():
@@ -123,3 +160,11 @@ def test_dimension_probe_rows():
     assert not rows[0].below_sstar
     assert rows[1].below_sstar
     assert math.isnan(rows[0].pohozaev_A)  # identity undefined at lambda = 0
+
+
+def test_probe_row_or_nan():
+    cfg = BNConfig(n=6, N_r=201)
+    row = probe_row_or_nan(6, 60.0, cfg)  # above lambda_21
+    assert row.lam == 60.0 and not row.converged and not row.below_sstar
+    assert math.isnan(row.s_lambda) and math.isnan(row.pohozaev_A)
+    assert probe_row_or_nan(6, 10.0, cfg) == dimension_probe(6, [10.0], cfg)[0]

@@ -2,6 +2,7 @@
 byte-stable parallel sweeps."""
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -268,6 +269,46 @@ def test_bn_reports_stall_counted_as_converged(capsys):
     code, out, _ = run(capsys, "bn", "--n", "5", "--lambda", "2",
                        "--format", "csv")
     assert "status" not in out.splitlines()[0]
+
+
+def test_bn_reports_no_identity_residual_at_sstar(capsys):
+    """At n = 5, lambda = 2 the value sits at S** (not attained), so no
+    Pohozaev residual is reported; the stall still counts as converged."""
+    code, out, _ = run(capsys, "bn", "--n", "5", "--lambda", "2")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["attained_evidence"] == "flat-at-sstar"
+    assert math.isnan(payload["pohozaev_A_residual"])
+    assert payload["r3_residual"] is None
+    assert payload["converged"] is True
+    assert payload["status"] == "stalled"
+
+
+def test_stab_setting_is_gone(capsys, monkeypatch, tmp_path):
+    code, out, err = run(capsys, "bn", "--n", "6", "--lambda", "10",
+                         "--stab", "1")
+    assert code == EXIT_DOMAIN
+    assert "unrecognized arguments" in err and out == ""
+    cfg = tmp_path / "ckn.cfg"
+    cfg.write_text("stab = 1\n")
+    monkeypatch.setenv("CKN_CONFIG", str(cfg))
+    code, out, err = run(capsys, "bn-probe", "--n", "6", "--lambdas", "0")
+    assert code == EXIT_DOMAIN
+    assert "'stab'" in err and out == ""
+
+
+@pytest.mark.parametrize("entry,argv", [
+    ("format = xml", ("constants", "--n", "5", "--alpha", "0")),
+    ("model = bogus", ("phase", "--n", "5", "--alpha", "1")),
+])
+def test_config_value_outside_choices_is_refused(capsys, monkeypatch,
+                                                 tmp_path, entry, argv):
+    cfg = tmp_path / "ckn.cfg"
+    cfg.write_text(entry + "\n")
+    monkeypatch.setenv("CKN_CONFIG", str(cfg))
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_DOMAIN
+    assert "parameter error" in err and out == ""
 
 
 def test_scan_at_q2_reports_converged_rows(capsys):
