@@ -17,6 +17,7 @@ half-cell weight; dropping it would lose the clamped stiffness."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from typing import List, Optional, Sequence
 
@@ -306,11 +307,7 @@ class ProbeRow:
     converged: bool
 
 
-def dimension_probe(
-    n: int, lambda_values: Sequence[float], cfg: Optional[BNConfig] = None
-) -> List[ProbeRow]:
-    if cfg is None:
-        cfg = BNConfig(n=n)
+def dimension_probe(n: int, lambda_values: Sequence[float], cfg: BNConfig) -> List[ProbeRow]:
     rows: List[ProbeRow] = []
     for lam in lambda_values:
         run = replace(cfg, n=n, lam=float(lam))
@@ -328,11 +325,13 @@ def dimension_probe(
     return rows
 
 
-def probe_row_or_nan(n: int, lam: float, cfg: Optional[BNConfig] = None) -> ProbeRow:
+def probe_row_or_nan(n: int, lam: float, cfg: BNConfig) -> ProbeRow:
     """`dimension_probe`'s row at one lambda, or an all-NaN unconverged row
-    if it raises."""
+    if it raises; the exception is named on stderr."""
     try:
         return dimension_probe(n, [lam], cfg)[0]
-    except Exception:
+    except Exception as exc:
+        print(f"bn-probe: NaN row at lambda={float(lam)!r}: "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return ProbeRow(lam=float(lam), s_lambda=math.nan, sstar_num=math.nan,
                         below_sstar=False, pohozaev_A=math.nan, converged=False)

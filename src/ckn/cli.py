@@ -32,7 +32,10 @@ EXIT_IO = 3
 
 
 def _fmt(x) -> str:
-    """One CSV cell: %.17g floats, lowercase booleans, plain ints."""
+    """One CSV cell: %.17g floats, lowercase booleans, plain ints, and
+    `nan` for a missing value."""
+    if x is None:
+        return "nan"
     if isinstance(x, bool) or isinstance(x, np.bool_):
         return "true" if x else "false"
     if isinstance(x, float) or isinstance(x, np.floating):
@@ -47,24 +50,10 @@ def _csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    return obj
-
-
 def _json_text(obj) -> str:
-    return json.dumps(_jsonify(obj), indent=2, sort_keys=False) + "\n"
+    # numpy scalars and arrays that are not float subclasses turn into
+    # Python values through `tolist`
+    return json.dumps(obj, indent=2, default=lambda o: o.tolist()) + "\n"
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -227,31 +216,27 @@ def _jobs(args) -> int:
     return j
 
 
-def _fan_out(worker, tasks: List, jobs: int) -> List:
-    """Order-preserving map over tasks, optionally across processes.
+def _fan_out(worker, tasks: List[tuple], jobs: int) -> List:
+    """Order-preserving `worker(*task)` over tasks, optionally across
+    processes.
 
-    Rows are computed by the same picklable worker either way, so output
-    bytes do not depend on the job count."""
+    Rows are computed by the same picklable (module-level) worker either
+    way, so output bytes do not depend on the job count."""
     if jobs <= 1 or len(tasks) <= 1:
-        return [worker(t) for t in tasks]
+        return [worker(*t) for t in tasks]
     # about four chunks per worker: few round trips, balanced tails
     chunksize = math.ceil(len(tasks) / (4 * jobs))
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return list(pool.map(worker, tasks, chunksize=chunksize))
+        return list(pool.map(worker, *zip(*tasks), chunksize=chunksize))
 
 
 # ---------------------------------------------------------------------------
-# pool workers (module level so they pickle)
+# pool worker of `phase` (module level so it pickles); `scan` and `bn-probe`
+# fan out `scan_row_or_nan` and `probe_row_or_nan` directly
 
 
-def _scan_worker(task) -> "ScanRow":
-    from .radial_solver import scan_row_or_nan
-
-    return scan_row_or_nan(*task)
-
-
-def _phase_worker(task) -> tuple:
-    n, alpha, q, model_kind = task
+def _phase_worker(n: int, alpha: float, q: Optional[float],
+                  model_kind: str) -> tuple:
     from .params import gamma_alpha
     from .phase import closed_form_breaking, positivity_phase
     from .spectrum import full_sphere, half_sphere
@@ -261,12 +246,6 @@ def _phase_worker(task) -> tuple:
     bs = closed_form_breaking(n, alpha, q) if q is not None else False
     return (float(alpha), float(gamma_alpha(n, alpha)), rep.break_pos,
             rep.sphere_threshold_exceeded, rep.lambda1, rep.lambda2, bs)
-
-
-def _probe_worker(task) -> "ProbeRow":
-    from .bn_ball import probe_row_or_nan
-
-    return probe_row_or_nan(*task)
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +306,11 @@ SCAN_HEADER = ("alpha", "mu_q", "s_q_rad", "s2_rad", "rellich", "sq_positive",
 
 
 def _cmd_scan(args) -> int:
+    from .radial_solver import scan_row_or_nan
+
     alphas = _alpha_range(args.alpha_range)
     cfg = _min_config(args)
-    rows = _fan_out(_scan_worker, [(args.n, args.q, a, cfg) for a in alphas],
+    rows = _fan_out(scan_row_or_nan, [(args.n, args.q, a, cfg) for a in alphas],
                     _jobs(args))
     _write_table(args, SCAN_HEADER, [[getattr(r, k) for k in SCAN_HEADER] for r in rows])
     return EXIT_OK
@@ -445,9 +426,11 @@ _PROBE_ATTRS = ("lam",) + PROBE_HEADER[1:]
 
 
 def _cmd_bn_probe(args) -> int:
+    from .bn_ball import probe_row_or_nan
+
     cfg = _bn_config(args)
     lams = _float_list(args.lambdas)
-    rows = _fan_out(_probe_worker, [(args.n, lam, cfg) for lam in lams],
+    rows = _fan_out(probe_row_or_nan, [(args.n, lam, cfg) for lam in lams],
                     _jobs(args))
     _write_table(args, PROBE_HEADER, [[getattr(r, k) for k in _PROBE_ATTRS] for r in rows])
     return EXIT_OK

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.interpolate import make_interp_spline
@@ -246,9 +246,6 @@ def shifted_weight_lemma_check(
     a: float,
     u: RadialProfile,
     t_values: Sequence[float],
-    r_panels: int = 48,
-    theta_panels: int = 24,
-    panel_order: int = 12,
 ) -> ShiftedWeightReport:
     """Evaluate f(t) = int |tx+e|^(-2a) |Delta(|tx+e|^a u)|^2 on the ball.
 
@@ -268,8 +265,9 @@ def shifted_weight_lemma_check(
     c_a = a * (a + 2.0) * (n - 2) / float(n)
     omega_sec = sphere_area(n - 1)
 
-    r, wr = gauss_panels(np.linspace(0.0, r_max, r_panels + 1), panel_order)
-    th, wth = gauss_panels(np.linspace(0.0, math.pi, theta_panels + 1), panel_order)
+    # 48 radial and 24 angular panels of 12 Gauss nodes each
+    r, wr = gauss_panels(np.linspace(0.0, r_max, 49), 12)
+    th, wth = gauss_panels(np.linspace(0.0, math.pi, 25), 12)
     cos_th = np.cos(th)
     # measure factors, split by coordinate
     mr = wr * r ** (n - 1)
@@ -370,16 +368,14 @@ class UepsReport:
     ratios: List[float]
     slope_biharmonic: float
     below_sstar: bool
-    cutoff: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    cutoff: str = "quintic-smoothstep[1/2,3/4]"
     sstar_num: float = float("nan")
     biharmonic_excess: List[float] = field(default_factory=list)
     mass_deficits: List[float] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        out = {("lambda" if f.name == "lam" else f.name): getattr(self, f.name)
-               for f in fields(self)}
-        out["cutoff"] = "quintic-smoothstep[1/2,3/4]"
-        return out
+        return {("lambda" if f.name == "lam" else f.name): getattr(self, f.name)
+                for f in fields(self)}
 
 
 def ueps_profile(n: int, eps: float, r: np.ndarray) -> np.ndarray:
@@ -391,18 +387,12 @@ def _ueps_derivs(n: int, eps: float, r: np.ndarray):
     chi, (chi1, chi2) = smoothstep_cutoff(r), _smoothstep_derivs(r)
     s = r / eps
     U, U1, U2 = talenti(s, n), talenti_d1(s, n) / eps, talenti_d2(s, n) / eps**2
-    v = scale * chi * U
     v1 = scale * (chi1 * U + chi * U1)
     v2 = scale * (chi2 * U + 2.0 * chi1 * U1 + chi * U2)
-    return v, v1, v2
+    return v1, v2
 
 
-def ueps_family(
-    n: int,
-    lam: float,
-    epsilons: Sequence[float],
-    ctx: QuadratureContext = DEFAULT_CTX,
-) -> UepsReport:
+def ueps_family(n: int, lam: float, epsilons: Sequence[float]) -> UepsReport:
     """Rayleigh quotients R(eps) of the truncated bubbles on the unit ball.
 
     R(eps) = (int |Delta u_eps|^2 - lambda int |grad u_eps|^2)
@@ -428,16 +418,15 @@ def ueps_family(
     deficits: List[float] = []
 
     def integral(g, *domains) -> float:
-        return sum(weighted_radial_integral(g, n, 0.0, domain=d, ctx=ctx)
-                   for d in domains)
+        return sum(weighted_radial_integral(g, n, 0.0, domain=d) for d in domains)
 
     for eps in epsilons:
         def lap_sq(r: np.ndarray, eps: float = eps) -> np.ndarray:
-            _, v1, v2 = _ueps_derivs(n, eps, r)
+            v1, v2 = _ueps_derivs(n, eps, r)
             return (v2 + (n - 1) / r * v1) ** 2
 
         def grad_sq(r: np.ndarray, eps: float = eps) -> np.ndarray:
-            _, v1, _ = _ueps_derivs(n, eps, r)
+            v1, _ = _ueps_derivs(n, eps, r)
             return v1**2
 
         def bubble_density(r: np.ndarray, eps: float = eps) -> np.ndarray:
@@ -473,7 +462,6 @@ def ueps_family(
         ratios=ratios,
         slope_biharmonic=slope,
         below_sstar=bool(min(ratios) < sstar_num),
-        cutoff=smoothstep_cutoff,
         sstar_num=sstar_num,
         biharmonic_excess=excess,
         mass_deficits=deficits,

@@ -13,8 +13,7 @@ from scipy.interpolate import CubicSpline
 from .errors import GridError, SupportWarning
 from .grids import LineGrid, LineProfile, RadialProfile, log_uniform_radial_nodes
 from .params import DerivedParams, derive_params, scaling_relation
-from .quadrature import (DEFAULT_CTX, QuadratureContext, gauss_panels,
-                         weighted_radial_integral)
+from .quadrature import gauss_panels, weighted_radial_integral
 
 NODE_MATCH_RTOL = 1e-9
 
@@ -163,9 +162,7 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(abs(b), 1e-300)
 
 
-def norm_identity_check(
-    w: LineProfile, ctx: QuadratureContext = DEFAULT_CTX
-) -> NormIdentityReport:
+def norm_identity_check(w: LineProfile) -> NormIdentityReport:
     """Check the two change-of-variables integral identities on a line profile.
 
     Left sides are weighted radial integrals of the transformed u built from a
@@ -225,8 +222,8 @@ def norm_identity_check(
         )
         return out
 
-    lhs_q = weighted_radial_integral(u_abs_q, n, -beta, ctx=ctx)
-    lhs_quad = weighted_radial_integral(lap_u_sq, n, alpha, ctx=ctx)
+    lhs_q = weighted_radial_integral(u_abs_q, n, -beta)
+    lhs_quad = weighted_radial_integral(lap_u_sq, n, alpha)
 
     from .quadrature import sphere_area
 
@@ -265,12 +262,13 @@ class ConjugateRescaleReport:
     taug2_relerr: float
 
 
-def _support_domain(profile: RadialProfile, pad: int = 3):
+def _support_domain(profile: RadialProfile):
+    """The nodes three places outside the nonzero values, or None."""
     idx = np.nonzero(np.abs(profile.values) > 0.0)[0]
     if len(idx) == 0:
         return None
-    lo = max(idx[0] - pad, 0)
-    hi = min(idx[-1] + pad, len(profile.nodes) - 1)
+    lo = max(idx[0] - 3, 0)
+    hi = min(idx[-1] + 3, len(profile.nodes) - 1)
     return float(profile.nodes[lo]), float(profile.nodes[hi])
 
 
@@ -278,7 +276,6 @@ def conjugate_rescale(
     u: RadialProfile,
     params: DerivedParams,
     alpha_tilde: float,
-    ctx: QuadratureContext = DEFAULT_CTX,
 ) -> ConjugateRescaleReport:
     """Remap u to the rescaled profile u~(r) = u(r^{1/tau}) and verify the two
     rescaling integral identities by quadrature."""
@@ -307,14 +304,14 @@ def conjugate_rescale(
         r0, r1 = domain
         spl = CubicSpline(profile.nodes, profile.values, bc_type="natural")
         mass = weighted_radial_integral(
-            lambda r: np.abs(spl(r)) ** q, n, p_mass, domain=(r0, r1), ctx=ctx
+            lambda r: np.abs(spl(r)) ** q, n, p_mass, domain=(r0, r1)
         )
         lap = weighted_radial_integral(
             lambda r: (spl(r, nu=2) + (n - 1) / r * spl(r, nu=1)) ** 2,
-            n, p_lap, domain=(r0, r1), ctx=ctx,
+            n, p_lap, domain=(r0, r1),
         )
         grad = weighted_radial_integral(
-            lambda r: spl(r, nu=1) ** 2, n, p_grad, domain=(r0, r1), ctx=ctx
+            lambda r: spl(r, nu=1) ** 2, n, p_grad, domain=(r0, r1)
         )
         return mass, lap, grad
 

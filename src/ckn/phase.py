@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import (ConsistencyError, ParameterDomainError,
                      UnconvergedResultError)
 from .radial_solver import MinimizationResult
-from .spectrum import (SpectrumModel, _nearest_sphere_level, full_sphere,
-                       positivity_predicates)
+from .spectrum import SpectrumModel, positivity_predicates
 from .params import gamma_alpha, phase_thresholds
 
 CERTIFICATE_MARGIN = 1e-6
@@ -41,32 +39,16 @@ def closed_form_breaking(n: int, alpha: float, q: float) -> bool:
 class SymmetryCertificate:
     xi: float
     Q: float
-    closed_form_broken: bool
     certified_broken: bool
-    nearest_eigen_k: int
-    eigen_distance: float
 
 
-def eigen_proximity(n: int, alpha: float):
-    """Nearest spherical level to -gamma_alpha: argmin_k |gamma + k(n-2+k)|."""
-    g = float(gamma_alpha(n, alpha))
-    k, dist = _nearest_sphere_level(full_sphere(n), -g)
-    return {"k": k, "distance": float(dist)}
-
-
-def symmetry_certificate(
-    result: MinimizationResult, n: Optional[int] = None, q: Optional[float] = None
-) -> SymmetryCertificate:
+def symmetry_certificate(result: MinimizationResult) -> SymmetryCertificate:
     if not result.converged or result.degenerate:
         raise UnconvergedResultError(
             "refusing to certify from an unconverged or degenerate minimizer "
             f"(converged={result.converged}, el_residual={result.el_residual:.3g})"
         )
-    params = result.profile.params
-    if n is None:
-        n = params.n
-    if q is None:
-        q = float(params.q)
+    n, q = result.profile.params.n, float(result.profile.params.q)
     if q <= 2:
         raise ParameterDomainError("the second-variation test needs q > 2")
 
@@ -74,15 +56,8 @@ def symmetry_certificate(
     w = result.profile.values[1:-1]
     xi = math.sqrt(result.mu_q / (result.profile.grid.h * float(np.sum(w**2))))
     Q = (q - 2.0) * xi**2 - 2.0 * (n - 1) * xi - (n - 1) ** 2
-
-    prox = eigen_proximity(n, float(params.alpha))
     return SymmetryCertificate(
-        xi=xi,
-        Q=Q,
-        closed_form_broken=closed_form_breaking(n, float(params.alpha), q),
-        certified_broken=Q > CERTIFICATE_MARGIN * (n - 1) ** 2,
-        nearest_eigen_k=prox["k"],
-        eigen_distance=prox["distance"],
+        xi=xi, Q=Q, certified_broken=Q > CERTIFICATE_MARGIN * (n - 1) ** 2
     )
 
 
@@ -99,7 +74,6 @@ class PositivityReport:
     sphere_threshold_exceeded: bool
     lambda1: float
     lambda2: float
-    note: str
 
 
 def positivity_phase(n: int, alpha: float, model: SpectrumModel) -> PositivityReport:
@@ -119,5 +93,4 @@ def positivity_phase(n: int, alpha: float, model: SpectrumModel) -> PositivityRe
         sphere_threshold_exceeded=exceeded,
         lambda1=preds.lambda1,
         lambda2=preds.lambda2,
-        note=POSITIVITY_NOTE,
     )

@@ -22,13 +22,12 @@ class QuadratureContext:
     """Panelized Gauss-Legendre settings.
 
     panel_order: nodes per panel; panel_count: panels on a smooth interval;
-    grading_levels geometric panels (ratio `grading_ratio`) absorb a singular
-    r -> 0 endpoint.
+    grading_levels geometric panels, each half the width of the next, absorb
+    a singular r -> 0 endpoint.
     """
 
     panel_order: int = 12
     panel_count: int = 64
-    grading_ratio: float = 0.5
     grading_levels: int = 80
 
 
@@ -56,7 +55,7 @@ def _graded_panels(a: float, b: float, ctx: QuadratureContext) -> np.ndarray:
     span = b - a
     edges = [b]
     for k in range(1, ctx.grading_levels + 1):
-        edges.append(a + span * ctx.grading_ratio**k)
+        edges.append(a + span * 0.5**k)
     edges.append(a)
     return np.array(edges[::-1])
 

@@ -7,7 +7,9 @@ multistart coordinate-descent oracle and the scaling/concavity laws as
 cross-checks."""
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
@@ -28,9 +30,7 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 @dataclass(frozen=True)
 class MinimizationConfig:
     grid: LineGrid = field(default_factory=lambda: LineGrid(12.0, 2001))
-    init: str = "sech-bump"  # sech-bump | random
     max_iters: int = 400
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -62,26 +62,11 @@ def _assemble_form(grid: LineGrid, gbar: float, gam: float):
     return A, upper_bands(A, 2)
 
 
-def _init_vector(grid: LineGrid, init: str, seed: int) -> np.ndarray:
-    s = grid.s[1:-1]
-    if init == "sech-bump":
-        v = 1.0 / np.cosh(s) ** 2
-    elif init == "random":
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(len(s))
-        # crude smoothing so the initial energy is finite-ish
-        for _ in range(3):
-            v = np.convolve(v, np.ones(5) / 5.0, mode="same")
-    else:
-        raise ParameterDomainError(f"unknown init {init!r}")
-    return v
-
-
 def minimize_mu_q(n: int, alpha: float, q: float, cfg: MinimizationConfig) -> MinimizationResult:
     """Inverse iteration (`descent.inverse_iteration`) on the even vectors
-    with h*sum|w|^q = 1, preconditioned by the banded Cholesky factor of
-    the form.  The returned value is an upper bound on the discrete
-    infimum by construction."""
+    with h*sum|w|^q = 1, started from the sech^2 bump and preconditioned by
+    the banded Cholesky factor of the form.  The returned value is an upper
+    bound on the discrete infimum by construction."""
     params = derive_params(n, float(alpha), float(q))
     grid = cfg.grid
     if float(alpha) in (float(4 - n), float(n)):
@@ -95,7 +80,7 @@ def minimize_mu_q(n: int, alpha: float, q: float, cfg: MinimizationConfig) -> Mi
     q = float(q)
     run = inverse_iteration(
         A, lambda r: sla.cho_solve_banded((cb, False), r),
-        _init_vector(grid, cfg.init, cfg.seed), np.full(grid.N - 2, grid.h), q,
+        1.0 / np.cosh(grid.s[1:-1]) ** 2, np.full(grid.N - 2, grid.h), q,
         cfg.max_iters, project=lambda v: 0.5 * (v + v[::-1]),
     )
 
@@ -252,12 +237,17 @@ def consistency_suite(n: int, alpha: float, q: float, cfg: MinimizationConfig) -
     q = float(q)
     alpha = float(alpha)
 
+    @functools.cache
+    def s_alpha() -> float:
+        # the solve at (n, alpha, q), shared by the conjugacy and sandwich laws
+        return _converged_min(n, alpha, q, cfg).s_q_rad
+
     conjugate_relerr: Optional[float] = None
     if n >= 3 and alpha != 2.0 and alpha != 4.0 - n:
         at = float(conjugate_exponent(n, alpha))
         if at != 4.0 - n:
             tau = float(scaling_relation(n, alpha, at).tau)
-            s_a = _converged_min(n, alpha, q, cfg).s_q_rad
+            s_a = s_alpha()
             # the rescaled minimizer is |tau| times wider; match the window
             grid_t = LineGrid(cfg.grid.L * abs(tau), cfg.grid.N)
             s_t = _converged_min(n, at, q, replace(cfg, grid=grid_t)).s_q_rad
@@ -273,7 +263,7 @@ def consistency_suite(n: int, alpha: float, q: float, cfg: MinimizationConfig) -
     if at != 4.0 - n and alpha != 4.0 - n and at != float(n):
         g = abs(float(scaling_relation(n, alpha, at).g))
         tau_rev = float(scaling_relation(n, at, alpha).tau)
-        s_a = _converged_min(n, alpha, q, cfg).s_q_rad
+        s_a = s_alpha()
         s_t = _converged_min(n, at, q, cfg).s_q_rad
         mid = abs(tau_rev) ** (3.0 + 2.0 / q) * s_a
         lo = (1.0 - 4.0 * g / (n - at) ** 2) * s_t
@@ -368,10 +358,13 @@ def scan_row(n: int, q: float, alpha: float, cfg: MinimizationConfig) -> ScanRow
 
 
 def scan_row_or_nan(n: int, q: float, alpha: float, cfg: MinimizationConfig) -> ScanRow:
-    """`scan_row`, or an all-NaN unconverged row if it raises."""
+    """`scan_row`, or an all-NaN unconverged row if it raises; the
+    exception is named on stderr."""
     try:
         return scan_row(n, q, alpha, cfg)
-    except Exception:
+    except Exception as exc:
+        print(f"scan: NaN row at alpha={float(alpha)!r}: "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return ScanRow(alpha=float(alpha), mu_q=math.nan, s_q_rad=math.nan,
                        s2_rad=math.nan, rellich=math.nan, sq_positive=False,
                        bs_closed_form=False, bs_certificate=False, converged=False)

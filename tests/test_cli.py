@@ -337,3 +337,68 @@ def test_abbreviated_flag_beats_config(capsys, monkeypatch, tmp_path):
     _, out, _ = run(capsys, "ueps", "--n", "5", "--epsilons", "0.2",
                     "--lamb", "1")
     assert json.loads(out)["lambda"] == 1.0
+
+
+def test_bn_csv_writes_missing_residual_as_nan(capsys):
+    """(6, 10) reports no r3 residual: JSON null, CSV nan."""
+    code, out, _ = run(capsys, "bn", "--n", "6", "--lambda", "10", "--nr", "401",
+                       "--format", "csv")
+    assert code == EXIT_OK
+    header, row = out.splitlines()
+    for key, cell in zip(header.split(","), row.split(",")):
+        if key == "converged":
+            assert cell == "true"
+        else:
+            float(cell)
+    assert row.endswith(",nan")
+
+
+def test_scan_nan_row_names_its_error(capsys, monkeypatch):
+    import ckn.radial_solver
+
+    def fail(n, alpha, q, cfg):
+        raise RuntimeError("solver exploded")
+
+    monkeypatch.setattr(ckn.radial_solver, "minimize_mu_q", fail)
+    code, out, err = run(capsys, "scan", "--n", "5", "--q", "3",
+                         "--alpha-range", "0,0.5,0.5", "--jobs", "1")
+    assert code == EXIT_OK
+    assert out.splitlines()[1:] == [
+        f"{a},nan,nan,nan,nan,false,false,false,false" for a in ("0", "0.5")]
+    assert err.splitlines() == [
+        f"scan: NaN row at alpha={a}: RuntimeError: solver exploded"
+        for a in ("0.0", "0.5")]
+
+
+def test_bn_probe_nan_row_names_its_error(capsys):
+    code, out, err = run(capsys, "bn-probe", "--n", "6", "--lambdas", "60",
+                         "--nr", "201", "--jobs", "1")
+    assert code == EXIT_OK
+    assert out.splitlines()[1] == "60,nan,nan,false,nan,false"
+    assert err.startswith("bn-probe: NaN row at lambda=60.0: ParameterDomainError: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_bn_probe_byte_identical_across_jobs(tmp_path):
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    args = ["bn-probe", "--n", "6", "--lambdas", "0,10", "--nr", "201"]
+    assert dispatch(args + ["--jobs", "1", "--out", str(out1)]) == EXIT_OK
+    assert dispatch(args + ["--jobs", "2", "--out", str(out2)]) == EXIT_OK
+    assert len(out1.read_text().splitlines()) == 3
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_json_text_of_numpy_values():
+    """numpy scalars and arrays in nested dicts and tuples become plain JSON."""
+    import numpy as np
+
+    from ckn.cli import _json_text
+
+    obj = {"values": (np.float64(0.1), np.float64("nan")),
+           "nested": {"flag": np.bool_(True), "count": np.int64(7),
+                      "matrix": np.array([[1.5, 2.0], [3.0, -0.25]])}}
+    assert _json_text(obj) == (
+        '{\n  "values": [\n    0.1,\n    NaN\n  ],\n  "nested": {\n'
+        '    "flag": true,\n    "count": 7,\n    "matrix": [\n      [\n'
+        '        1.5,\n        2.0\n      ],\n      [\n        3.0,\n'
+        '        -0.25\n      ]\n    ]\n  }\n}\n')

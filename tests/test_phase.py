@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from ckn.errors import ParameterDomainError, UnconvergedResultError
 from ckn.params import gamma_alpha, phase_thresholds
-from ckn.phase import (POSITIVITY_NOTE, closed_form_breaking, eigen_proximity,
-                       positivity_phase, symmetry_certificate)
+from ckn.phase import closed_form_breaking, positivity_phase, symmetry_certificate
 from ckn.radial_solver import MinimizationConfig, minimize_mu_q
-from ckn.spectrum import full_sphere, half_sphere
+from ckn.spectrum import full_sphere, half_sphere, spectral_distance
 
 
 def test_closed_form_threshold_spot():
@@ -36,7 +35,6 @@ def test_threshold_matches_formula(n, q):
 def test_certificate_far_regime_broken():
     res = minimize_mu_q(5, 14.0, 10.0, MinimizationConfig())
     cert = symmetry_certificate(res)
-    assert cert.closed_form_broken
     assert cert.Q > 0.0
     assert cert.certified_broken
 
@@ -58,20 +56,21 @@ def test_certificate_refuses_unconverged():
 
 
 def test_certificate_needs_q_above_2():
-    res = minimize_mu_q(5, 0.0, 3.0, MinimizationConfig())
+    res = minimize_mu_q(5, 0.0, 2.0, MinimizationConfig())
+    assert res.converged
     with pytest.raises(ParameterDomainError):
-        symmetry_certificate(res, q=2.0)
+        symmetry_certificate(res)
 
 
 def test_eigen_proximity_spot():
-    prox = eigen_proximity(5, 0.0)
-    assert prox["k"] == 0
-    assert prox["distance"] == pytest.approx(1.25, rel=1e-12)
+    # the sphere level nearest -gamma(5, 0) = -1.25 is k = 0, eigenvalue 0
+    dist, level = spectral_distance(full_sphere(5), -gamma_alpha(5, 0.0))
+    assert level == 0
+    assert dist == pytest.approx(1.25, rel=1e-12)
 
 
 def test_positivity_phase_consistent_and_noted():
     rep = positivity_phase(5, 0.0, full_sphere(5))
-    assert rep.note == POSITIVITY_NOTE
     assert not rep.break_pos
     far = positivity_phase(5, 14.0, full_sphere(5))
     assert far.break_pos == far.sphere_threshold_exceeded

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from ckn.errors import ParameterDomainError
 from ckn.grids import LineGrid
 from ckn.radial_solver import (MinimizationConfig, alpha_scan,
                                brute_force_oracle, consistency_suite,
@@ -49,16 +48,11 @@ def test_q2_quotient_bounded_below_and_decreasing_in_L():
 
 
 def test_determinism_same_seed():
-    cfg = MinimizationConfig(init="random", seed=7)
+    cfg = MinimizationConfig()
     a = minimize_mu_q(5, 0.0, 3.0, cfg)
     b = minimize_mu_q(5, 0.0, 3.0, cfg)
     assert a.mu_q == b.mu_q
     np.testing.assert_array_equal(a.profile.values, b.profile.values)
-
-
-def test_bad_init_raises():
-    with pytest.raises(ParameterDomainError):
-        minimize_mu_q(5, 0.0, 3.0, MinimizationConfig(init="nope"))
 
 
 def test_scan_row_fields_consistent():
@@ -87,6 +81,22 @@ def test_consistency_suite_n5():
     assert rep.conjugate_relerr is not None and rep.conjugate_relerr <= 1e-3
     assert rep.sandwich_ok
     assert rep.concavity_ok
+
+
+def test_consistency_suite_solves_each_point_once(monkeypatch):
+    """The conjugacy and sandwich laws share the solve at (n, alpha, q)."""
+    import ckn.radial_solver
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args[:3])
+        return minimize_mu_q(*args)
+
+    monkeypatch.setattr(ckn.radial_solver, "minimize_mu_q", counting)
+    consistency_suite(5, 6.0, 3.0, MinimizationConfig())
+    assert len(calls) == 11
+    assert calls.count((5, 6.0, 3.0)) == 1
 
 
 def test_consistency_suite_n2_ratio_constancy():
