@@ -17,7 +17,6 @@ half-cell weight; dropping it would lose the clamped stiffness."""
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, fields, replace
 from typing import List, Optional, Sequence
 
@@ -84,16 +83,12 @@ def _bn_nodes(N_r: int, r_min: float) -> np.ndarray:
     return r
 
 
-def _assemble_bn(n: int, r: np.ndarray, radial_power: float = 0.0):
-    """Maps D: u -> Delta u and C: u -> u_r at the nodes, plus cell-average
-    weights omega_n * int_cell s^(n-1+radial_power) ds.
+def _assemble_bn(n: int, r: np.ndarray):
+    """Maps D: u -> Delta u and C: u -> u_r at the nodes.
 
     Three-point stencils on the (generally nonuniform) grid; even
     reflection at the origin and a ghost node enforcing u'(1) = 0 at the
-    clamped end. The weights are strictly positive even at r = 0 — with a
-    zero weight on the origin row a discrete fundamental-solution mode
-    slips through the Laplacian for free and collapses the lambda_21
-    quotient."""
+    clamped end."""
     M = r.size - 1
     h = np.diff(r)
     hm, hp = h[:-1], h[1:]  # spacing below and above r_j, j = 1..M-1
@@ -112,14 +107,19 @@ def _assemble_bn(n: int, r: np.ndarray, radial_power: float = 0.0):
                   np.append(a, lap[2])], [-1, 0, 1], format="csr")[:, :M]
     C = sp.diags([np.append(s1[0], 0.0), np.concatenate(([0.0], s1[1], [0.0])),
                   np.append(0.0, s1[2])], [-1, 0, 1], format="csr")[:, :M]
+    return D, C
 
-    mid = np.empty(M + 2)
-    mid[0] = 0.0
-    mid[1:-1] = 0.5 * (r[:-1] + r[1:])
-    mid[-1] = 1.0
+
+def _cell_weights(n: int, r: np.ndarray, radial_power: float = 0.0) -> np.ndarray:
+    """Cell-average weights omega_n * int_cell s^(n-1+radial_power) ds, one
+    per node, the cells split at the midpoints.
+
+    They are strictly positive even at r = 0 — with a zero weight on the
+    origin row a discrete fundamental-solution mode slips through the
+    Laplacian for free and collapses the lambda_21 quotient."""
+    mid = np.concatenate(([0.0], 0.5 * (r[:-1] + r[1:]), [1.0]))
     pw = n + radial_power
-    w = sphere_area(n) * (mid[1:] ** pw - mid[:-1] ** pw) / pw
-    return D, C, w
+    return sphere_area(n) * (mid[1:] ** pw - mid[:-1] ** pw) / pw
 
 
 def _gram(A: sp.csr_matrix, w: np.ndarray) -> sp.csr_matrix:
@@ -135,7 +135,8 @@ def _quadratic_forms(n: int, r: np.ndarray):
     grid-scale spikes. Without it a two-node bubble beats the Sobolev
     constant: pointwise finite differences underestimate the Delta-energy
     of an unresolved peak while the |u|^(2**) mass sees its full height."""
-    D, C, w = _assemble_bn(n, r)
+    D, C = _assemble_bn(n, r)
+    w = _cell_weights(n, r)
     T = D[:-2] - 2.0 * D[1:-1] + D[2:]
     return _gram(D, w) + _gram(T, w[1:-1]), _gram(C, w), w
 
@@ -274,7 +275,8 @@ def pohozaev_residuals(report: BNReport, cfg: BNConfig) -> dict:
     u = vals[:-1]
 
     # the identities hold for the unpenalized forms
-    D, C, w = _assemble_bn(n, nodes)
+    D, C = _assemble_bn(n, nodes)
+    w = _cell_weights(n, nodes)
     grad_sq = float(u @ (_gram(C, w) @ u))
     # one-sided u_rr(1) using u(1) = u'(1) = 0 and two interior values
     d1 = nodes[M] - nodes[M - 1]
@@ -286,7 +288,7 @@ def pohozaev_residuals(report: BNReport, cfg: BNConfig) -> dict:
     out = {"res_A": res_A}
 
     if n == 5:
-        w2 = _assemble_bn(n, nodes, radial_power=2.0)[2]
+        w2 = _cell_weights(n, nodes, radial_power=2.0)
         t1 = 5.0 * float(u @ (_gram(D, w2) @ u))
         t2 = 6.0 * grad_sq
         t3 = 2.0 * lam * grad_sq
@@ -323,15 +325,3 @@ def dimension_probe(n: int, lambda_values: Sequence[float], cfg: BNConfig) -> Li
             )
         )
     return rows
-
-
-def probe_row_or_nan(n: int, lam: float, cfg: BNConfig) -> ProbeRow:
-    """`dimension_probe`'s row at one lambda, or an all-NaN unconverged row
-    if it raises; the exception is named on stderr."""
-    try:
-        return dimension_probe(n, [lam], cfg)[0]
-    except Exception as exc:
-        print(f"bn-probe: NaN row at lambda={float(lam)!r}: "
-              f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return ProbeRow(lam=float(lam), s_lambda=math.nan, sstar_num=math.nan,
-                        below_sstar=False, pohozaev_A=math.nan, converged=False)

@@ -1,20 +1,22 @@
 """Command-line surface: subcommand dispatch, flat key=value config files,
 and bit-stable CSV/JSON emission.
 
-Determinism contract: with identical flags, config, and seed the emitted
-bytes are identical run-to-run and independent of --jobs.  Floats are
+Determinism contract: with identical flags and config the emitted bytes
+are identical run-to-run and independent of --jobs.  Floats are
 printed with %.17g (round-trip exact for doubles), CSV uses LF endings and
 a `.` decimal separator, and parallel sweeps merge rows in key order.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -216,23 +218,53 @@ def _jobs(args) -> int:
     return j
 
 
+def _row_or_error(worker, *task):
+    """`worker(*task)`, or the exception it raised."""
+    try:
+        return worker(*task)
+    except Exception as exc:
+        return exc
+
+
 def _fan_out(worker, tasks: List[tuple], jobs: int) -> List:
     """Order-preserving `worker(*task)` over tasks, optionally across
-    processes.
+    processes; a task that raises gives its exception in place of a row.
 
     Rows are computed by the same picklable (module-level) worker either
     way, so output bytes do not depend on the job count."""
     if jobs <= 1 or len(tasks) <= 1:
-        return [worker(*t) for t in tasks]
+        return [_row_or_error(worker, *t) for t in tasks]
     # about four chunks per worker: few round trips, balanced tails
     chunksize = math.ceil(len(tasks) / (4 * jobs))
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return list(pool.map(worker, *zip(*tasks), chunksize=chunksize))
+        return list(pool.map(functools.partial(_row_or_error, worker),
+                             *zip(*tasks), chunksize=chunksize))
+
+
+def _write_sweep(args, row_type, key: str, values: Sequence[float],
+                 results: List) -> None:
+    """The table of a sweep over `values` of `key`: one `row_type` row
+    each, headed by its field names with the first renamed `key`.
+
+    A row that raised becomes all-NaN and unconverged (the swept value,
+    then NaN floats and False bools), and one stderr line names the
+    exception; the lines come in sweep order, at any --jobs."""
+    names = [f.name for f in dataclasses.fields(row_type)]
+    hints = get_type_hints(row_type)
+    table = []
+    for value, row in zip(values, results):
+        if isinstance(row, Exception):
+            _diag(f"{args.command}: NaN row at {key}={float(value)!r}: "
+                  f"{type(row).__name__}: {row}")
+            row = row_type(float(value), *(False if hints[k] is bool else math.nan
+                                           for k in names[1:]))
+        table.append(dataclasses.astuple(row))
+    _write_table(args, [key] + names[1:], table)
 
 
 # ---------------------------------------------------------------------------
 # pool worker of `phase` (module level so it pickles); `scan` and `bn-probe`
-# fan out `scan_row_or_nan` and `probe_row_or_nan` directly
+# fan out `scan_row` and `dimension_probe` directly
 
 
 def _phase_worker(n: int, alpha: float, q: Optional[float],
@@ -301,18 +333,14 @@ def _cmd_radial_min(args) -> int:
     return EXIT_OK
 
 
-SCAN_HEADER = ("alpha", "mu_q", "s_q_rad", "s2_rad", "rellich", "sq_positive",
-               "bs_closed_form", "bs_certificate", "converged")
-
-
 def _cmd_scan(args) -> int:
-    from .radial_solver import scan_row_or_nan
+    from .radial_solver import ScanRow, scan_row
 
     alphas = _alpha_range(args.alpha_range)
     cfg = _min_config(args)
-    rows = _fan_out(scan_row_or_nan, [(args.n, args.q, a, cfg) for a in alphas],
+    rows = _fan_out(scan_row, [(args.n, args.q, a, cfg) for a in alphas],
                     _jobs(args))
-    _write_table(args, SCAN_HEADER, [[getattr(r, k) for k in SCAN_HEADER] for r in rows])
+    _write_sweep(args, ScanRow, "alpha", alphas, rows)
     return EXIT_OK
 
 
@@ -331,6 +359,9 @@ def _cmd_phase(args) -> int:
         raise ParameterDomainError("phase needs --alpha or --alpha-range")
     rows = _fan_out(_phase_worker,
                     [(args.n, a, args.q, args.model) for a in alphas], _jobs(args))
+    for row in rows:
+        if isinstance(row, Exception):
+            raise row
     payload = {"rows": [dict(zip(PHASE_HEADER, r)) for r in rows],
                "note": POSITIVITY_NOTE}
     _write(args, payload, PHASE_HEADER, rows)
@@ -420,19 +451,15 @@ def _cmd_bn(args) -> int:
     return EXIT_OK
 
 
-PROBE_HEADER = ("lambda", "s_lambda", "sstar_num", "below_sstar", "pohozaev_A",
-                "converged")
-_PROBE_ATTRS = ("lam",) + PROBE_HEADER[1:]
-
-
 def _cmd_bn_probe(args) -> int:
-    from .bn_ball import probe_row_or_nan
+    from .bn_ball import ProbeRow, dimension_probe
 
     cfg = _bn_config(args)
     lams = _float_list(args.lambdas)
-    rows = _fan_out(probe_row_or_nan, [(args.n, lam, cfg) for lam in lams],
-                    _jobs(args))
-    _write_table(args, PROBE_HEADER, [[getattr(r, k) for k in _PROBE_ATTRS] for r in rows])
+    probes = _fan_out(dimension_probe, [(args.n, (lam,), cfg) for lam in lams],
+                      _jobs(args))
+    _write_sweep(args, ProbeRow, "lambda", lams,
+                 [p if isinstance(p, Exception) else p[0] for p in probes])
     return EXIT_OK
 
 
@@ -543,9 +570,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--q", type=float, required=True)
     sp.add_argument("--alpha-range", required=True, metavar="LO,HI,STEP")
     sp.add_argument("--jobs", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=42,
-                    help="accepted for older scripts; has no effect, every "
-                         "start is deterministic")
     _grid_flag(sp)
     _common_flags(sp, default_format="csv")
     sp.set_defaults(run=_cmd_scan)

@@ -253,6 +253,8 @@ def shifted_weight_lemma_check(
     (r, theta) with measure omega_(n-1) r^(n-1) sin^(n-2)(theta) suffices.
     The canonical axis e is the first coordinate direction; by rotational
     invariance of the radial profile the choice is immaterial."""
+    if not isinstance(u, RadialProfile):
+        raise ParameterDomainError(f"need a radial profile, got a {type(u).__name__}")
     if u.n != n:
         raise ParameterDomainError(f"profile dimension {u.n} != {n}")
     t_values = [float(t) for t in t_values]
@@ -399,6 +401,8 @@ def ueps_family(n: int, lam: float, epsilons: Sequence[float]) -> UepsReport:
              / (int u_eps^(2**))^(2/2**)."""
     require_n5(n)
     epsilons = [float(e) for e in epsilons]
+    if not epsilons:
+        raise ParameterDomainError("the list of epsilon values is empty")
     if any(e <= 0.0 or e > 0.25 for e in epsilons):
         raise ParameterDomainError("epsilon values must lie in (0, 1/4]")
     if any(b >= a for a, b in zip(epsilons[:-1], epsilons[1:])):

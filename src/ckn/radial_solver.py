@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -19,22 +18,20 @@ import scipy.sparse as sp
 
 from .descent import inverse_iteration, upper_bands
 from .errors import ParameterDomainError, UnconvergedResultError
-from .grids import LineGrid, LineProfile, alpha_grid
+from .grids import LineGrid, LineProfile
 from .params import (conjugate_exponent, derive_params, radial_closed_forms,
                      scaling_relation)
 from .quadrature import sphere_area
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# inverse-iteration steps of one minimization
+MAX_ITERS = 400
+
 
 @dataclass(frozen=True)
 class MinimizationConfig:
     grid: LineGrid = field(default_factory=lambda: LineGrid(12.0, 2001))
-    max_iters: int = 400
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ParameterDomainError("max_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -81,7 +78,7 @@ def minimize_mu_q(n: int, alpha: float, q: float, cfg: MinimizationConfig) -> Mi
     run = inverse_iteration(
         A, lambda r: sla.cho_solve_banded((cb, False), r),
         1.0 / np.cosh(grid.s[1:-1]) ** 2, np.full(grid.N - 2, grid.h), q,
-        cfg.max_iters, project=lambda v: 0.5 * (v + v[::-1]),
+        MAX_ITERS, project=lambda v: 0.5 * (v + v[::-1]),
     )
 
     return MinimizationResult(
@@ -355,22 +352,3 @@ def scan_row(n: int, q: float, alpha: float, cfg: MinimizationConfig) -> ScanRow
         bs_certificate=bs_cert,
         converged=res.converged,
     )
-
-
-def scan_row_or_nan(n: int, q: float, alpha: float, cfg: MinimizationConfig) -> ScanRow:
-    """`scan_row`, or an all-NaN unconverged row if it raises; the
-    exception is named on stderr."""
-    try:
-        return scan_row(n, q, alpha, cfg)
-    except Exception as exc:
-        print(f"scan: NaN row at alpha={float(alpha)!r}: "
-              f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return ScanRow(alpha=float(alpha), mu_q=math.nan, s_q_rad=math.nan,
-                       s2_rad=math.nan, rellich=math.nan, sq_positive=False,
-                       bs_closed_form=False, bs_certificate=False, converged=False)
-
-
-def alpha_scan(
-    n: int, q: float, alpha_range: Tuple[float, float, float], cfg: MinimizationConfig
-) -> List[ScanRow]:
-    return [scan_row_or_nan(n, q, a, cfg) for a in alpha_grid(*alpha_range)]

@@ -307,8 +307,7 @@ def test_criterion_10_scan_determinism(tmp_path):
     from ckn.cli import dispatch
 
     t0 = time.time()
-    base = ["scan", "--n", "5", "--q", "3", "--alpha-range", "0,2,0.25",
-            "--seed", "42"]
+    base = ["scan", "--n", "5", "--q", "3", "--alpha-range", "0,2,0.25"]
     paths = [tmp_path / f"scan{j}.csv" for j in range(3)]
     jobs = ("1", "1", "4")
     for path, j in zip(paths, jobs):

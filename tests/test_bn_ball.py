@@ -10,7 +10,7 @@ import scipy.linalg as sla
 from ckn import bn_ball
 from ckn.bn_ball import (BNConfig, BNReport, _bn_nodes, _quadratic_forms,
                          bn_lambda21, dimension_probe, minimize_bn,
-                         pohozaev_residuals, probe_row_or_nan)
+                         pohozaev_residuals)
 from ckn.errors import (DegenerateIdentityError, ParameterDomainError,
                         UnconvergedResultError)
 from ckn.grids import RadialProfile
@@ -160,11 +160,3 @@ def test_dimension_probe_rows():
     assert not rows[0].below_sstar
     assert rows[1].below_sstar
     assert math.isnan(rows[0].pohozaev_A)  # identity undefined at lambda = 0
-
-
-def test_probe_row_or_nan():
-    cfg = BNConfig(n=6, N_r=201)
-    row = probe_row_or_nan(6, 60.0, cfg)  # above lambda_21
-    assert row.lam == 60.0 and not row.converged and not row.below_sstar
-    assert math.isnan(row.s_lambda) and math.isnan(row.pohozaev_A)
-    assert probe_row_or_nan(6, 10.0, cfg) == dimension_probe(6, [10.0], cfg)[0]

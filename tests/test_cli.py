@@ -86,8 +86,7 @@ def test_scan_byte_identical_across_jobs(tmp_path):
 
 def test_scan_repeat_runs_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["scan", "--n", "5", "--q", "3", "--alpha-range", "0,1,1",
-            "--seed", "11"]
+    args = ["scan", "--n", "5", "--q", "3", "--alpha-range", "0,1,1"]
     dispatch(args + ["--out", str(a)])
     dispatch(args + ["--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
@@ -185,6 +184,7 @@ def test_alpha_range_must_be_finite(capsys, command, bad):
     ("ueps", "--n", "5", "--seed", "3"),
     ("bn-probe", "--n", "5", "--lambdas", "0", "--seed", "3"),
     ("verify", "--suite", "critical", "--grid", "12,101"),
+    ("scan", "--n", "5", "--q", "3", "--alpha-range", "0,1,1", "--seed", "3"),
 ])
 def test_flags_without_effect_are_rejected(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -353,7 +353,10 @@ def test_bn_csv_writes_missing_residual_as_nan(capsys):
     assert row.endswith(",nan")
 
 
-def test_scan_nan_row_names_its_error(capsys, monkeypatch):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_scan_nan_row_names_its_error(capsys, monkeypatch, jobs):
+    """The parent writes the lines, so pool workers (forked, and so
+    patched too) lose none of them."""
     import ckn.radial_solver
 
     def fail(n, alpha, q, cfg):
@@ -361,7 +364,7 @@ def test_scan_nan_row_names_its_error(capsys, monkeypatch):
 
     monkeypatch.setattr(ckn.radial_solver, "minimize_mu_q", fail)
     code, out, err = run(capsys, "scan", "--n", "5", "--q", "3",
-                         "--alpha-range", "0,0.5,0.5", "--jobs", "1")
+                         "--alpha-range", "0,0.5,0.5", "--jobs", jobs)
     assert code == EXIT_OK
     assert out.splitlines()[1:] == [
         f"{a},nan,nan,nan,nan,false,false,false,false" for a in ("0", "0.5")]
@@ -370,13 +373,34 @@ def test_scan_nan_row_names_its_error(capsys, monkeypatch):
         for a in ("0.0", "0.5")]
 
 
-def test_bn_probe_nan_row_names_its_error(capsys):
-    code, out, err = run(capsys, "bn-probe", "--n", "6", "--lambdas", "60",
-                         "--nr", "201", "--jobs", "1")
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bn_probe_nan_row_names_its_error(capsys, jobs):
+    code, out, err = run(capsys, "bn-probe", "--n", "6", "--lambdas", "0,60",
+                         "--nr", "201", "--jobs", jobs)
     assert code == EXIT_OK
-    assert out.splitlines()[1] == "60,nan,nan,false,nan,false"
+    assert out.splitlines()[1].startswith("0,")
+    assert out.splitlines()[2] == "60,nan,nan,false,nan,false"
     assert err.startswith("bn-probe: NaN row at lambda=60.0: ParameterDomainError: ")
     assert len(err.splitlines()) == 1
+
+
+def test_shifted_weight_refuses_a_line_profile(capsys, tmp_path):
+    path = tmp_path / "line.txt"
+    code, _, _ = run(capsys, "radial-min", "--n", "5", "--alpha", "1", "--q", "3",
+                     "--grid", "8,401", "--save-profile", str(path))
+    assert code == EXIT_OK
+    code, out, err = run(capsys, "shifted-weight", "--n", "5", "--a", "1",
+                         "--profile", str(path))
+    assert code == EXIT_DOMAIN
+    assert err == "parameter error: need a radial profile, got a LineProfile\n"
+    assert out == ""
+
+
+def test_ueps_refuses_empty_epsilons(capsys):
+    code, out, err = run(capsys, "ueps", "--n", "5", "--epsilons", "")
+    assert code == EXIT_DOMAIN
+    assert err == "parameter error: the list of epsilon values is empty\n"
+    assert out == ""
 
 
 def test_bn_probe_byte_identical_across_jobs(tmp_path):

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from ckn.grids import LineGrid
-from ckn.radial_solver import (MinimizationConfig, alpha_scan,
-                               brute_force_oracle, consistency_suite,
-                               minimize_mu_q, scan_row)
+from ckn.grids import LineGrid, alpha_grid
+from ckn.radial_solver import (MinimizationConfig, brute_force_oracle,
+                               consistency_suite, minimize_mu_q, scan_row)
 
 COARSE = LineGrid(12.0, 41)
 
@@ -70,7 +69,8 @@ def test_scan_row_fields_consistent():
 
 
 def test_alpha_scan_handles_degenerate_rows():
-    rows = alpha_scan(5, 3.0, (-1.0, 1.0, 1.0), MinimizationConfig())
+    cfg = MinimizationConfig()
+    rows = [scan_row(5, 3.0, a, cfg) for a in alpha_grid(-1.0, 1.0, 1.0)]
     assert len(rows) == 3
     assert [r.alpha for r in rows] == [-1.0, 0.0, 1.0]
     assert rows[0].mu_q == 0.0  # boundary case, degenerate but well-defined

@@ -30,3 +30,24 @@ def test_tracing_wraps_and_restores_every_attribute():
         inst.uninstall()
     for mod, key, original in wrapped:
         assert getattr(mod, key) is original, f"{mod.__name__}.{key}"
+
+
+def test_traced_inline_probe_counts_its_nan_row(capsys):
+    """The benchmark's failure count `cli.nan_rows` sees a NaN row that the
+    CLI builds: lambda = 60 lies above lambda_21 at n = 6."""
+    from ckn import cli
+
+    tracing = _load_tracing()
+    inst = tracing.Instrumentation()
+    inst.install()
+    try:
+        inst.tracer = tracing.Tracer()
+        code = cli.dispatch(["bn-probe", "--n", "6", "--lambdas", "0,60",
+                             "--nr", "201", "--jobs", "1"])
+        counts = inst.tracer.counts
+    finally:
+        inst.tracer = None
+        inst.uninstall()
+    assert code == 0
+    assert counts["cli.nan_rows"] == 1
+    assert "NaN row at lambda=60.0" in capsys.readouterr().err
