@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .descent import RESIDUAL_TOL, inverse_iteration, upper_bands
+from .descent import inverse_iteration, upper_bands
 from .errors import (ConsistencyError, DegenerateIdentityError,
                      ParameterDomainError, UnconvergedResultError)
 from .grids import RadialProfile
@@ -129,7 +129,8 @@ def _gram(A: sp.csr_matrix, w: np.ndarray) -> sp.csr_matrix:
 
 def _quadratic_forms(n: int, r: np.ndarray):
     """Energy form with the oscillation penalty sum w_j (delta^2 (Delta
-    u))_j^2 over the interior nodes, the gradient form, and the weights.
+    u))_j^2 over the interior nodes, the gradient form, the map C: u -> u_r
+    it weighs, and the weights.
 
     The penalty is O(spacing^4) relative on resolved profiles but O(1) on
     grid-scale spikes. Without it a two-node bubble beats the Sobolev
@@ -138,7 +139,7 @@ def _quadratic_forms(n: int, r: np.ndarray):
     D, C = _assemble_bn(n, r)
     w = _cell_weights(n, r)
     T = D[:-2] - 2.0 * D[1:-1] + D[2:]
-    return _gram(D, w) + _gram(T, w[1:-1]), _gram(C, w), w
+    return _gram(D, w) + _gram(T, w[1:-1]), _gram(C, w), C, w
 
 
 def _make_spd_solver(A: sp.csr_matrix):
@@ -157,28 +158,28 @@ def _make_spd_solver(A: sp.csr_matrix):
     return solve
 
 
-# power iterations bn_lambda21 may take; it needs 14-18 on 201-4001 nodes
+# inverse iterations lambda_21 may take; it needs 14-18 on 201-4001 nodes
 LAMBDA21_MAX_ITERS = 100
 
 
+def _lambda21(B: sp.csr_matrix, C: sp.csr_matrix, w: np.ndarray) -> float:
+    """Smallest eigenvalue of int|Delta u|^2 / int|grad u|^2: the shared
+    inverse iteration at p = 2 on sum w (C u)^2 = 1, from a sine start."""
+    M = B.shape[0]
+    x0 = np.sin(math.pi * np.arange(1, M + 1) / (M + 1))
+    run = inverse_iteration(B, _make_spd_solver(B), x0, w, 2.0,
+                            LAMBDA21_MAX_ITERS, phi=C)
+    if run.status != "residual":
+        raise UnconvergedResultError(
+            f"lambda21 iteration {run.status} after {run.iterations} steps "
+            f"(residual {run.residual:.3g})")
+    return run.value
+
+
 def bn_lambda21(n: int, N_r: int = 2001, r_min: float = 1e-6) -> float:
-    """Smallest eigenvalue rho of int|Delta u|^2 / int|grad u|^2 by power
-    iteration on the inverse pencil, stopped on the minimizers' rule
-    max|B x - rho G x| <= RESIDUAL_TOL max|B x|."""
-    r = _bn_nodes(N_r, r_min)
-    M = r.size - 1
-    B, G, _ = _quadratic_forms(n, r)
-    solve = _make_spd_solver(B)
-    x = np.sin(math.pi * np.arange(1, M + 1) / (M + 1))
-    for _ in range(LAMBDA21_MAX_ITERS):
-        y = solve(G @ x)
-        x = y / math.sqrt(float(y @ (G @ y)))
-        Bx, Gx = B @ x, G @ x
-        rho = float(x @ Bx) / float(x @ Gx)
-        if np.max(np.abs(Bx - rho * Gx)) <= RESIDUAL_TOL * np.max(np.abs(Bx)):
-            return rho
-    raise UnconvergedResultError(
-        f"lambda21 power iteration unconverged after {LAMBDA21_MAX_ITERS} steps")
+    """lambda_21 on the grid `_bn_nodes(N_r, r_min)`."""
+    B, _, C, w = _quadratic_forms(n, _bn_nodes(N_r, r_min))
+    return _lambda21(B, C, w)
 
 
 def _bn_inits(n: int, r: np.ndarray) -> List[np.ndarray]:
@@ -195,7 +196,8 @@ def _bn_inits(n: int, r: np.ndarray) -> List[np.ndarray]:
 def minimize_bn(cfg: BNConfig) -> BNReport:
     n, lam = cfg.n, float(cfg.lam)
     r = _bn_nodes(cfg.N_r, cfg.r_min)
-    lambda21 = bn_lambda21(n, cfg.N_r, cfg.r_min)
+    B, G, C, w = _quadratic_forms(n, r)
+    lambda21 = _lambda21(B, C, w)
     if not lambda21 >= 0.25 * n**2 * (1.0 - 1e-6):
         raise ConsistencyError(f"lambda21={lambda21} below n^2/4={0.25 * n**2}")
     if lam >= lambda21:
@@ -203,7 +205,6 @@ def minimize_bn(cfg: BNConfig) -> BNReport:
             f"lambda={lam} >= lambda21={lambda21:.6f}: quotient not coercive"
         )
 
-    B, G, w = _quadratic_forms(n, r)
     A = (B - lam * G).tocsr()
     solve = _make_spd_solver(A)
     # the clamped node u_M = 0 carries no mass

@@ -456,6 +456,8 @@ def _cmd_bn_probe(args) -> int:
 
     cfg = _bn_config(args)
     lams = _float_list(args.lambdas)
+    if not lams:
+        raise ParameterDomainError("the list of lambda values is empty")
     probes = _fan_out(dimension_probe, [(args.n, (lam,), cfg) for lam in lams],
                       _jobs(args))
     _write_sweep(args, ProbeRow, "lambda", lams,

@@ -261,6 +261,8 @@ def shifted_weight_lemma_check(
     if any(t < 0.0 or t > 0.25 for t in t_values):
         raise ParameterDomainError("t values must lie in [0, 1/4]")
     r_max = _check_ball_support(u)
+    if sum(t > 0.0 for t in t_values) < 2:
+        raise ParameterDomainError("the t, t^2 fit needs at least two t values > 0")
     spl, s1, s2 = _profile_splines(u)
 
     a = float(a)
@@ -309,12 +311,9 @@ def shifted_weight_lemma_check(
     ts = np.array(t_values)
     df = np.array(f_values) - f0
     nonzero = ts > 0.0
-    if np.count_nonzero(nonzero) >= 2:
-        design = np.stack([ts[nonzero], ts[nonzero] ** 2], axis=1)
-        coef, *_ = np.linalg.lstsq(design, df[nonzero], rcond=None)
-        lin, quad = float(coef[0]), float(coef[1])
-    else:
-        lin, quad = 0.0, 0.0
+    design = np.stack([ts[nonzero], ts[nonzero] ** 2], axis=1)
+    coef, *_ = np.linalg.lstsq(design, df[nonzero], rcond=None)
+    lin, quad = float(coef[0]), float(coef[1])
 
     if c_a > 0.0:
         inequality_ok = all(

@@ -1,9 +1,11 @@
-"""The one constrained inverse iteration behind both minimizers:
+"""The one constrained inverse iteration behind both minimizers and the
+ball's lambda_21:
 
-    minimize x.A x  on  sum weights |x|^p = 1,  A symmetric positive definite.
+    minimize x.A x  on  sum weights |Phi x|^p = 1,  A symmetric positive definite,
 
-At p = 2 it is inverse power iteration for the smallest eigenvalue of the
-pencil (A, diag weights).  Both minimizers hand their forms to the banded
+with Phi the identity unless the caller gives a map.  At p = 2 it is
+inverse power iteration for the smallest eigenvalue of the pencil
+(A, Phi^T diag(weights) Phi).  Every caller hands its forms to the banded
 Cholesky factorization through `upper_bands`."""
 from __future__ import annotations
 
@@ -43,23 +45,29 @@ def inverse_iteration(
     p: float,
     max_iters: int,
     project: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    phi=None,
 ) -> IterationResult:
-    """Step along -solve(r), solve ~ A^{-1} and r = A x - value * weights
-    |x|^(p-2) x, halving the step until the value decreases or the residual
-    drops below 0.999 of its old size (near the fixed point the value change
-    is below rounding); if no halving is accepted the status is `stalled`.
-    `project` maps every iterate into a subspace before normalization."""
+    """Step along -solve(r), solve ~ A^{-1} and r = A x - value * Phi^T
+    (weights |Phi x|^(p-2) Phi x), halving the step until the value
+    decreases or the residual drops below 0.999 of its old size (near the
+    fixed point the value change is below rounding); if no halving is
+    accepted the status is `stalled`.  `project` maps every iterate into a
+    subspace before normalization; `phi` (None: the identity) maps an
+    iterate to the values the constraint weighs."""
 
     def normalize(v: np.ndarray) -> Optional[np.ndarray]:
         if project is not None:
             v = project(v)
-        m = float(weights @ np.abs(v) ** p)
+        y = v if phi is None else phi @ v
+        m = float(weights @ np.abs(y) ** p)
         return v / m ** (1.0 / p) if m > 0.0 and np.isfinite(m) else None
 
     def state(v: np.ndarray):
         Av = A @ v
         value = float(v @ Av)
-        r = Av - value * (weights * np.abs(v) ** (p - 2.0) * v)
+        y = v if phi is None else phi @ v
+        g = weights * np.abs(y) ** (p - 2.0) * y
+        r = Av - value * (g if phi is None else phi.T @ g)
         res = float(np.max(np.abs(r))) / max(float(np.max(np.abs(Av))), 1e-300)
         return v, value, r, res
 

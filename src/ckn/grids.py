@@ -48,14 +48,6 @@ class LineGrid:
     def s(self) -> np.ndarray:
         return np.linspace(-self.L, self.L, self.N)
 
-    def doubled_extent(self) -> "LineGrid":
-        """Same spacing, doubled half-length."""
-        return LineGrid(L=2.0 * self.L, N=2 * self.N - 1)
-
-    def refined(self) -> "LineGrid":
-        """Same extent, halved spacing."""
-        return LineGrid(L=self.L, N=2 * self.N - 1)
-
 
 @dataclass(frozen=True)
 class LineProfile:

@@ -128,11 +128,8 @@ def conjugate_exponent(n: int, alpha: Real) -> Real:
 
 @dataclass(frozen=True)
 class ScalingRelation:
-    alpha: Real
-    alpha_tilde: Real
     tau: Real
     g: Real
-    conjugate: bool
 
 
 def scaling_relation(n: int, alpha: Real, alpha_tilde: Real) -> ScalingRelation:
@@ -146,14 +143,7 @@ def scaling_relation(n: int, alpha: Real, alpha_tilde: Real) -> ScalingRelation:
     tau = (n - 4 + a) / (n - 4 + at)
     bracket = at * a - 2 * (at + a) - n * (n - 4)
     g = (n - 2) * (at - a) * bracket / (n - 4 + a) ** 2
-    # bracket == (alpha-2)(alpha_tilde-2) - (n-2)^2, so for n >= 3 the
-    # conjugacy condition is exactly bracket == 0
-    if isinstance(a, Fraction):
-        conjugate = (a - 2) * (at - 2) == (n - 2) ** 2
-    else:
-        scale = max(1.0, abs(a - 2) * abs(at - 2))
-        conjugate = abs((a - 2) * (at - 2) - (n - 2) ** 2) <= 1e-12 * scale
-    return ScalingRelation(alpha=a, alpha_tilde=at, tau=tau, g=g, conjugate=conjugate)
+    return ScalingRelation(tau=tau, g=g)
 
 
 @dataclass(frozen=True)
@@ -161,7 +151,6 @@ class PhaseThresholds:
     bs1: Optional[float]
     break_pos_sphere: float
     strictness_upper: Optional[float]
-    strictness_lower: float = 2.0
 
 
 def phase_thresholds(n: int, q: Optional[Real] = None) -> PhaseThresholds:

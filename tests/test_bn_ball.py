@@ -52,7 +52,7 @@ def test_lambda21_stable_under_refinement():
 @pytest.mark.parametrize("N_r", [201, 801])
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_lambda21_matches_dense_pencil(n, N_r):
-    B, G, _ = _quadratic_forms(n, _bn_nodes(N_r, 1e-6))
+    B, G, _, _ = _quadratic_forms(n, _bn_nodes(N_r, 1e-6))
     m = B.shape[0]
     top = sla.eigh(G.toarray(), B.toarray(), eigvals_only=True,
                    subset_by_index=[m - 1, m - 1])[0]
@@ -80,6 +80,19 @@ def test_lambda21_cap_raises(monkeypatch):
     monkeypatch.setattr(bn_ball, "LAMBDA21_MAX_ITERS", 2)
     with pytest.raises(UnconvergedResultError):
         bn_lambda21(6, N_r=201)
+
+
+def test_minimize_assembles_the_forms_once(monkeypatch):
+    calls = []
+    assemble = bn_ball._quadratic_forms
+
+    def counting(n, r):
+        calls.append(n)
+        return assemble(n, r)
+
+    monkeypatch.setattr(bn_ball, "_quadratic_forms", counting)
+    minimize_bn(BNConfig(n=6, lam=1.0, N_r=201))
+    assert calls == [6]
 
 
 def test_minimize_rejects_supercritical_lambda():

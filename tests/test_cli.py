@@ -403,6 +403,22 @@ def test_ueps_refuses_empty_epsilons(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("t_values", ["", "0.05", "0,0.05"])
+def test_shifted_weight_refuses_fewer_than_two_positive_t(capsys, t_values):
+    code, out, err = run(capsys, "shifted-weight", "--n", "6", "--a", "-3",
+                         f"--t-values={t_values}")
+    assert code == EXIT_DOMAIN
+    assert err == "parameter error: the t, t^2 fit needs at least two t values > 0\n"
+    assert out == ""
+
+
+def test_bn_probe_refuses_empty_lambdas(capsys):
+    code, out, err = run(capsys, "bn-probe", "--n", "6", "--lambdas=", "--jobs", "1")
+    assert code == EXIT_DOMAIN
+    assert err == "parameter error: the list of lambda values is empty\n"
+    assert out == ""
+
+
 def test_bn_probe_byte_identical_across_jobs(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["bn-probe", "--n", "6", "--lambdas", "0,10", "--nr", "201"]

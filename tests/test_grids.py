@@ -27,13 +27,6 @@ def test_line_grid_validation():
         LineGrid(-1.0, 2001)
 
 
-def test_refined_and_doubled():
-    g = LineGrid(6.0, 101)
-    assert g.refined().h == pytest.approx(g.h / 2.0)
-    assert g.doubled_extent().h == pytest.approx(g.h)
-    assert g.doubled_extent().L == 12.0
-
-
 def test_radial_profile_validation():
     with pytest.raises(GridError):
         RadialProfile(nodes=np.array([0.0, 1.0, 1.0]),

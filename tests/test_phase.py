@@ -62,7 +62,7 @@ def test_certificate_needs_q_above_2():
         symmetry_certificate(res)
 
 
-def test_eigen_proximity_spot():
+def test_spectral_distance_spot():
     # the sphere level nearest -gamma(5, 0) = -1.25 is k = 0, eigenvalue 0
     dist, level = spectral_distance(full_sphere(5), -gamma_alpha(5, 0.0))
     assert level == 0

@@ -46,7 +46,7 @@ def test_q2_quotient_bounded_below_and_decreasing_in_L():
     assert vals[2] - 1.5625 < 0.1
 
 
-def test_determinism_same_seed():
+def test_minimize_mu_q_deterministic():
     cfg = MinimizationConfig()
     a = minimize_mu_q(5, 0.0, 3.0, cfg)
     b = minimize_mu_q(5, 0.0, 3.0, cfg)
@@ -68,7 +68,7 @@ def test_scan_row_fields_consistent():
     )
 
 
-def test_alpha_scan_handles_degenerate_rows():
+def test_scan_rows_handle_degenerate_alpha():
     cfg = MinimizationConfig()
     rows = [scan_row(5, 3.0, a, cfg) for a in alpha_grid(-1.0, 1.0, 1.0)]
     assert len(rows) == 3
