@@ -17,8 +17,8 @@ half-cell weight; dropping it would lose the clamped stiffness."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import List, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,11 +59,6 @@ class BNReport:
     pohozaev_A_residual: float = float("nan")
     r3_residual: Optional[float] = None
     status: str = "residual"  # residual | stalled | max_iters
-
-    def as_dict(self) -> dict:
-        """Every field but the profile."""
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name != "profile"}
 
 
 def _bn_nodes(N_r: int, r_min: float) -> np.ndarray:
@@ -310,19 +305,14 @@ class ProbeRow:
     converged: bool
 
 
-def dimension_probe(n: int, lambda_values: Sequence[float], cfg: BNConfig) -> List[ProbeRow]:
-    rows: List[ProbeRow] = []
-    for lam in lambda_values:
-        run = replace(cfg, n=n, lam=float(lam))
-        rep = minimize_bn(run)
-        rows.append(
-            ProbeRow(
-                lam=float(lam),
-                s_lambda=rep.s_lambda,
-                sstar_num=rep.sstar_num,
-                below_sstar=rep.attained_evidence == "dips-below",
-                pohozaev_A=rep.pohozaev_A_residual,
-                converged=rep.converged,
-            )
-        )
-    return rows
+def dimension_probe(cfg: BNConfig) -> ProbeRow:
+    """The probe row of one minimization at (cfg.n, cfg.lam)."""
+    rep = minimize_bn(cfg)
+    return ProbeRow(
+        lam=float(cfg.lam),
+        s_lambda=rep.s_lambda,
+        sstar_num=rep.sstar_num,
+        below_sstar=rep.attained_evidence == "dips-below",
+        pohozaev_A=rep.pohozaev_A_residual,
+        converged=rep.converged,
+    )

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence, Tuple, get_type_hints
 
@@ -78,13 +79,16 @@ def _write(args, payload, header: Sequence[str],
         _emit(_json_text(payload), args.out)
 
 
-def _write_table(args, header: Sequence[str], table: List) -> None:
-    """A table: one JSON object per row, or CSV."""
-    _write(args, [dict(zip(header, row)) for row in table], header, table)
-
-
 def _diag(msg: str) -> None:
     print(msg, file=sys.stderr)
+
+
+def _fields(obj) -> dict:
+    """What a report prints: the fields of the result dataclass `obj` in
+    order, `lam` named `lambda`; a profile is left out (it goes only to
+    --save-profile)."""
+    return {("lambda" if f.name == "lam" else f.name): getattr(obj, f.name)
+            for f in dataclasses.fields(obj) if f.name != "profile"}
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +223,15 @@ def _jobs(args) -> int:
 
 
 def _row_or_error(worker, *task):
-    """`worker(*task)`, or the exception it raised."""
-    try:
-        return worker(*task)
-    except Exception as exc:
-        return exc
+    """`worker(*task)`, or the exception it raised, with the warnings it
+    raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            row = worker(*task)
+        except Exception as exc:
+            row = exc
+    return row, [w.message for w in caught]
 
 
 def _fan_out(worker, tasks: List[tuple], jobs: int) -> List:
@@ -231,35 +239,45 @@ def _fan_out(worker, tasks: List[tuple], jobs: int) -> List:
     processes; a task that raises gives its exception in place of a row.
 
     Rows are computed by the same picklable (module-level) worker either
-    way, so output bytes do not depend on the job count."""
+    way, so output bytes do not depend on the job count.  The warnings of
+    each task are raised again here, in the parent, in task order."""
     if jobs <= 1 or len(tasks) <= 1:
-        return [_row_or_error(worker, *t) for t in tasks]
-    # about four chunks per worker: few round trips, balanced tails
-    chunksize = math.ceil(len(tasks) / (4 * jobs))
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return list(pool.map(functools.partial(_row_or_error, worker),
-                             *zip(*tasks), chunksize=chunksize))
+        results = [_row_or_error(worker, *t) for t in tasks]
+    else:
+        # about four chunks per worker: few round trips, balanced tails
+        chunksize = math.ceil(len(tasks) / (4 * jobs))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            results = list(pool.map(functools.partial(_row_or_error, worker),
+                                    *zip(*tasks), chunksize=chunksize))
+    for _, caught in results:
+        for message in caught:
+            warnings.warn(message)
+    return [row for row, _ in results]
 
 
-def _write_sweep(args, row_type, key: str, values: Sequence[float],
-                 results: List) -> None:
-    """The table of a sweep over `values` of `key`: one `row_type` row
-    each, headed by its field names with the first renamed `key`.
+def _write_sweep(args, row_type, values: Sequence[float], results: List) -> None:
+    """The table of a sweep over `values`: the `_fields` of one `row_type`
+    row each, the first field the swept value.
 
     A row that raised becomes all-NaN and unconverged (the swept value,
     then NaN floats and False bools), and one stderr line names the
     exception; the lines come in sweep order, at any --jobs."""
-    names = [f.name for f in dataclasses.fields(row_type)]
     hints = get_type_hints(row_type)
+
+    def nan_row(value):
+        return row_type(float(value), *(False if hints[f.name] is bool else math.nan
+                                        for f in dataclasses.fields(row_type)[1:]))
+
+    # from a row of the type, so an empty sweep keeps its header
+    header = list(_fields(nan_row(math.nan)))
     table = []
     for value, row in zip(values, results):
         if isinstance(row, Exception):
-            _diag(f"{args.command}: NaN row at {key}={float(value)!r}: "
+            _diag(f"{args.command}: NaN row at {header[0]}={float(value)!r}: "
                   f"{type(row).__name__}: {row}")
-            row = row_type(float(value), *(False if hints[k] is bool else math.nan
-                                           for k in names[1:]))
-        table.append(dataclasses.astuple(row))
-    _write_table(args, [key] + names[1:], table)
+            row = nan_row(value)
+        table.append(_fields(row))
+    _write(args, table, header, [list(r.values()) for r in table])
 
 
 # ---------------------------------------------------------------------------
@@ -282,31 +300,25 @@ def _phase_worker(n: int, alpha: float, q: Optional[float],
 
 # ---------------------------------------------------------------------------
 # subcommands
+#
+# Each subcommand imports the ckn modules it needs when it runs, not at the
+# top of this module, since a command needs only some of them.  Medians of
+# 9 cold imports without bytecode writes, on a 2-vCPU machine: `ckn.cli`
+# alone 0.20 s; with the modules of `bn-probe` 0.55 s, with those of `scan`
+# and `phase` 0.55 s, with every ckn module 0.90 s.
 
 
 def _cmd_constants(args) -> int:
     from .params import derive_params, radial_closed_forms
     from .spectrum import full_sphere, half_sphere, rellich_constant
 
-    p = derive_params(args.n, args.alpha, args.q)
-    forms = radial_closed_forms(args.n, args.alpha)
     rc_full = rellich_constant(full_sphere(args.n), args.n, args.alpha)
     rc_half = rellich_constant(half_sphere(args.n), args.n, args.alpha)
-    payload = {
-        "n": p.n,
-        "alpha": float(p.alpha),
-        "q": float(p.q),
-        "beta": float(p.beta),
-        "gamma": float(p.gamma),
-        "gbar": float(p.gbar),
-        "two_star_star": None if p.two_star_star is None else float(p.two_star_star),
-        "s2_rad": float(forms.s2_rad),
-        "mu21_rad": float(forms.mu21_rad),
-        "conjugate_alpha": (None if forms.conjugate_alpha is None
-                            else float(forms.conjugate_alpha)),
-        "rellich_full_sphere": float(rc_full.value),
-        "rellich_half_sphere": float(rc_half.value),
-    }
+    # float flags keep every derived value a float
+    payload = {**_fields(derive_params(args.n, args.alpha, args.q)),
+               **_fields(radial_closed_forms(args.n, args.alpha)),
+               "rellich_full_sphere": float(rc_full.value),
+               "rellich_half_sphere": float(rc_half.value)}
     _write(args, payload, [k for k, v in payload.items() if v is not None])
     return EXIT_OK
 
@@ -316,13 +328,7 @@ def _cmd_radial_min(args) -> int:
 
     cfg = _min_config(args)
     res = minimize_mu_q(args.n, args.alpha, args.q, cfg)
-    payload = {
-        "n": args.n, "alpha": args.alpha, "q": args.q,
-        "mu_q": res.mu_q, "s_q_rad": res.s_q_rad,
-        "iterations": res.iterations, "el_residual": res.el_residual,
-        "converged": res.converged, "degenerate": res.degenerate,
-        "status": res.status,
-    }
+    payload = {"n": args.n, "alpha": args.alpha, "q": args.q, **_fields(res)}
     if args.save_profile:
         from .grids import save_profile
         save_profile(args.save_profile, res.profile)
@@ -340,7 +346,7 @@ def _cmd_scan(args) -> int:
     cfg = _min_config(args)
     rows = _fan_out(scan_row, [(args.n, args.q, a, cfg) for a in alphas],
                     _jobs(args))
-    _write_sweep(args, ScanRow, "alpha", alphas, rows)
+    _write_sweep(args, ScanRow, alphas, rows)
     return EXIT_OK
 
 
@@ -393,7 +399,7 @@ def _cmd_talenti_verify(args) -> int:
                                 grading_levels=ctx.grading_levels + 40)
     rep = talenti_identity_suite(args.n, _float_list(args.a_values), ctx=ctx)
     worst = rep.worst_relerr
-    payload = {**rep.as_dict(), "worst_relerr": worst, "tol": args.tol,
+    payload = {**_fields(rep), "worst_relerr": worst, "tol": args.tol,
                "passed": worst <= args.tol}
     _write(args, payload, ("n", "I", "J", "ratio_relerr", "sstar_num",
                            "worst_relerr", "passed"))
@@ -414,7 +420,7 @@ def _cmd_shifted_weight(args) -> int:
         u = RadialProfile(nodes=r, values=(1.0 - r**2) ** 3, n=args.n)
     rep = shifted_weight_lemma_check(args.n, args.a, u,
                                      t_values=_float_list(args.t_values))
-    _write(args, rep.as_dict(), ("t", "f"), list(zip(rep.t_values, rep.f_values)))
+    _write(args, _fields(rep), ("t", "f"), list(zip(rep.t_values, rep.f_values)))
     return EXIT_OK
 
 
@@ -422,7 +428,7 @@ def _cmd_ueps(args) -> int:
     from .critical import ueps_family
 
     rep = ueps_family(args.n, getattr(args, "lam"), _float_list(args.epsilons))
-    _write(args, rep.as_dict(),
+    _write(args, _fields(rep),
            ("epsilon", "ratio", "biharmonic_excess", "mass_deficit"),
            list(zip(rep.epsilons, rep.ratios, rep.biharmonic_excess,
                     rep.mass_deficits)))
@@ -440,7 +446,7 @@ def _cmd_bn(args) -> int:
     from .bn_ball import minimize_bn
 
     rep = minimize_bn(_bn_config(args))
-    payload = rep.as_dict()
+    payload = _fields(rep)
     if args.save_profile:
         from .grids import save_profile
         save_profile(args.save_profile, rep.profile)
@@ -458,10 +464,9 @@ def _cmd_bn_probe(args) -> int:
     lams = _float_list(args.lambdas)
     if not lams:
         raise ParameterDomainError("the list of lambda values is empty")
-    probes = _fan_out(dimension_probe, [(args.n, (lam,), cfg) for lam in lams],
-                      _jobs(args))
-    _write_sweep(args, ProbeRow, "lambda", lams,
-                 [p if isinstance(p, Exception) else p[0] for p in probes])
+    rows = _fan_out(dimension_probe,
+                    [(dataclasses.replace(cfg, lam=lam),) for lam in lams], _jobs(args))
+    _write_sweep(args, ProbeRow, lams, rows)
     return EXIT_OK
 
 
@@ -647,8 +652,19 @@ def build_parser() -> _Parser:
 
 
 def dispatch(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command line and return its exit code.  Each distinct
+    library warning is written once, last, as `warning: <message>`."""
     if argv is None:
         argv = sys.argv[1:]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = _run(argv)
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        _diag(f"warning: {message}")
+    return code
+
+
+def _run(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
         args = _parse_args(parser, list(argv))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -68,18 +68,6 @@ class TalentiReport:
     expansion_relerrs: Dict[float, float]
     coefficients: Dict[float, float]
     identity_relerrs: Dict[str, float]
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "I": self.I,
-            "J": self.J,
-            "ratio_relerr": self.ratio_relerr,
-            "sstar_num": self.sstar_num,
-            "expansion_relerrs": {str(k): v for k, v in self.expansion_relerrs.items()},
-            "coefficients": {str(k): v for k, v in self.coefficients.items()},
-            "identity_relerrs": dict(self.identity_relerrs),
-        }
 
     @property
     def worst_relerr(self) -> float:
@@ -210,9 +198,6 @@ class ShiftedWeightReport:
     fitted_t1_coeff: float
     f0: float
     grad_sq: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _profile_splines(u: RadialProfile):
@@ -373,10 +358,6 @@ class UepsReport:
     sstar_num: float = float("nan")
     biharmonic_excess: List[float] = field(default_factory=list)
     mass_deficits: List[float] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {("lambda" if f.name == "lam" else f.name): getattr(self, f.name)
-                for f in fields(self)}
 
 
 def ueps_profile(n: int, eps: float, r: np.ndarray) -> np.ndarray:

@@ -1,11 +1,10 @@
-"""Discrete differential operators, the log-change-of-variables transform
-pair between radial functions and line profiles, and the integral-identity
-cross-checks built on top of them."""
+"""The log-change-of-variables transform pair between radial functions and
+line profiles, and the integral-identity cross-checks built on top of it."""
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Dict
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -18,14 +17,9 @@ from .quadrature import gauss_panels, weighted_radial_integral
 NODE_MATCH_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class DiscreteDerivatives:
-    first: np.ndarray
-    second: np.ndarray
-    laplacian: Optional[np.ndarray]  # radial profiles only
-
-
 def _uniform_derivatives(h: float, v: np.ndarray):
+    """Second-order samples of v' and v'' at spacing h: central stencils
+    inside, one-sided at the two ends."""
     N = len(v)
     d1 = np.empty(N)
     d2 = np.empty(N)
@@ -37,58 +31,6 @@ def _uniform_derivatives(h: float, v: np.ndarray):
     d2[0] = (v[0] - 2.0 * v[1] + v[2]) / h**2
     d2[-1] = (v[-1] - 2.0 * v[-2] + v[-3]) / h**2
     return d1, d2
-
-
-def _nonuniform_derivatives(x: np.ndarray, v: np.ndarray):
-    N = len(x)
-    d1 = np.empty(N)
-    d2 = np.empty(N)
-    h1 = x[1:-1] - x[:-2]
-    h2 = x[2:] - x[1:-1]
-    d1[1:-1] = (
-        -h2 / (h1 * (h1 + h2)) * v[:-2]
-        + (h2 - h1) / (h1 * h2) * v[1:-1]
-        + h1 / (h2 * (h1 + h2)) * v[2:]
-    )
-    d2[1:-1] = 2.0 * (
-        v[:-2] / (h1 * (h1 + h2)) - v[1:-1] / (h1 * h2) + v[2:] / (h2 * (h1 + h2))
-    )
-    for i, (a, b, c) in ((0, (0, 1, 2)), (N - 1, (N - 1, N - 2, N - 3))):
-        xa, xb, xc = x[a], x[b], x[c]
-        d1[i] = (
-            v[a] * (2 * xa - xb - xc) / ((xa - xb) * (xa - xc))
-            + v[b] * (xa - xc) / ((xb - xa) * (xb - xc))
-            + v[c] * (xa - xb) / ((xc - xa) * (xc - xb))
-        )
-        d2[i] = 2.0 * (
-            v[a] / ((xa - xb) * (xa - xc))
-            + v[b] / ((xb - xa) * (xb - xc))
-            + v[c] / ((xc - xa) * (xc - xb))
-        )
-    return d1, d2
-
-
-def discrete_operators(profile: Union[LineProfile, RadialProfile]) -> DiscreteDerivatives:
-    """Second-order finite-difference derivative samples; central stencils in
-    the interior, one-sided at the boundary.  For radial profiles the radial
-    Laplacian u'' + (n-1)/r u' is included, with the regularized limit
-    n*u''(0) at an r = 0 node."""
-    if isinstance(profile, LineProfile):
-        if profile.grid.N < 5:
-            raise GridError("need at least 5 nodes")
-        d1, d2 = _uniform_derivatives(profile.grid.h, profile.values)
-        return DiscreteDerivatives(first=d1, second=d2, laplacian=None)
-    r, v = profile.nodes, profile.values
-    if len(r) < 5:
-        raise GridError("need at least 5 nodes")
-    d1, d2 = _nonuniform_derivatives(r, v)
-    lap = np.empty_like(v)
-    if r[0] == 0.0:
-        lap[0] = profile.n * d2[0]
-        lap[1:] = d2[1:] + (profile.n - 1) / r[1:] * d1[1:]
-    else:
-        lap = d2 + (profile.n - 1) / r * d1
-    return DiscreteDerivatives(first=d1, second=d2, laplacian=lap)
 
 
 def _transform_power(params: DerivedParams) -> float:
@@ -118,10 +60,6 @@ def emden_fowler_inverse(w: LineProfile) -> RadialProfile:
     s = w.grid.s
     u = (w.values * np.exp(-m * s))[::-1]
     return RadialProfile(nodes=log_uniform_radial_nodes(w.grid), values=u, n=w.params.n)
-
-
-def _clamped_spline(grid: LineGrid, values: np.ndarray) -> CubicSpline:
-    return CubicSpline(grid.s, values, bc_type="natural")
 
 
 def _spline_eval(spline: CubicSpline, t: np.ndarray, nu: int, L: float) -> np.ndarray:
@@ -197,7 +135,7 @@ def norm_identity_check(w: LineProfile) -> NormIdentityReport:
         zeros = {"q": 0.0, "quad": 0.0, "q_discrete": 0.0, "quad_discrete": 0.0}
         return NormIdentityReport(0.0, 0.0, 0.0, 0.0, zeros)
 
-    spline = _clamped_spline(w.grid, w.values)
+    spline = CubicSpline(w.grid.s, w.values, bc_type="natural")
 
     def u_abs_q(r: np.ndarray) -> np.ndarray:
         t = -np.log(r)

@@ -112,9 +112,7 @@ def radial_closed_forms(n: int, alpha: Real) -> RadialClosedForms:
             f"s2_rad routes disagree at n={n}, alpha={alpha}: {s2} != {alt}"
         )
     mu21 = ((n - a) / (Fraction(2) if isinstance(a, Fraction) else 2.0)) ** 2
-    conj: Optional[Real] = None
-    if n >= 3 and a != 2:
-        conj = 2 + (n - 2) ** 2 / (a - 2)
+    conj = conjugate_exponent(n, a) if n >= 3 and a != 2 else None
     return RadialClosedForms(s2_rad=s2, mu21_rad=mu21, conjugate_alpha=conj)
 
 

@@ -168,8 +168,9 @@ def test_n5_r3_identity_reported():
 
 
 def test_dimension_probe_rows():
-    rows = dimension_probe(6, [0.0, 10.0], BNConfig(n=6, **QUICK))
-    assert [r.lam for r in rows] == [0.0, 10.0]
-    assert not rows[0].below_sstar
-    assert rows[1].below_sstar
-    assert math.isnan(rows[0].pohozaev_A)  # identity undefined at lambda = 0
+    flat = dimension_probe(BNConfig(n=6, lam=0.0, **QUICK))
+    dips = dimension_probe(BNConfig(n=6, lam=10.0, **QUICK))
+    assert [flat.lam, dips.lam] == [0.0, 10.0]
+    assert not flat.below_sstar
+    assert dips.below_sstar
+    assert math.isnan(flat.pohozaev_A)  # identity undefined at lambda = 0

@@ -442,3 +442,73 @@ def test_json_text_of_numpy_values():
         '    "flag": true,\n    "count": 7,\n    "matrix": [\n      [\n'
         '        1.5,\n        2.0\n      ],\n      [\n        3.0,\n'
         '        -0.25\n      ]\n    ]\n  }\n}\n')
+
+
+# each subcommand's JSON top-level keys (a row's, for a table) and CSV header
+OUTPUT_KEYS = [
+    (("constants", "--n", "5", "--alpha", "0", "--q", "3"),
+     "n alpha q beta gamma gbar two_star_star s2_rad mu21_rad conjugate_alpha "
+     "rellich_full_sphere rellich_half_sphere",
+     "n,alpha,q,beta,gamma,gbar,two_star_star,s2_rad,mu21_rad,conjugate_alpha,"
+     "rellich_full_sphere,rellich_half_sphere"),
+    (("radial-min", "--n", "5", "--alpha", "1", "--q", "3", "--grid", "8,401"),
+     "n alpha q mu_q s_q_rad iterations el_residual converged degenerate status",
+     "n,alpha,q,mu_q,s_q_rad,iterations,el_residual,converged,degenerate"),
+    (("scan", "--n", "5", "--q", "3", "--alpha-range", "0,0,1", "--grid", "8,401",
+      "--jobs", "1"),
+     "alpha mu_q s_q_rad s2_rad rellich sq_positive bs_closed_form "
+     "bs_certificate converged", SCAN_HEADER),
+    (("phase", "--n", "5", "--alpha", "1", "--q", "3", "--jobs", "1"),
+     "rows note",
+     "alpha,gamma_alpha,break_pos,sphere_threshold_exceeded,lambda1,lambda2,"
+     "bs_closed_form"),
+    (("critical-check", "--n", "5", "--alpha", "5"),
+     "n alpha predicate coefficient interval",
+     "n,alpha,predicate,coefficient,interval_lo,interval_hi"),
+    (("talenti-verify", "--n", "5"),
+     "n I J ratio_relerr sstar_num expansion_relerrs coefficients "
+     "identity_relerrs worst_relerr tol passed",
+     "n,I,J,ratio_relerr,sstar_num,worst_relerr,passed"),
+    (("shifted-weight", "--n", "6", "--a", "-3", "--t-values", "0.02,0.05"),
+     "n a C_a e t_values f_values inequality_ok fitted_t2_coeff fitted_t1_coeff "
+     "f0 grad_sq", "t,f"),
+    (("ueps", "--n", "6", "--lambda", "1", "--epsilons", "0.2,0.1"),
+     "n lambda epsilons ratios slope_biharmonic below_sstar cutoff sstar_num "
+     "biharmonic_excess mass_deficits",
+     "epsilon,ratio,biharmonic_excess,mass_deficit"),
+    (("bn", "--n", "6", "--lambda", "10", "--nr", "401"),
+     "s_lambda lambda21 sstar_num attained_evidence converged iterations "
+     "el_residual pohozaev_A_residual r3_residual status",
+     "s_lambda,lambda21,sstar_num,converged,iterations,el_residual,"
+     "pohozaev_A_residual,r3_residual"),
+    (("bn-probe", "--n", "6", "--lambdas", "10", "--nr", "401", "--jobs", "1"),
+     "lambda s_lambda sstar_num below_sstar pohozaev_A converged",
+     "lambda,s_lambda,sstar_num,below_sstar,pohozaev_A,converged"),
+    (("verify", "--suite", "closed-form"), "passed suites", "suite,passed"),
+]
+
+
+@pytest.mark.parametrize("argv,json_keys,csv_header", OUTPUT_KEYS,
+                         ids=[case[0][0] for case in OUTPUT_KEYS])
+def test_output_keys_and_header(capsys, argv, json_keys, csv_header):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK, err
+    payload = json.loads(out)
+    if isinstance(payload, list):
+        payload = payload[0]
+    assert list(payload) == json_keys.split()
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == EXIT_OK, err
+    assert out.splitlines()[0] == csv_header
+
+
+def test_library_warnings_do_not_depend_on_jobs(capsys):
+    """A warning a pool task raises reaches the parent's stderr, once per
+    distinct message, as it does at --jobs 1."""
+    argv = ("scan", "--n", "5", "--q", "12", "--alpha-range", "0,3,1")
+    code1, out1, err1 = run(capsys, *argv, "--jobs", "1")
+    code2, out2, err2 = run(capsys, *argv, "--jobs", "2")
+    assert code1 == code2 == EXIT_OK
+    assert out1 == out2
+    assert err1 == err2 == ("warning: q=12.0 exceeds the critical exponent "
+                            "2n/(n-4)=10.0; only the radial theory applies\n")

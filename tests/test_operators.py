@@ -1,5 +1,5 @@
-"""Discrete derivative stencils, the change-of-variables identities, and the
-conjugate rescaling map."""
+"""The change-of-variables transform and identities, and the conjugate
+rescaling map."""
 import math
 import warnings
 
@@ -8,9 +8,8 @@ import pytest
 
 from ckn.errors import SupportWarning
 from ckn.grids import LineGrid, LineProfile, RadialProfile
-from ckn.operators import (conjugate_rescale, discrete_operators,
-                           emden_fowler_forward, emden_fowler_inverse,
-                           norm_identity_check)
+from ckn.operators import (conjugate_rescale, emden_fowler_forward,
+                           emden_fowler_inverse, norm_identity_check)
 from ckn.params import derive_params
 
 
@@ -18,25 +17,6 @@ def gaussian_line_profile(n=5, alpha=0.0, q=3.0, L=12.0, N=2001):
     grid = LineGrid(L, N)
     params = derive_params(n, alpha, q)
     return LineProfile(grid=grid, values=np.exp(-grid.s**2), params=params)
-
-
-def test_discrete_derivatives_on_polynomial():
-    grid = LineGrid(2.0, 401)
-    params = derive_params(5, 0.0, 3.0)
-    w = LineProfile(grid=grid, values=grid.s**3, params=params)
-    d = discrete_operators(w)
-    inner = slice(5, -5)
-    # central differences carry an O(h^2 s) truncation term on s^3
-    assert np.allclose(d.first[inner], 3.0 * grid.s[inner] ** 2, atol=5e-4)
-    assert np.allclose(d.second[inner], 6.0 * grid.s[inner], atol=5e-4)
-
-
-def test_radial_laplacian_of_quadratic():
-    r = np.linspace(0.05, 1.0, 501)
-    u = RadialProfile(nodes=r, values=r**2, n=5)
-    d = discrete_operators(u)
-    # Delta r^2 = 2 n
-    assert np.allclose(d.laplacian[2:-2], 10.0, atol=1e-6)
 
 
 def test_norm_identity_accurate_routes():

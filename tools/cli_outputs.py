@@ -1,0 +1,93 @@
+"""Dump what the `ckn` CLI prints, so the outputs of two checkouts can be
+compared.
+
+    python3 tools/cli_outputs.py ROOT OUT.json
+
+ROOT is a checkout of this repository. The script imports `ckn` from
+ROOT/src and `perfbench` from ROOT, then runs in-process, through
+`ckn.cli.dispatch` with stdout and stderr captured (as the benchmark runs
+them):
+
+- the CLI operations of one round (seed 1) of the `ball-sweep`,
+  `radial-sweep` and `certify` workloads;
+- each subcommand in JSON and in CSV, on small inputs that also reach an
+  empty sweep, a NaN sweep row and library warnings.
+
+OUT.json maps each command line to `[exit code, stdout, stderr]`, one entry
+per line of the file, so `diff A.json B.json` lists the commands whose
+output differs. Python's default warning filter shows a warning once per
+process and source line, so at a checkout whose CLI leaves warnings to it,
+a warning shows only in the first command that raises it."""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+
+SEED = 1
+CLI_WORKLOADS = ("ball-sweep", "radial-sweep", "certify")
+
+SUBCOMMANDS = (
+    ("constants", "--n", "5", "--alpha", "0", "--q", "3"),
+    ("constants", "--n", "4", "--alpha", "2", "--q", "3"),
+    ("constants", "--n", "5", "--alpha", "0", "--q", "12"),
+    ("radial-min", "--n", "5", "--alpha", "1", "--q", "3", "--grid", "8,401"),
+    ("radial-min", "--n", "5", "--alpha", "-1", "--q", "3"),
+    ("scan", "--n", "5", "--q", "3", "--alpha-range", "0,1,0.5",
+     "--grid", "8,401", "--jobs", "1"),
+    ("scan", "--n", "5", "--q", "3", "--alpha-range", "1,0,1", "--jobs", "1"),
+    ("scan", "--n", "5", "--q", "12", "--alpha-range", "0,3,1", "--jobs", "1"),
+    ("scan", "--n", "5", "--q", "12", "--alpha-range", "0,3,1", "--jobs", "2"),
+    ("phase", "--n", "5", "--q", "3", "--alpha-range=-2,6,2", "--jobs", "1"),
+    ("phase", "--n", "5", "--alpha", "1", "--model", "half"),
+    ("critical-check", "--n", "5", "--alpha", "5"),
+    ("talenti-verify", "--n", "5"),
+    ("talenti-verify", "--n", "5", "--tol", "1e-30"),
+    ("shifted-weight", "--n", "6", "--a", "-3", "--t-values", "0.02,0.05"),
+    ("ueps", "--n", "5", "--epsilons", "0.2,0.1"),
+    ("ueps", "--n", "6", "--lambda", "1", "--epsilons", "0.2,0.1"),
+    ("bn", "--n", "6", "--lambda", "10", "--nr", "401"),
+    ("bn", "--n", "5", "--lambda", "20", "--nr", "401"),
+    ("bn-probe", "--n", "6", "--lambdas", "0,60", "--nr", "201", "--jobs", "1"),
+    ("bn-probe", "--n", "6", "--lambdas", "0,60", "--nr", "201", "--jobs", "2"),
+    ("verify", "--suite", "all", "--n", "5"),
+)
+
+
+def command_lines(workloads):
+    """The argv of every operation to run, in order."""
+    argvs = [op.argv for name in CLI_WORKLOADS
+             for op in workloads.build(name, SEED) if op.argv]
+    argvs += [cmd + ("--format", fmt) for cmd in SUBCOMMANDS
+              for fmt in ("json", "csv")]
+    return argvs
+
+
+def run(dispatch, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = dispatch(list(argv))
+    return [rc, out.getvalue(), err.getvalue()]
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    root, out_path = os.path.abspath(args[0]), args[1]
+    sys.path[:0] = [os.path.join(root, "src"), root]
+    from ckn.cli import dispatch
+    from perfbench import workloads
+
+    dump = {" ".join(a): run(dispatch, a) for a in command_lines(workloads)}
+    with open(out_path, "w") as fh:
+        fh.write("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}"
+                                    for k, v in dump.items()) + "\n}\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
