@@ -268,7 +268,7 @@ def _write_sweep(args, row_type, values: Sequence[float], results: List) -> None
         return row_type(float(value), *(False if hints[f.name] is bool else math.nan
                                         for f in dataclasses.fields(row_type)[1:]))
 
-    # from a row of the type, so an empty sweep keeps its header
+    # from a row of the type, as the first result may have raised
     header = list(_fields(nan_row(math.nan)))
     table = []
     for value, row in zip(values, results):

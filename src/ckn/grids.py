@@ -16,13 +16,16 @@ from .params import DerivedParams
 
 def alpha_grid(lo: float, hi: float, step: float) -> List[float]:
     """The exponents lo, lo + step, ... up to hi; a slack of 1e-9 steps keeps
-    an hi that lies on the grid despite rounding."""
+    an hi that lies on the grid despite rounding.  An empty range (hi < lo)
+    is refused, like an empty list of lambda values."""
     lo, hi, step = float(lo), float(hi), float(step)
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)
             and step > 0.0):
         raise ParameterDomainError(
             f"need finite alpha bounds and a finite positive step, got {lo},{hi},{step}"
         )
+    if hi < lo:
+        raise ParameterDomainError(f"the alpha range is empty: hi={hi} < lo={lo}")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     return [lo + k * step for k in range(count)]
 

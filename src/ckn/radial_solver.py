@@ -23,8 +23,6 @@ from .params import (conjugate_exponent, derive_params, radial_closed_forms,
                      scaling_relation)
 from .quadrature import sphere_area
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 # inverse-iteration steps of one minimization
 MAX_ITERS = 400
 
@@ -98,15 +96,19 @@ def minimize_mu_q(n: int, alpha: float, q: float, cfg: MinimizationConfig) -> Mi
 _ORACLE_STARTS = 200
 _ORACLE_PASS_TOL = 1e-9
 _ORACLE_MAX_PASSES = 120
+_ORACLE_NEWTON_STEPS = 8  # line steps per coordinate
 
 
 def brute_force_oracle(n: int, alpha: float, q: float, coarse_grid: LineGrid) -> float:
-    """Multistart randomized coordinate descent on the same discrete
-    quotient, run in the Cholesky-whitened basis z = R w (A = R^T R) where
-    the quadratic form is |z|^2 and coordinate descent is well conditioned.
-    All starts advance in lockstep (vectorized golden-section line
-    minimization per coordinate).  Deterministic: fixed internal seeds, best
-    value wins, ties to the earliest start."""
+    """Multistart coordinate descent on the same discrete quotient, run in
+    the Cholesky-whitened basis z = R w (A = R^T R) where the quadratic form
+    is |z|^2 and coordinate descent is well conditioned.  All 200 starts
+    (three bumps and 197 seeded normal vectors) advance in lockstep; the
+    line minimization along each coordinate is `_ORACLE_NEWTON_STEPS`
+    vectorized Newton steps on the log of the quotient, safeguarded by a
+    shrinking bracket and bisection, and a start takes the step only if it
+    lowers its value.  Deterministic: fixed internal seeds, best value
+    wins, ties to the earliest start."""
     if coarse_grid.N > 41:
         raise ParameterDomainError("oracle grids are capped at N = 41")
     params = derive_params(n, float(alpha), float(q))
@@ -148,46 +150,50 @@ def brute_force_oracle(n: int, alpha: float, q: float, coarse_grid: LineGrid) ->
         prev_best = float(np.min(vals))
         for j in range(M):
             uj = U[: j + 1, j]  # column support (U is upper triangular)
+            uj2 = uj * uj
             head = W[:, : j + 1]
-            tail_mass = mass - h * np.sum(np.abs(head) ** q, axis=1)
             zj = Z[:, j]
 
-            def col_value(delta):
-                num = quad + 2.0 * delta * zj + delta**2
-                m = tail_mass + h * np.sum(
-                    np.abs(head + delta[:, None] * uj[None, :]) ** q, axis=1
-                )
-                return num / np.maximum(m, 1e-300) ** two_q
+            def along(delta):
+                """The head mass and the first two derivatives of the total
+                mass at z_j + delta, from one power: |y|^q = a y^2 with
+                a = |y|^(q-2)."""
+                y = head + delta[:, None] * uj[None, :]
+                a = np.abs(y) ** (q - 2.0)
+                ay = a * y
+                return (h * np.einsum("ij,ij->i", ay, y), h * q * (ay @ uj),
+                        h * q * (q - 1.0) * (a @ uj2))
 
+            # Newton on g = log num - (2/q) log mass from delta = 0; the
+            # bracket [-span, span] shrinks by the sign of g', and a step
+            # bisects it where g'' <= 0 or the Newton point leaves it
             span = 2.0 + 2.0 * np.abs(zj)
             lo, hi = -span, span
-            x1 = hi - GOLDEN * (hi - lo)
-            x2 = lo + GOLDEN * (hi - lo)
-            f1 = col_value(x1)
-            f2 = col_value(x2)
-            for _g in range(44):
-                take1 = f1 < f2
-                lo = np.where(take1, lo, x1)
-                hi = np.where(take1, x2, hi)
-                probe = np.where(
-                    take1, hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
-                )
-                fp = col_value(probe)
-                x1, x2, f1, f2 = (
-                    np.where(take1, probe, x2),
-                    np.where(take1, x1, probe),
-                    np.where(take1, fp, f2),
-                    np.where(take1, f1, fp),
-                )
-            best_delta = np.where(f1 < f2, x1, x2)
-            cand = col_value(best_delta)
+            delta = np.zeros_like(zj)
+            head_mass, m1, m2 = along(delta)
+            tail_mass = mass - head_mass
+            for _ in range(_ORACLE_NEWTON_STEPS):
+                m = np.maximum(tail_mass + head_mass, 1e-300)
+                num = quad + 2.0 * delta * zj + delta**2
+                dn = 2.0 * (zj + delta) / num
+                dm = m1 / m
+                g1 = dn - two_q * dm
+                g2 = 2.0 / num - dn**2 - two_q * (m2 / m - dm**2)
+                lo = np.where(g1 > 0.0, lo, delta)
+                hi = np.where(g1 > 0.0, delta, hi)
+                step = delta - g1 / np.where(g2 > 0.0, g2, 1.0)
+                newton = (g2 > 0.0) & (step > lo) & (step < hi)
+                delta = np.where(newton, step, 0.5 * (lo + hi))
+                head_mass, m1, m2 = along(delta)
+            cand_mass = tail_mass + head_mass
+            cand_quad = quad + 2.0 * delta * zj + delta**2
+            cand = cand_quad / np.maximum(cand_mass, 1e-300) ** two_q
             accept = cand < vals
-            delta = np.where(accept, best_delta, 0.0)
-            new_head = head + delta[:, None] * uj[None, :]
-            mass = tail_mass + h * np.sum(np.abs(new_head) ** q, axis=1)
-            quad = quad + 2.0 * delta * zj + delta**2
-            W[:, : j + 1] = new_head
+            delta = np.where(accept, delta, 0.0)
+            W[:, : j + 1] = head + delta[:, None] * uj[None, :]
             Z[:, j] = zj + delta
+            mass = np.where(accept, cand_mass, mass)
+            quad = np.where(accept, cand_quad, quad)
             vals = np.where(accept, cand, vals)
         Z, W, quad, mass = refresh(Z)
         vals = quad / np.maximum(mass, 1e-300) ** two_q

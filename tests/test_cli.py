@@ -174,6 +174,16 @@ def test_alpha_range_must_be_finite(capsys, command, bad):
     assert out == ""
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", ["phase", "scan"])
+def test_alpha_range_must_not_be_empty(capsys, command, fmt):
+    code, out, err = run(capsys, command, "--n", "5", "--q", "3",
+                         "--alpha-range", "1,0,1", "--format", fmt, "--jobs", "1")
+    assert code == EXIT_DOMAIN
+    assert err == "parameter error: the alpha range is empty: hi=0.0 < lo=1.0\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ("phase", "--n", "5", "--alpha=1", "--seed", "3", "--grid", "1,5"),
     ("phase", "--n", "5", "--alpha=1", "--seed", "3"),

@@ -78,8 +78,8 @@ def test_alpha_grid():
     assert alpha_grid(-1.0, 1.0, 0.5) == [-1.0, -0.5, 0.0, 0.5, 1.0]
     # (0.3 - 0) / 0.1 rounds just below 3; the endpoint is still kept
     assert len(alpha_grid(0.0, 0.3, 0.1)) == 4
-    assert alpha_grid(1.0, 0.0, 0.5) == []
+    assert alpha_grid(1.0, 1.0, 0.5) == [1.0]
     for bad in ((0.0, math.inf, 1.0), (math.nan, 1.0, 0.1), (0.0, 1.0, 0.0),
-                (0.0, 1.0, -0.1), (0.0, 1.0, math.inf)):
+                (0.0, 1.0, -0.1), (0.0, 1.0, math.inf), (1.0, 0.0, 0.5)):
         with pytest.raises(ParameterDomainError):
             alpha_grid(*bad)

@@ -4,20 +4,34 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from ckn.grids import LineGrid, alpha_grid
-from ckn.radial_solver import (MinimizationConfig, brute_force_oracle,
-                               consistency_suite, minimize_mu_q, scan_row)
+from ckn.params import derive_params
+from ckn.radial_solver import (MinimizationConfig, _assemble_form,
+                               brute_force_oracle, consistency_suite,
+                               minimize_mu_q, scan_row)
 
 COARSE = LineGrid(12.0, 41)
 
 
-def test_solver_matches_brute_force_oracle():
+@pytest.mark.parametrize("n, alpha, q", [(5, 0.0, 3.0), (7, -1.0, 2.5)])
+def test_solver_matches_brute_force_oracle(n, alpha, q):
     cfg = MinimizationConfig(grid=COARSE)
-    res = minimize_mu_q(5, 0.0, 3.0, cfg)
-    oracle = brute_force_oracle(5, 0.0, 3.0, COARSE)
+    res = minimize_mu_q(n, alpha, q, cfg)
+    oracle = brute_force_oracle(n, alpha, q, COARSE)
     assert res.converged
     assert abs(res.mu_q - oracle) / oracle <= 1e-4
+
+
+@pytest.mark.parametrize("n, alpha", [(5, 0.0), (7, -1.0), (6, 1.0)])
+def test_brute_force_oracle_at_q2_is_the_lowest_eigenvalue(n, alpha):
+    # at q = 2 the quotient is the Rayleigh quotient of A / h
+    params = derive_params(n, alpha, 2.0)
+    A, _ = _assemble_form(COARSE, float(params.gbar), float(params.gamma))
+    lowest = sla.eigvalsh(A.toarray())[0] / COARSE.h
+    oracle = brute_force_oracle(n, alpha, 2.0, COARSE)
+    assert abs(oracle - lowest) / lowest <= 1e-6
 
 
 def test_alpha_reflection_bitwise():

@@ -10,8 +10,8 @@ them):
 
 - the CLI operations of one round (seed 1) of the `ball-sweep`,
   `radial-sweep` and `certify` workloads;
-- each subcommand in JSON and in CSV, on small inputs that also reach an
-  empty sweep, a NaN sweep row and library warnings.
+- each subcommand in JSON and in CSV, on small inputs that also reach a
+  refused empty alpha range, a NaN sweep row and library warnings.
 
 OUT.json maps each command line to `[exit code, stdout, stderr]`, one entry
 per line of the file, so `diff A.json B.json` lists the commands whose
