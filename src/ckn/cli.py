@@ -153,9 +153,10 @@ def _parse_args(parser: argparse.ArgumentParser,
     Precedence: built-in default < CKN_CONFIG file < --config file < flag.
     A config value becomes the default of the flags it names, and argv is
     parsed again, so each flag's own type applies and any spelling argparse
-    accepts counts as explicit.  One file serves every subcommand, so a key
-    that is a flag of another subcommand is ignored; a key that is a flag
-    of none, or a value outside its flag's choices, is refused."""
+    accepts counts as explicit, also over the config values of the flags it
+    excludes.  One file serves every subcommand, so a key that is a flag of
+    another subcommand is ignored; a key that is a flag of none, or a value
+    outside its flag's choices, is refused."""
     args = parser.parse_args(argv)
     paths = []
     env = os.environ.get("CKN_CONFIG")
@@ -176,11 +177,15 @@ def _parse_args(parser: argparse.ArgumentParser,
     keys = {a.dest: a.dest for a in actions}
     keys.update((opt.lstrip("-").replace("-", "_"), a.dest)
                 for a in actions for opt in a.option_strings)
+    excluded = {a.dest
+                for g in sub.choices[args.command]._mutually_exclusive_groups
+                if any(getattr(args, b.dest) != b.default for b in g._group_actions)
+                for a in g._group_actions}
     for name, value in merged.items():
         if name not in keys:
             raise ParameterDomainError(f"config key {name!r} names no flag")
         for a in actions:
-            if a.dest == keys[name]:
+            if a.dest == keys[name] and a.dest not in excluded:
                 a.default = (value.lower() in ("1", "true", "yes", "on")
                              if isinstance(a, argparse._StoreTrueAction) else value)
     args = parser.parse_args(argv)
@@ -281,24 +286,6 @@ def _write_sweep(args, row_type, values: Sequence[float], results: List) -> None
 
 
 # ---------------------------------------------------------------------------
-# pool worker of `phase` (module level so it pickles); `scan` and `bn-probe`
-# fan out `scan_row` and `dimension_probe` directly
-
-
-def _phase_worker(n: int, alpha: float, q: Optional[float],
-                  model_kind: str) -> tuple:
-    from .params import gamma_alpha
-    from .phase import closed_form_breaking, positivity_phase
-    from .spectrum import full_sphere, half_sphere
-
-    model = full_sphere(n) if model_kind == "full" else half_sphere(n)
-    rep = positivity_phase(n, alpha, model)
-    bs = closed_form_breaking(n, alpha, q) if q is not None else False
-    return (float(alpha), float(gamma_alpha(n, alpha)), rep.break_pos,
-            rep.sphere_threshold_exceeded, rep.lambda1, rep.lambda2, bs)
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 #
 # Each subcommand imports the ckn modules it needs when it runs, not at the
@@ -317,8 +304,8 @@ def _cmd_constants(args) -> int:
     # float flags keep every derived value a float
     payload = {**_fields(derive_params(args.n, args.alpha, args.q)),
                **_fields(radial_closed_forms(args.n, args.alpha)),
-               "rellich_full_sphere": float(rc_full.value),
-               "rellich_half_sphere": float(rc_half.value)}
+               "rellich_full_sphere": float(rc_full),
+               "rellich_half_sphere": float(rc_half)}
     _write(args, payload, [k for k, v in payload.items() if v is not None])
     return EXIT_OK
 
@@ -350,12 +337,9 @@ def _cmd_scan(args) -> int:
     return EXIT_OK
 
 
-PHASE_HEADER = ("alpha", "gamma_alpha", "break_pos", "sphere_threshold_exceeded",
-                "lambda1", "lambda2", "bs_closed_form")
-
-
 def _cmd_phase(args) -> int:
-    from .phase import POSITIVITY_NOTE
+    from .phase import POSITIVITY_NOTE, phase_row
+    from .spectrum import full_sphere, half_sphere
 
     if args.alpha_range is not None:
         alphas = _alpha_range(args.alpha_range)
@@ -363,14 +347,15 @@ def _cmd_phase(args) -> int:
         alphas = [args.alpha]
     else:
         raise ParameterDomainError("phase needs --alpha or --alpha-range")
-    rows = _fan_out(_phase_worker,
-                    [(args.n, a, args.q, args.model) for a in alphas], _jobs(args))
+    model = (full_sphere if args.model == "full" else half_sphere)(args.n)
+    rows = _fan_out(phase_row,
+                    [(args.n, a, args.q, model) for a in alphas], _jobs(args))
     for row in rows:
         if isinstance(row, Exception):
             raise row
-    payload = {"rows": [dict(zip(PHASE_HEADER, r)) for r in rows],
-               "note": POSITIVITY_NOTE}
-    _write(args, payload, PHASE_HEADER, rows)
+    table = [_fields(row) for row in rows]
+    payload = {"rows": table, "note": POSITIVITY_NOTE}
+    _write(args, payload, list(table[0]), [list(r.values()) for r in table])
     return EXIT_OK
 
 
@@ -501,17 +486,17 @@ def _suite_closed_form(args) -> Tuple[bool, dict]:
     checks = {}
     forms = radial_closed_forms(5, 0.0)
     checks["s2_rad(5,0)"] = float(forms.s2_rad)
-    checks["rellich_half(5,0)"] = float(rellich_constant(half_sphere(5), 5, 0.0).value)
+    checks["rellich_half(5,0)"] = float(rellich_constant(half_sphere(5), 5, 0.0))
     ok = (abs(checks["s2_rad(5,0)"] - 25.0 / 16.0) == 0.0
           and abs(checks["rellich_half(5,0)"] - 27.5625) <= 1e-12)
     # the full-sphere constant is a squared spectral distance, so it is
     # bounded by the radial closed form on a sample of alphas
     for a in (-6.0, -1.0, 0.0, 1.0, 3.0, 7.0):
-        rc = rellich_constant(full_sphere(args.n), args.n, a)
+        rc = float(rellich_constant(full_sphere(args.n), args.n, a))
         s2 = float(radial_closed_forms(args.n, a).s2_rad)
-        if float(rc.value) > s2 * (1.0 + 1e-12):
+        if rc > s2 * (1.0 + 1e-12):
             ok = False
-            checks[f"sandwich_violated_alpha={a}"] = float(rc.value)
+            checks[f"sandwich_violated_alpha={a}"] = rc
     return ok, checks
 
 
@@ -583,8 +568,9 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("phase", help="positivity/symmetry phase indicators")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--alpha-range", default=None, metavar="LO,HI,STEP")
+    alpha = sp.add_mutually_exclusive_group()
+    alpha.add_argument("--alpha", type=float, default=None)
+    alpha.add_argument("--alpha-range", default=None, metavar="LO,HI,STEP")
     sp.add_argument("--q", type=float, default=None)
     sp.add_argument("--model", choices=("full", "half"), default="full")
     sp.add_argument("--jobs", type=int, default=None)

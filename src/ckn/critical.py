@@ -24,8 +24,8 @@ from scipy.interpolate import make_interp_spline
 from .errors import (ConsistencyError, ParameterDomainError,
                      SupportViolationError, SupportWarning)
 from .grids import RadialProfile
-from .params import (bubble_energy, bubble_mass, phase_thresholds, require_n5,
-                     sstar)
+from .params import (bubble_energy, bubble_mass, check_alpha, phase_thresholds,
+                     require_n5, sstar)
 from .quadrature import (DEFAULT_CTX, QuadratureContext, gauss_panels,
                          sphere_area, weighted_radial_integral)
 
@@ -162,7 +162,7 @@ def strictness_sign_check(n: int, alpha: float) -> dict:
     With x = a^2 + 2a = ((alpha-2)^2 - 4)/4 and j the bracket constant,
     c = x (x - j); hence c < 0 iff 2 < |alpha - 2| < sqrt(4 + 4j)."""
     require_n5(n)
-    a = -0.5 * float(alpha)
+    a = -0.5 * float(check_alpha(alpha))
     coefficient = expansion_coefficient(n, a)
     upper = phase_thresholds(n).strictness_upper
     shift = abs(float(alpha) - 2.0)
@@ -243,7 +243,7 @@ def shifted_weight_lemma_check(
     if u.n != n:
         raise ParameterDomainError(f"profile dimension {u.n} != {n}")
     t_values = [float(t) for t in t_values]
-    if any(t < 0.0 or t > 0.25 for t in t_values):
+    if not all(0.0 <= t <= 0.25 for t in t_values):
         raise ParameterDomainError("t values must lie in [0, 1/4]")
     r_max = _check_ball_support(u)
     if sum(t > 0.0 for t in t_values) < 2:

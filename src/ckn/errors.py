@@ -13,10 +13,6 @@ class SingularParameterError(ParameterDomainError):
     """A rescaling exponent hit the singular value 4 - n."""
 
 
-class InsufficientSpectrumError(CknError):
-    """An explicit spectrum does not carry enough eigenvalues."""
-
-
 class DivergentWeightError(CknError):
     """The power-law weight is not integrable at the origin."""
 

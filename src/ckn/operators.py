@@ -1,5 +1,5 @@
-"""The log-change-of-variables transform pair between radial functions and
-line profiles, and the integral-identity cross-checks built on top of it."""
+"""The log change of variables from line profiles to radial functions, and
+the integral-identity cross-checks built on top of it."""
 from __future__ import annotations
 
 import warnings
@@ -9,12 +9,10 @@ from typing import Dict
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import GridError, SupportWarning
-from .grids import LineGrid, LineProfile, RadialProfile, log_uniform_radial_nodes
+from .errors import SupportWarning
+from .grids import LineProfile, RadialProfile, log_uniform_radial_nodes
 from .params import DerivedParams, derive_params, scaling_relation
-from .quadrature import gauss_panels, weighted_radial_integral
-
-NODE_MATCH_RTOL = 1e-9
+from .quadrature import gauss_panels, sphere_area, weighted_radial_integral
 
 
 def _uniform_derivatives(h: float, v: np.ndarray):
@@ -36,22 +34,6 @@ def _uniform_derivatives(h: float, v: np.ndarray):
 def _transform_power(params: DerivedParams) -> float:
     # exponent m in u(r) = r^m w(-log r)
     return (4.0 - params.n - float(params.alpha)) / 2.0
-
-
-def emden_fowler_forward(
-    u: RadialProfile, params: DerivedParams, grid: LineGrid
-) -> LineProfile:
-    """Pull a radial profile on the log-uniform nodes r = e^{-s} back to a
-    line profile w(s) = u(e^{-s}) e^{m s}."""
-    expected = log_uniform_radial_nodes(grid)
-    if u.nodes.shape != expected.shape or not np.allclose(
-        u.nodes, expected, rtol=NODE_MATCH_RTOL, atol=0.0
-    ):
-        raise GridError("radial nodes do not match e^{-s} for the given line grid")
-    m = _transform_power(params)
-    s = grid.s
-    w = u.values[::-1] * np.exp(m * s)
-    return LineProfile(grid=grid, values=w, params=params)
 
 
 def emden_fowler_inverse(w: LineProfile) -> RadialProfile:
@@ -162,8 +144,6 @@ def norm_identity_check(w: LineProfile) -> NormIdentityReport:
 
     lhs_q = weighted_radial_integral(u_abs_q, n, -beta)
     lhs_quad = weighted_radial_integral(lap_u_sq, n, alpha)
-
-    from .quadrature import sphere_area
 
     omega = sphere_area(n)
     rhs_q = omega * h * float(np.sum(np.abs(w.values) ** q))

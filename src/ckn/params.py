@@ -39,15 +39,24 @@ class DerivedParams:
     two_star_star: Optional[Real]
 
 
-def gamma_alpha(n: int, alpha: Real) -> Real:
+def check_alpha(alpha: Real) -> Real:
+    """alpha as `_coerce` makes it; a float must be finite with alpha^4 below the float max."""
     (a,) = _coerce(alpha)
+    if isinstance(a, float) and not math.isfinite(16.0 * a * a * a * a):
+        raise ParameterDomainError(
+            f"alpha={a!r} must be finite with alpha^4 below the float maximum")
+    return a
+
+
+def gamma_alpha(n: int, alpha: Real) -> Real:
+    a = check_alpha(alpha)
     half_n = Fraction(n - 2, 2) if isinstance(a, Fraction) else (n - 2) / 2
     half_a = (a - 2) / 2
     return half_n * half_n - half_a * half_a
 
 
 def gbar_alpha(n: int, alpha: Real) -> Real:
-    (a,) = _coerce(alpha)
+    a = check_alpha(alpha)
     half_n = Fraction(n - 2, 2) if isinstance(a, Fraction) else (n - 2) / 2
     half_a = (a - 2) / 2
     return half_n * half_n + half_a * half_a
@@ -59,7 +68,7 @@ def derive_params(n: int, alpha: Real, q: Real) -> DerivedParams:
         raise ParameterDomainError(f"dimension n={n} must be >= 2")
     if q < 2:
         raise ParameterDomainError(f"exponent q={q} must be >= 2")
-    a, qq = _coerce(alpha, q)
+    a, qq = _coerce(check_alpha(alpha), q)
     two = Fraction(2) if isinstance(a, Fraction) else 2.0
     beta = n - qq * (n - 4 + a) / two
     two_star_star: Optional[Real] = None

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -94,3 +95,23 @@ def positivity_phase(n: int, alpha: float, model: SpectrumModel) -> PositivityRe
         lambda1=preds.lambda1,
         lambda2=preds.lambda2,
     )
+
+
+@dataclass(frozen=True)
+class PhaseRow:
+    alpha: float
+    gamma_alpha: float
+    break_pos: bool
+    sphere_threshold_exceeded: bool
+    lambda1: float
+    lambda2: float
+    bs_closed_form: bool
+
+
+def phase_row(n: int, alpha: float, q: Optional[float],
+              model: SpectrumModel) -> PhaseRow:
+    """One row of `phase`: positivity at alpha and, given q, the closed-form flag."""
+    rep = positivity_phase(n, alpha, model)
+    bs = closed_form_breaking(n, alpha, q) if q is not None else False
+    return PhaseRow(float(alpha), float(gamma_alpha(n, alpha)), rep.break_pos,
+                    rep.sphere_threshold_exceeded, rep.lambda1, rep.lambda2, bs)

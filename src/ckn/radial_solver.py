@@ -108,7 +108,12 @@ def brute_force_oracle(n: int, alpha: float, q: float, coarse_grid: LineGrid) ->
     vectorized Newton steps on the log of the quotient, safeguarded by a
     shrinking bracket and bisection, and a start takes the step only if it
     lowers its value.  Deterministic: fixed internal seeds, best value
-    wins, ties to the earliest start."""
+    wins, ties to the earliest start.
+
+    Its domain is the points whose minimizer the N <= 41 grid resolves, as
+    criterion 04's.  At (n, alpha, q) = (6, 1, 4) and (8, -2, 3.5) it finds
+    states at the hard zero s = -L, below the even solver's value, that
+    grid refinement does not keep."""
     if coarse_grid.N > 41:
         raise ParameterDomainError("oracle grids are capped at N = 41")
     params = derive_params(n, float(alpha), float(q))
@@ -338,7 +343,6 @@ def scan_row(n: int, q: float, alpha: float, cfg: MinimizationConfig) -> ScanRow
 
     model = full_sphere(n)
     forms = radial_closed_forms(n, alpha)
-    rc = rellich_constant(model, n, alpha)
     preds = positivity_predicates(model, n, alpha)
     res = minimize_mu_q(n, alpha, q, cfg)
     bs_cf = closed_form_breaking(n, alpha, q)
@@ -352,7 +356,7 @@ def scan_row(n: int, q: float, alpha: float, cfg: MinimizationConfig) -> ScanRow
         mu_q=res.mu_q,
         s_q_rad=res.s_q_rad,
         s2_rad=float(forms.s2_rad),
-        rellich=float(rc.value),
+        rellich=float(rellich_constant(model, n, alpha)),
         sq_positive=preds.sq_positive,
         bs_closed_form=bs_cf,
         bs_certificate=bs_cert,

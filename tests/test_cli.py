@@ -151,6 +151,55 @@ def test_constants_alpha_within_rounding_of_n(capsys):
     assert json.loads(out)["s2_rad"] < 1e-25
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "1e100"])
+@pytest.mark.parametrize("argv", [
+    ("constants", "--n", "5"),
+    ("phase", "--n", "5"),
+    ("critical-check", "--n", "5"),
+    ("radial-min", "--n", "5", "--q", "3"),
+])
+def test_alpha_must_be_finite(capsys, argv, alpha):
+    """A non-finite alpha, or one whose gamma_alpha^2 overflows, is refused
+    with one line, before any spectrum or solver sees it."""
+    code, out, err = run(capsys, *argv, f"--alpha={alpha}")
+    assert code == EXIT_DOMAIN
+    assert err == (f"parameter error: alpha={float(alpha)!r} must be finite "
+                   "with alpha^4 below the float maximum\n")
+    assert out == ""
+
+
+def test_constants_at_alpha_1e12(capsys):
+    from ckn.spectrum import full_sphere, half_sphere, rellich_constant
+
+    code, out, err = run(capsys, "constants", "--n", "5", "--alpha", "1e12")
+    assert code == EXIT_OK, err
+    payload = json.loads(out)
+    assert payload["rellich_full_sphere"] == rellich_constant(full_sphere(5), 5, 1e12)
+    assert payload["rellich_half_sphere"] == rellich_constant(half_sphere(5), 5, 1e12)
+
+
+def test_phase_alpha_and_alpha_range_exclude_each_other(capsys):
+    code, out, err = run(capsys, "phase", "--n", "5", "--alpha", "1",
+                         "--alpha-range=0,1,1")
+    assert code == EXIT_DOMAIN
+    assert "not allowed with argument" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("entry,flag,alphas", [
+    ("alpha = 1", "--alpha-range=0,1,1", [0.0, 1.0]),
+    ("alpha_range = 0,1,1", "--alpha=0.5", [0.5]),
+])
+def test_phase_alpha_flag_beats_the_other_in_config(capsys, monkeypatch,
+                                                    tmp_path, entry, flag, alphas):
+    cfg = tmp_path / "ckn.cfg"
+    cfg.write_text(entry + "\n")
+    monkeypatch.setenv("CKN_CONFIG", str(cfg))
+    code, out, err = run(capsys, "phase", "--n", "5", flag, "--jobs", "1")
+    assert code == EXIT_OK, err
+    assert [r["alpha"] for r in json.loads(out)["rows"]] == alphas
+
+
 def test_consistency_failure_exits_1(capsys, monkeypatch):
     import ckn.phase
     from ckn.params import phase_thresholds
@@ -419,6 +468,15 @@ def test_shifted_weight_refuses_fewer_than_two_positive_t(capsys, t_values):
                          f"--t-values={t_values}")
     assert code == EXIT_DOMAIN
     assert err == "parameter error: the t, t^2 fit needs at least two t values > 0\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("t_values", ["0.1,0.2,nan", "0.1,0.2,0.3", "-0.01,0.1,0.2"])
+def test_shifted_weight_refuses_t_outside_a_quarter(capsys, t_values):
+    code, out, err = run(capsys, "shifted-weight", "--n", "6", "--a", "-3",
+                         f"--t-values={t_values}")
+    assert code == EXIT_DOMAIN
+    assert err == "parameter error: t values must lie in [0, 1/4]\n"
     assert out == ""
 
 

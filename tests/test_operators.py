@@ -8,8 +8,8 @@ import pytest
 
 from ckn.errors import SupportWarning
 from ckn.grids import LineGrid, LineProfile, RadialProfile
-from ckn.operators import (conjugate_rescale, emden_fowler_forward,
-                           emden_fowler_inverse, norm_identity_check)
+from ckn.operators import (conjugate_rescale, emden_fowler_inverse,
+                           norm_identity_check)
 from ckn.params import derive_params
 
 
@@ -41,17 +41,22 @@ def test_norm_identity_warns_on_fat_boundary():
         norm_identity_check(w)
 
 
-def test_emden_fowler_roundtrip():
-    r = np.exp(np.linspace(-6.0, 6.0, 1201))[::-1][::-1]
-    r = np.sort(r)
-    u = RadialProfile(nodes=r, values=np.exp(-np.log(r) ** 2), n=5)
-    params = derive_params(5, 0.0, 3.0)
+@pytest.mark.parametrize("alpha", [0.0, 3.0, -2.5])
+def test_emden_fowler_inverse_is_r_m_w(alpha):
+    """u(r) = r^m w(-log r), m = (4 - n - alpha)/2, on the increasing
+    nodes r = e^(-s)."""
+    params = derive_params(5, alpha, 3.0)
     grid = LineGrid(6.0, 1201)
-    w = emden_fowler_forward(u, params, grid)
-    back = emden_fowler_inverse(w)
-    spl = np.interp(u.nodes, back.nodes, back.values)
-    mask = (u.nodes > 1e-2) & (u.nodes < 1e2)
-    assert np.allclose(spl[mask], u.values[mask], rtol=1e-6, atol=1e-9)
+    w = LineProfile(grid=grid, values=np.exp(-grid.s**2) * (2.0 + np.sin(grid.s)),
+                    params=params)
+    u = emden_fowler_inverse(w)
+    assert np.all(np.diff(u.nodes) > 0.0)
+    assert np.allclose(u.nodes, np.exp(-grid.s[::-1]), rtol=1e-12, atol=0.0)
+    t = -np.log(u.nodes)
+    m = (4.0 - 5 - alpha) / 2.0
+    expected = u.nodes**m * np.exp(-t**2) * (2.0 + np.sin(t))
+    assert u.n == 5
+    assert np.allclose(u.values, expected, rtol=1e-9, atol=0.0)
 
 
 def test_conjugate_rescale_identities():

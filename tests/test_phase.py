@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from ckn.errors import ParameterDomainError, UnconvergedResultError
 from ckn.params import gamma_alpha, phase_thresholds
-from ckn.phase import closed_form_breaking, positivity_phase, symmetry_certificate
+from ckn.phase import (PhaseRow, closed_form_breaking, phase_row, positivity_phase,
+                       symmetry_certificate)
 from ckn.radial_solver import MinimizationConfig, minimize_mu_q
 from ckn.spectrum import full_sphere, half_sphere, spectral_distance
 
@@ -79,3 +80,15 @@ def test_positivity_phase_consistent_and_noted():
 def test_positivity_phase_half_sphere_runs():
     rep = positivity_phase(5, 9.0, half_sphere(5))
     assert rep.lambda1 >= 0.0 and rep.lambda2 > rep.lambda1
+
+
+@pytest.mark.parametrize("alpha,q", [(14.0, 10.0), (0.0, 3.0), (9.0, None)])
+def test_phase_row_collects_the_reports(alpha, q):
+    model = half_sphere(5)
+    rep = positivity_phase(5, alpha, model)
+    assert phase_row(5, alpha, q, model) == PhaseRow(
+        alpha=alpha, gamma_alpha=float(gamma_alpha(5, alpha)),
+        break_pos=rep.break_pos,
+        sphere_threshold_exceeded=rep.sphere_threshold_exceeded,
+        lambda1=rep.lambda1, lambda2=rep.lambda2,
+        bs_closed_form=q is not None and closed_form_breaking(5, alpha, q))
