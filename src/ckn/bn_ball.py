@@ -42,6 +42,8 @@ class BNConfig:
 
     def __post_init__(self):
         require_n5(self.n)
+        if not math.isfinite(self.lam):
+            raise ParameterDomainError(f"lambda={self.lam!r} must be finite")
         if self.N_r < 9:
             raise ParameterDomainError("need at least 9 radial nodes")
 

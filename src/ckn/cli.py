@@ -320,16 +320,19 @@ def _cmd_radial_min(args) -> int:
         from .grids import save_profile
         save_profile(args.save_profile, res.profile)
     _write(args, payload, [k for k, v in payload.items() if not isinstance(v, str)])
-    if not res.converged and not res.degenerate:
+    if not res.converged:
         _diag(f"radial-min did not converge (el_residual={res.el_residual:.3g})")
         return EXIT_UNCONVERGED
     return EXIT_OK
 
 
 def _cmd_scan(args) -> int:
+    from .params import check_exponents
     from .radial_solver import ScanRow, scan_row
 
     alphas = _alpha_range(args.alpha_range)
+    # a bad (n, q) would fail every row alike
+    check_exponents(args.n, args.q)
     cfg = _min_config(args)
     rows = _fan_out(scan_row, [(args.n, args.q, a, cfg) for a in alphas],
                     _jobs(args))

@@ -235,13 +235,17 @@ def shifted_weight_lemma_check(
     """Evaluate f(t) = int |tx+e|^(-2a) |Delta(|tx+e|^a u)|^2 on the ball.
 
     The weight never vanishes for t <= 1/4, so a tensor Gauss rule in
-    (r, theta) with measure omega_(n-1) r^(n-1) sin^(n-2)(theta) suffices.
-    The canonical axis e is the first coordinate direction; by rotational
-    invariance of the radial profile the choice is immaterial."""
+    (r, theta) with measure omega_(n-1) r^(n-1) sin^(n-2)(theta) suffices;
+    f(0) and int |grad u|^2 come from its radial part.  The canonical axis
+    e is the first coordinate direction; by rotational invariance of the
+    radial profile the choice is immaterial."""
     if not isinstance(u, RadialProfile):
         raise ParameterDomainError(f"need a radial profile, got a {type(u).__name__}")
     if u.n != n:
         raise ParameterDomainError(f"profile dimension {u.n} != {n}")
+    a = float(a)
+    if not math.isfinite(a):
+        raise ParameterDomainError(f"a={a!r} must be finite")
     t_values = [float(t) for t in t_values]
     if not all(0.0 <= t <= 0.25 for t in t_values):
         raise ParameterDomainError("t values must lie in [0, 1/4]")
@@ -250,7 +254,6 @@ def shifted_weight_lemma_check(
         raise ParameterDomainError("the t, t^2 fit needs at least two t values > 0")
     spl, s1, s2 = _profile_splines(u)
 
-    a = float(a)
     c_a = a * (a + 2.0) * (n - 2) / float(n)
     omega_sec = sphere_area(n - 1)
 
@@ -278,20 +281,10 @@ def shifted_weight_lemma_check(
         integrand = (LAP + (2.0 * a * t * UR * (t * R + C) + a * (n - 2 + a) * t**2 * UV) / W) ** 2
         f_values.append(float(omega_sec * mr @ integrand @ mth))
 
-    # reference quantities by 1-D quadrature on the same spline
-    f0 = float(
-        weighted_radial_integral(
-            lambda s: (np.asarray(s2(s)) + (n - 1) / s * np.asarray(s1(s))) ** 2,
-            n,
-            0.0,
-            domain=(0.0, r_max),
-        )
-    )
-    grad_sq = float(
-        weighted_radial_integral(
-            lambda s: np.asarray(s1(s)) ** 2, n, 0.0, domain=(0.0, r_max)
-        )
-    )
+    # at t = 0 the weight is 1 and the integrands are radial
+    omega = sphere_area(n)
+    f0 = float(omega * mr @ lap_u**2)
+    grad_sq = float(omega * mr @ ur**2)
 
     ts = np.array(t_values)
     df = np.array(f_values) - f0
@@ -360,10 +353,6 @@ class UepsReport:
     mass_deficits: List[float] = field(default_factory=list)
 
 
-def ueps_profile(n: int, eps: float, r: np.ndarray) -> np.ndarray:
-    return eps ** (0.5 * (4 - n)) * smoothstep_cutoff(r) * talenti(r / eps, n)
-
-
 def _ueps_derivs(n: int, eps: float, r: np.ndarray):
     scale = eps ** (0.5 * (4 - n))
     chi, (chi1, chi2) = smoothstep_cutoff(r), _smoothstep_derivs(r)
@@ -383,8 +372,10 @@ def ueps_family(n: int, lam: float, epsilons: Sequence[float]) -> UepsReport:
     epsilons = [float(e) for e in epsilons]
     if not epsilons:
         raise ParameterDomainError("the list of epsilon values is empty")
-    if any(e <= 0.0 or e > 0.25 for e in epsilons):
+    if any(not 0.0 < e <= 0.25 for e in epsilons):
         raise ParameterDomainError("epsilon values must lie in (0, 1/4]")
+    if not math.isfinite(lam):
+        raise ParameterDomainError(f"lambda={lam!r} must be finite")
     if any(b >= a for a, b in zip(epsilons[:-1], epsilons[1:])):
         raise ParameterDomainError("epsilon values must be strictly decreasing")
     if lam <= 0.0:

@@ -38,8 +38,8 @@ class LineGrid:
     N: int
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise GridError(f"half-length L={self.L} must be positive")
+        if not 0 < self.L < math.inf:
+            raise GridError(f"half-length L={self.L} must be positive and finite")
         if self.N < 5 or self.N % 2 == 0:
             raise GridError(f"N={self.N} must be odd and >= 5")
 

@@ -13,22 +13,7 @@ from .errors import SupportWarning
 from .grids import LineProfile, RadialProfile, log_uniform_radial_nodes
 from .params import DerivedParams, derive_params, scaling_relation
 from .quadrature import gauss_panels, sphere_area, weighted_radial_integral
-
-
-def _uniform_derivatives(h: float, v: np.ndarray):
-    """Second-order samples of v' and v'' at spacing h: central stencils
-    inside, one-sided at the two ends."""
-    N = len(v)
-    d1 = np.empty(N)
-    d2 = np.empty(N)
-    d1[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    d2[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
-    # one-sided 3-point stencils (exact on quadratics)
-    d1[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    d1[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    d2[0] = (v[0] - 2.0 * v[1] + v[2]) / h**2
-    d2[-1] = (v[-1] - 2.0 * v[-2] + v[-3]) / h**2
-    return d1, d2
+from .radial_solver import _line_operators
 
 
 def _transform_power(params: DerivedParams) -> float:
@@ -65,10 +50,6 @@ def _spline_quadratic_form(
     return float(np.sum(wts * vals))
 
 
-def _trap_nonuniform(x: np.ndarray, f: np.ndarray) -> float:
-    return float(np.sum(0.5 * np.diff(x) * (f[1:] + f[:-1])))
-
-
 @dataclass(frozen=True)
 class NormIdentityReport:
     lhs_q: float
@@ -92,8 +73,9 @@ def norm_identity_check(w: LineProfile) -> NormIdentityReport:
     rel_errors carries four entries: 'q' and 'quad' compare the high-accuracy
     evaluations of the two sides (the identity defect proper), while
     'q_discrete' and 'quad_discrete' compare against the plain second-order
-    discrete rules (trapezoid on the radial samples, finite-difference energy
-    on the line samples), whose defect shrinks at O(h^2).
+    discrete rules (trapezoid on the radial samples, the line solver's
+    finite-difference form on the interior line samples), whose defect
+    shrinks at O(h^2).
     """
     p = w.params
     n = p.n
@@ -149,15 +131,17 @@ def norm_identity_check(w: LineProfile) -> NormIdentityReport:
     rhs_q = omega * h * float(np.sum(np.abs(w.values) ** q))
     rhs_quad = omega * _spline_quadratic_form(spline, gbar, gam)
 
-    # plain second-order rules for the convergence-rate diagnostics
-    d1, d2 = _uniform_derivatives(h, w.values)
+    # plain second-order rules for the rate diagnostics; the energy is the
+    # line solver's form as sums of squares (x.(Ax) cancels terms ~ 1/h^4)
+    x = w.values[1:-1]
+    D2, D1 = _line_operators(w.grid)
     rhs_quad_fd = omega * h * float(
-        np.sum(d2**2 + 2.0 * gbar * d1**2 + gam**2 * w.values**2)
+        np.sum((D2 @ x) ** 2 + 2.0 * gbar * (D1 @ x) ** 2 + gam**2 * x**2)
     )
     u = emden_fowler_inverse(w)
-    lhs_q_trap = omega * _trap_nonuniform(
-        u.nodes, u.nodes ** (n - 1 - beta) * np.abs(u.values) ** q
-    )
+    lhs_q_trap = omega * float(np.trapezoid(
+        u.nodes ** (n - 1 - beta) * np.abs(u.values) ** q, u.nodes
+    ))
 
     rel_errors = {
         "q": _rel(lhs_q, rhs_q),

@@ -3,7 +3,8 @@
 Every formula here is cheap algebra; the numerical modules treat these
 values as ground truth.  When all inputs are ints or Fractions the
 computations stay in exact rational arithmetic, otherwise they run in
-floats.
+floats: each formula is written once, and Python's numeric types pick the
+mode (a Fraction divided by 4 stays a Fraction).
 """
 from __future__ import annotations
 
@@ -50,27 +51,28 @@ def check_alpha(alpha: Real) -> Real:
 
 def gamma_alpha(n: int, alpha: Real) -> Real:
     a = check_alpha(alpha)
-    half_n = Fraction(n - 2, 2) if isinstance(a, Fraction) else (n - 2) / 2
-    half_a = (a - 2) / 2
-    return half_n * half_n - half_a * half_a
+    # a product, not `** 2`: in floats the two can differ in the last bit
+    return ((n - 2) ** 2 - (a - 2) * (a - 2)) / 4
 
 
 def gbar_alpha(n: int, alpha: Real) -> Real:
     a = check_alpha(alpha)
-    half_n = Fraction(n - 2, 2) if isinstance(a, Fraction) else (n - 2) / 2
-    half_a = (a - 2) / 2
-    return half_n * half_n + half_a * half_a
+    return ((n - 2) ** 2 + (a - 2) * (a - 2)) / 4
+
+
+def check_exponents(n: int, q: Real = 2) -> None:
+    """Refuse n < 2 and q < 2; a NaN q is refused too."""
+    if n < 2:
+        raise ParameterDomainError(f"dimension n={n} must be >= 2")
+    if not q >= 2:
+        raise ParameterDomainError(f"exponent q={q} must be >= 2")
 
 
 def derive_params(n: int, alpha: Real, q: Real) -> DerivedParams:
     """Populate beta, gamma, gbar and the critical exponent for (n, alpha, q)."""
-    if n < 2:
-        raise ParameterDomainError(f"dimension n={n} must be >= 2")
-    if q < 2:
-        raise ParameterDomainError(f"exponent q={q} must be >= 2")
+    check_exponents(n, q)
     a, qq = _coerce(check_alpha(alpha), q)
-    two = Fraction(2) if isinstance(a, Fraction) else 2.0
-    beta = n - qq * (n - 4 + a) / two
+    beta = n - qq * (n - 4 + a) / 2
     two_star_star: Optional[Real] = None
     if n >= 5:
         two_star_star = (
@@ -103,15 +105,14 @@ class RadialClosedForms:
 def radial_closed_forms(n: int, alpha: Real) -> RadialClosedForms:
     """Best q=2 radial constant, the second-order/first-order ratio, and the
     conjugate exponent of alpha."""
-    if n < 2:
-        raise ParameterDomainError(f"dimension n={n} must be >= 2")
+    check_exponents(n)
     (a,) = _coerce(alpha)
     g = gamma_alpha(n, a)
     s2 = g * g
     # same value written as a product of linear factors; cross-check.  Both
     # routes cancel terms of size gbar, so in floats they agree to a few
     # ulps of gbar^2, not of s2 (which vanishes at alpha = n and 4 - n)
-    alt = (n - 4 + a) ** 2 * (n - a) ** 2 / (Fraction(16) if isinstance(a, Fraction) else 16.0)
+    alt = (n - 4 + a) ** 2 * (n - a) ** 2 / 16
     if isinstance(a, Fraction):
         agree = s2 == alt
     else:
@@ -120,7 +121,7 @@ def radial_closed_forms(n: int, alpha: Real) -> RadialClosedForms:
         raise ConsistencyError(
             f"s2_rad routes disagree at n={n}, alpha={alpha}: {s2} != {alt}"
         )
-    mu21 = ((n - a) / (Fraction(2) if isinstance(a, Fraction) else 2.0)) ** 2
+    mu21 = ((n - a) / 2) ** 2
     conj = conjugate_exponent(n, a) if n >= 3 and a != 2 else None
     return RadialClosedForms(s2_rad=s2, mu21_rad=mu21, conjugate_alpha=conj)
 
@@ -163,11 +164,10 @@ class PhaseThresholds:
 def phase_thresholds(n: int, q: Optional[Real] = None) -> PhaseThresholds:
     """Closed-form thresholds for symmetry breaking, positivity breaking on
     the sphere, and critical-exponent strictness."""
-    if n < 2:
-        raise ParameterDomainError(f"dimension n={n} must be >= 2")
+    check_exponents(n)
     bs1 = None
     if q is not None:
-        if q <= 2:
+        if not q > 2:
             raise ParameterDomainError("the symmetry-breaking threshold needs q > 2")
         q = float(q)
         bs1 = (n - 1) / (q - 2) * (1.0 + math.sqrt(q - 1.0))

@@ -29,8 +29,9 @@ CERTIFICATE_MARGIN = 1e-6
 
 
 def closed_form_breaking(n: int, alpha: float, q: float) -> bool:
-    """|gamma_alpha| beyond the closed-form threshold (n-1)(1+sqrt(q-1))/(q-2)."""
-    if q <= 2:
+    """|gamma_alpha| beyond the closed-form threshold (n-1)(1+sqrt(q-1))/(q-2);
+    False at q = 2, and `phase_thresholds` refuses q < 2 and NaN."""
+    if q == 2:
         return False
     thr = phase_thresholds(n, q).bs1
     return abs(float(gamma_alpha(n, alpha))) > thr

@@ -29,6 +29,12 @@ def test_nodes_geometric_and_anchored():
     assert np.allclose(ratios, ratios[0], rtol=1e-9)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_config_refuses_a_non_finite_lambda(lam):
+    with pytest.raises(ParameterDomainError):
+        BNConfig(n=6, lam=lam)
+
+
 def test_nodes_validation():
     with pytest.raises(ParameterDomainError):
         _bn_nodes(801, 0.5)

@@ -487,6 +487,31 @@ def test_bn_probe_refuses_empty_lambdas(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    "scan --n 5 --q 1 --alpha-range 0,1,0.5",
+    "scan --n 5 --q nan --alpha-range 0,1,0.5",
+    "scan --n 1 --q 3 --alpha-range 0,1,0.5",
+    "radial-min --n 5 --alpha 1 --q nan",
+    "constants --n 5 --alpha 0 --q nan",
+    "phase --n 5 --alpha 1 --q nan",
+    "phase --n 5 --alpha 1 --q 1",
+    "ueps --n 5 --epsilons 0.2,nan",
+    "ueps --n 5 --lambda nan",
+    "shifted-weight --n 6 --a nan",
+    "shifted-weight --n 6 --a inf",
+    "bn --n 6 --lambda nan --nr 201",
+    "bn-probe --n 6 --lambdas 0,nan --nr 201 --jobs 1",
+    "radial-min --n 5 --alpha 1 --q 3 --grid nan,41",
+    "scan --n 5 --q 3 --alpha-range 0,1,1 --grid inf,41",
+])
+def test_bad_parameters_are_refused_once(capsys, argv):
+    # refused before any row or solve: no NaN rows, no traceback, no output
+    code, out, err = run(capsys, *argv.split())
+    assert code == EXIT_DOMAIN
+    assert len(err.splitlines()) == 1 and err.startswith("parameter error: ")
+    assert out == ""
+
+
 def test_bn_probe_byte_identical_across_jobs(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["bn-probe", "--n", "6", "--lambdas", "0,10", "--nr", "201"]

@@ -14,7 +14,7 @@ import ckn.critical
 from ckn.critical import (strictness_sign_check, expansion_coefficient,
                           shifted_weight_lemma_check, smoothstep_cutoff,
                           talenti, talenti_identity_suite, talenti_laplacian,
-                          ueps_family, ueps_profile)
+                          ueps_family)
 from ckn.errors import (ConsistencyError, ParameterDomainError,
                         SupportViolationError, SupportWarning)
 from ckn.params import phase_thresholds, sstar
@@ -142,10 +142,16 @@ def f0_oracle(n):
     return weighted_radial_integral(integrand, n, 0.0, domain=(1e-12, 1.0))
 
 
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_shifted_weight_f0_against_oracle(n):
+    # f(0) comes from the radial part of the rule that gives f(t)
+    rep = shifted_weight_lemma_check(n, -3.0, ball_bump(n), t_values=(0.02, 0.05))
+    assert rep.f0 == pytest.approx(f0_oracle(n), rel=1e-11)
+
+
 def test_shifted_weight_center_value_against_oracle():
     rep = shifted_weight_lemma_check(6, -3.0, ball_bump(), t_values=(0.02, 0.05))
     assert rep.C_a == 2.0
-    assert rep.f0 == pytest.approx(f0_oracle(6), rel=1e-8)
     # int |grad u|^2 = omega_6 int r^5 (6 r (1-r^2)^2)^2 dr
     grad_oracle = weighted_radial_integral(
         lambda r: 36.0 * r**2 * (1.0 - r**2) ** 4, 6, 0.0, domain=(0.0, 1.0)
@@ -162,6 +168,12 @@ def test_shifted_weight_inequality_and_cancellation():
     assert abs(rep.fitted_t1_coeff) <= 1e-3 * rep.f0
     # fitted quadratic loss is at least C_a * |grad u|_2^2
     assert rep.fitted_t2_coeff <= -rep.C_a * rep.grad_sq * (1.0 - 1e-6)
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf])
+def test_shifted_weight_refuses_a_non_finite_a(a):
+    with pytest.raises(ParameterDomainError):
+        shifted_weight_lemma_check(6, a, ball_bump(), t_values=(0.02, 0.05))
 
 
 def test_shifted_weight_rejects_boundary_supported_profile():
@@ -185,19 +197,15 @@ def test_smoothstep_plateau_and_support():
     assert np.all(np.diff(fine) <= 1e-12)
 
 
-def test_ueps_profile_scaling():
-    r = np.array([0.01, 0.02])
-    u1 = ueps_profile(7, 0.01, r)
-    u2 = ueps_profile(7, 0.02, r)
-    assert np.all(u1 > 0.0) and np.all(u2 > 0.0)
-    assert u1[0] > u2[0]  # sharper concentration is taller at its core
-
-
 def test_ueps_parameter_domain():
     with pytest.raises(ParameterDomainError):
         ueps_family(7, 0.0, (0.3, 0.1))  # eps > 1/4
     with pytest.raises(ParameterDomainError):
         ueps_family(7, 0.0, (0.1, 0.2))  # not strictly decreasing
+    with pytest.raises(ParameterDomainError):
+        ueps_family(7, 0.0, (0.2, math.nan))
+    with pytest.raises(ParameterDomainError):
+        ueps_family(7, math.nan, (0.2, 0.1))
 
 
 def test_ueps_ratios_approach_sstar_from_above():

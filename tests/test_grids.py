@@ -25,6 +25,9 @@ def test_line_grid_validation():
         LineGrid(12.0, 2000)  # even
     with pytest.raises(GridError):
         LineGrid(-1.0, 2001)
+    for L in (math.nan, math.inf):
+        with pytest.raises(GridError):
+            LineGrid(L, 2001)
 
 
 def test_radial_profile_validation():

@@ -137,6 +137,12 @@ def test_sstar_closed_form():
         bubble_mass(4)
 
 
+@pytest.mark.parametrize("q", [math.nan, 1.0])
+def test_derive_params_refuses_q_below_2_and_nan(q):
+    with pytest.raises(ParameterDomainError):
+        derive_params(5, 0.0, q)
+
+
 def test_dimension_domain_errors():
     with pytest.raises(ParameterDomainError):
         radial_closed_forms(1, 0.0)

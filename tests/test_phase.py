@@ -24,6 +24,9 @@ def test_closed_form_threshold_spot():
 
 def test_closed_form_needs_q_above_2():
     assert not closed_form_breaking(5, 14.0, 2.0)
+    for q in (1.5, math.nan):
+        with pytest.raises(ParameterDomainError):
+            closed_form_breaking(5, 14.0, q)
 
 
 @given(st.integers(3, 10), st.floats(2.2, 12.0))

@@ -9,7 +9,7 @@ import scipy.linalg as sla
 from ckn.grids import LineGrid, alpha_grid
 from ckn.params import derive_params
 from ckn.radial_solver import (MinimizationConfig, _assemble_form,
-                               brute_force_oracle, consistency_suite,
+                               _line_operators, brute_force_oracle, consistency_suite,
                                minimize_mu_q, scan_row)
 
 COARSE = LineGrid(12.0, 41)
@@ -39,6 +39,26 @@ def test_alpha_reflection_bitwise():
     a = minimize_mu_q(5, 0.0, 3.0, cfg)
     b = minimize_mu_q(5, 4.0, 3.0, cfg)
     assert a.mu_q == b.mu_q  # the assembled forms are identical
+
+
+def test_assembled_form_is_built_from_the_line_operators():
+    D2, D1 = _line_operators(COARSE)
+    A, _ = _assemble_form(COARSE, 2.5, -1.5)
+    B = COARSE.h * (D2.T @ D2 + 5.0 * D1.T @ D1 + 2.25 * np.eye(COARSE.N - 2))
+    assert np.array_equal(A.toarray(), B)
+
+
+def test_reported_value_within_rounding_of_its_sums_of_squares():
+    # the kernel reports x.(Ax), which cancels terms of size 1/h^4; on the
+    # default grid that costs 3.9e-8 of the value at (5, 0, 3)
+    res = minimize_mu_q(5, 0.0, 3.0, MinimizationConfig())
+    grid, x = res.profile.grid, res.profile.values[1:-1]
+    p = res.profile.params
+    D2, D1 = _line_operators(grid)
+    num = grid.h * np.sum((D2 @ x) ** 2 + 2.0 * float(p.gbar) * (D1 @ x) ** 2
+                          + float(p.gamma) ** 2 * x**2)
+    value = num / (grid.h * np.sum(np.abs(x) ** 3.0)) ** (2.0 / 3.0)
+    assert res.mu_q == pytest.approx(value, rel=1e-7)
 
 
 def test_degenerate_boundary_alpha():

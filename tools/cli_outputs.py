@@ -11,11 +11,13 @@ them):
 - the CLI operations of one round (seed 1) of the `ball-sweep`,
   `radial-sweep` and `certify` workloads;
 - each subcommand in JSON and in CSV, on small inputs that also reach a
-  refused empty alpha range, a NaN sweep row and library warnings.
+  refused empty alpha range, a NaN sweep row and library warnings;
+- the command lines that refuse a bad (n, q) or a non-finite real.
 
 OUT.json maps each command line to `[exit code, stdout, stderr]`, one entry
 per line of the file, so `diff A.json B.json` lists the commands whose
-output differs. Python's default warning filter shows a warning once per
+output differs; an exception that escapes `dispatch` is recorded in
+place of the exit code. Python's default warning filter shows a warning once per
 process and source line, so at a checkout whose CLI leaves warnings to it,
 a warning shows only in the first command that raises it."""
 from __future__ import annotations
@@ -55,6 +57,25 @@ SUBCOMMANDS = (
     ("verify", "--suite", "all", "--n", "5"),
 )
 
+# refused with exit 1: a bad (n, q), and a non-finite real where it enters
+REFUSALS = (
+    ("scan", "--n", "5", "--q", "1", "--alpha-range", "0,1,0.5", "--jobs", "1"),
+    ("scan", "--n", "5", "--q", "nan", "--alpha-range", "0,1,0.5", "--jobs", "1"),
+    ("scan", "--n", "1", "--q", "3", "--alpha-range", "0,1,0.5", "--jobs", "1"),
+    ("radial-min", "--n", "5", "--alpha", "1", "--q", "nan"),
+    ("constants", "--n", "5", "--alpha", "0", "--q", "nan"),
+    ("phase", "--n", "5", "--alpha", "1", "--q", "nan"),
+    ("phase", "--n", "5", "--alpha", "1", "--q", "1"),
+    ("ueps", "--n", "5", "--epsilons", "0.2,nan"),
+    ("ueps", "--n", "5", "--lambda", "nan"),
+    ("shifted-weight", "--n", "6", "--a", "nan"),
+    ("shifted-weight", "--n", "6", "--a", "inf"),
+    ("bn", "--n", "6", "--lambda", "nan", "--nr", "201"),
+    ("bn-probe", "--n", "6", "--lambdas", "0,nan", "--nr", "201", "--jobs", "1"),
+    ("radial-min", "--n", "5", "--alpha", "1", "--q", "3", "--grid", "nan,41"),
+    ("radial-min", "--n", "5", "--alpha", "1", "--q", "3", "--grid", "inf,41"),
+)
+
 
 def command_lines(workloads):
     """The argv of every operation to run, in order."""
@@ -62,13 +83,17 @@ def command_lines(workloads):
              for op in workloads.build(name, SEED) if op.argv]
     argvs += [cmd + ("--format", fmt) for cmd in SUBCOMMANDS
               for fmt in ("json", "csv")]
+    argvs += list(REFUSALS)
     return argvs
 
 
 def run(dispatch, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = dispatch(list(argv))
+        try:
+            rc = dispatch(list(argv))
+        except Exception as exc:  # what the command line shows as a traceback
+            rc = f"uncaught {type(exc).__name__}: {exc}"
     return [rc, out.getvalue(), err.getvalue()]
 
 
