@@ -1,7 +1,7 @@
-"""Command-line surface: subcommand dispatch, flat key=value config files,
-and bit-stable CSV/JSON emission.
+"""Command-line surface: subcommand dispatch and bit-stable CSV/JSON
+emission.  Every setting is a flag.
 
-Determinism contract: with identical flags and config the emitted bytes
+Determinism contract: with identical flags the emitted bytes
 are identical run-to-run and independent of --jobs.  Floats are
 printed with %.17g (round-trip exact for doubles), CSV uses LF endings and
 a `.` decimal separator, and parallel sweeps merge rows in key order.
@@ -128,80 +128,9 @@ def _alpha_range(text: str) -> List[float]:
     return alpha_grid(*vals)
 
 
-def _read_config(path: str) -> dict:
-    """Flat `key = value` file; '#' starts a comment; keys use flag spelling."""
-    entries = {}
-    try:
-        raw = open(path).read()
-    except OSError as exc:
-        raise ParameterDomainError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, line in enumerate(raw.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParameterDomainError(f"{path}:{lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        entries[key.strip().replace("-", "_")] = value.strip()
-    return entries
-
-
-def _parse_args(parser: argparse.ArgumentParser,
-                argv: Sequence[str]) -> argparse.Namespace:
-    """Parse argv over config-file values.
-
-    Precedence: built-in default < CKN_CONFIG file < --config file < flag.
-    A config value becomes the default of the flags it names, and argv is
-    parsed again, so each flag's own type applies and any spelling argparse
-    accepts counts as explicit, also over the config values of the flags it
-    excludes.  One file serves every subcommand, so a key that is a flag of
-    another subcommand is ignored; a key that is a flag of none, or a value
-    outside its flag's choices, is refused."""
-    args = parser.parse_args(argv)
-    paths = []
-    env = os.environ.get("CKN_CONFIG")
-    if env:
-        paths.append(env)
-    if getattr(args, "config", None):
-        paths.append(args.config)
-    merged = {}
-    for p in paths:
-        merged.update(_read_config(p))
-    if not merged:
-        return args
-    # every flag of every subcommand, keyed by its dest (`lam`) and by its
-    # spelling (`lambda`)
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
-    actions = [a for sp in sub.choices.values() for a in sp._actions]
-    keys = {a.dest: a.dest for a in actions}
-    keys.update((opt.lstrip("-").replace("-", "_"), a.dest)
-                for a in actions for opt in a.option_strings)
-    excluded = {a.dest
-                for g in sub.choices[args.command]._mutually_exclusive_groups
-                if any(getattr(args, b.dest) != b.default for b in g._group_actions)
-                for a in g._group_actions}
-    for name, value in merged.items():
-        if name not in keys:
-            raise ParameterDomainError(f"config key {name!r} names no flag")
-        for a in actions:
-            if a.dest == keys[name] and a.dest not in excluded:
-                a.default = (value.lower() in ("1", "true", "yes", "on")
-                             if isinstance(a, argparse._StoreTrueAction) else value)
-    args = parser.parse_args(argv)
-    # argparse checks `choices` on the command line only
-    for a in sub.choices[args.command]._actions:
-        if a.choices is not None and getattr(args, a.dest) not in a.choices:
-            raise ParameterDomainError(
-                f"config value {getattr(args, a.dest)!r} of {a.dest!r} is not "
-                f"one of {', '.join(a.choices)}")
-    return args
-
-
 def _common_flags(sp: argparse.ArgumentParser, default_format: str = "json") -> None:
     sp.add_argument("--format", choices=("csv", "json"), default=default_format)
     sp.add_argument("--out", default=None, help="output file (default: stdout)")
-    sp.add_argument("--config", default=None, help="flat key=value config file")
 
 
 def _grid_flag(sp: argparse.ArgumentParser) -> None:
@@ -310,20 +239,25 @@ def _cmd_constants(args) -> int:
     return EXIT_OK
 
 
-def _cmd_radial_min(args) -> int:
-    from .radial_solver import minimize_mu_q
-
-    cfg = _min_config(args)
-    res = minimize_mu_q(args.n, args.alpha, args.q, cfg)
-    payload = {"n": args.n, "alpha": args.alpha, "q": args.q, **_fields(res)}
+def _write_solve(args, res, payload: dict) -> int:
+    """The report of one solve `res`: its profile to --save-profile, the
+    non-string fields of `payload`, and exit 2 if it did not converge."""
     if args.save_profile:
         from .grids import save_profile
         save_profile(args.save_profile, res.profile)
     _write(args, payload, [k for k, v in payload.items() if not isinstance(v, str)])
     if not res.converged:
-        _diag(f"radial-min did not converge (el_residual={res.el_residual:.3g})")
+        _diag(f"{args.command} did not converge (el_residual={res.el_residual:.3g})")
         return EXIT_UNCONVERGED
     return EXIT_OK
+
+
+def _cmd_radial_min(args) -> int:
+    from .radial_solver import minimize_mu_q
+
+    res = minimize_mu_q(args.n, args.alpha, args.q, _min_config(args))
+    return _write_solve(args, res, {"n": args.n, "alpha": args.alpha,
+                                    "q": args.q, **_fields(res)})
 
 
 def _cmd_scan(args) -> int:
@@ -385,7 +319,11 @@ def _cmd_talenti_verify(args) -> int:
         ctx = QuadratureContext(panel_order=ctx.panel_order,
                                 panel_count=2 * ctx.panel_count,
                                 grading_levels=ctx.grading_levels + 40)
-    rep = talenti_identity_suite(args.n, _float_list(args.a_values), ctx=ctx)
+    a_values = _float_list(args.a_values)
+    if not a_values:
+        # it would pass with no expansion checked
+        raise ParameterDomainError("the list of a values is empty")
+    rep = talenti_identity_suite(args.n, a_values, ctx=ctx)
     worst = rep.worst_relerr
     payload = {**_fields(rep), "worst_relerr": worst, "tol": args.tol,
                "passed": worst <= args.tol}
@@ -434,15 +372,7 @@ def _cmd_bn(args) -> int:
     from .bn_ball import minimize_bn
 
     rep = minimize_bn(_bn_config(args))
-    payload = _fields(rep)
-    if args.save_profile:
-        from .grids import save_profile
-        save_profile(args.save_profile, rep.profile)
-    _write(args, payload, [k for k, v in payload.items() if not isinstance(v, str)])
-    if not rep.converged:
-        _diag(f"bn did not converge (el_residual={rep.el_residual:.3g})")
-        return EXIT_UNCONVERGED
-    return EXIT_OK
+    return _write_solve(args, rep, _fields(rep))
 
 
 def _cmd_bn_probe(args) -> int:
@@ -656,7 +586,12 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
 def _run(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
-        args = _parse_args(parser, list(argv))
+        if os.environ.get("CKN_CONFIG"):
+            # ckn reads no config file: refuse one rather than ignore it
+            raise ParameterDomainError(
+                "CKN_CONFIG is set, but ckn reads no config file; "
+                "pass each setting as a flag and unset CKN_CONFIG")
+        args = parser.parse_args(argv)
         return args.run(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -90,8 +90,15 @@ def talenti_identity_suite(
     All left-hand sides are assembled from the analytic derivatives of U,
     never from finite differences, so the recorded relative errors measure
     only the quadrature.  `sstar_num` is the closed form; its quadrature
-    value is kept as the check identity_relerrs["sstar"]."""
+    value is kept as the check identity_relerrs["sstar"].  Each a must be
+    finite with a^4 below the float maximum; with no a, only the identities
+    are checked."""
     require_n5(n)
+    a_values = [float(a) for a in a_values]
+    for a in a_values:
+        if not math.isfinite(a * a * a * a):
+            raise ParameterDomainError(
+                f"a={a!r} must be finite with a^4 below the float maximum")
 
     U = lambda r: talenti(r, n)
     Up = lambda r: talenti_d1(r, n)
@@ -129,7 +136,6 @@ def talenti_identity_suite(
     expansion_relerrs: Dict[float, float] = {}
     coefficients: Dict[float, float] = {}
     for a in a_values:
-        a = float(a)
         c = expansion_coefficient(n, a)
         coefficients[a] = c
 
@@ -250,8 +256,9 @@ def shifted_weight_lemma_check(
     if not all(0.0 <= t <= 0.25 for t in t_values):
         raise ParameterDomainError("t values must lie in [0, 1/4]")
     r_max = _check_ball_support(u)
-    if sum(t > 0.0 for t in t_values) < 2:
-        raise ParameterDomainError("the t, t^2 fit needs at least two t values > 0")
+    if len({t for t in t_values if t > 0.0}) < 2:
+        raise ParameterDomainError(
+            "the t, t^2 fit needs at least two distinct t values > 0")
     spl, s1, s2 = _profile_splines(u)
 
     c_a = a * (a + 2.0) * (n - 2) / float(n)

@@ -42,6 +42,11 @@ class LineGrid:
             raise GridError(f"half-length L={self.L} must be positive and finite")
         if self.N < 5 or self.N % 2 == 0:
             raise GridError(f"N={self.N} must be odd and >= 5")
+        # the line form scales like h^-4 and its mass like h
+        h4 = self.h * self.h * self.h * self.h
+        if not (0 < h4 < math.inf and 1 / h4 < math.inf):
+            raise GridError(f"spacing h={self.h!r} (L={self.L}, N={self.N}) "
+                            "must have h^4 and h^-4 finite and positive")
 
     @property
     def h(self) -> float:

@@ -61,11 +61,13 @@ def gbar_alpha(n: int, alpha: Real) -> Real:
 
 
 def check_exponents(n: int, q: Real = 2) -> None:
-    """Refuse n < 2 and q < 2; a NaN q is refused too."""
+    """Refuse n < 2, and q < 2, NaN or infinite."""
     if n < 2:
         raise ParameterDomainError(f"dimension n={n} must be >= 2")
     if not q >= 2:
         raise ParameterDomainError(f"exponent q={q} must be >= 2")
+    if q == math.inf:
+        raise ParameterDomainError(f"exponent q={q} must be finite")
 
 
 def derive_params(n: int, alpha: Real, q: Real) -> DerivedParams:
@@ -169,6 +171,7 @@ def phase_thresholds(n: int, q: Optional[Real] = None) -> PhaseThresholds:
     if q is not None:
         if not q > 2:
             raise ParameterDomainError("the symmetry-breaking threshold needs q > 2")
+        check_exponents(n, q)
         q = float(q)
         bs1 = (n - 1) / (q - 2) * (1.0 + math.sqrt(q - 1.0))
     break_pos_sphere = math.sqrt((n - 1) ** 2 + 1)

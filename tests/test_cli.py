@@ -1,5 +1,5 @@
-"""CLI dispatch: exit codes, output formats, config ingestion, and
-byte-stable parallel sweeps."""
+"""CLI dispatch: exit codes, output formats, refusals, and byte-stable
+parallel sweeps."""
 import dataclasses
 import json
 import math
@@ -116,16 +116,6 @@ def test_verify_closed_form_suite(capsys):
     assert "PASS" in err
 
 
-def test_config_file_and_flag_precedence(capsys, monkeypatch, tmp_path):
-    cfg = tmp_path / "ckn.cfg"
-    cfg.write_text("q = 4\n")
-    monkeypatch.setenv("CKN_CONFIG", str(cfg))
-    _, out, _ = run(capsys, "constants", "--n", "5", "--alpha", "0")
-    assert json.loads(out)["q"] == 4.0
-    _, out, _ = run(capsys, "constants", "--n", "5", "--alpha", "0", "--q", "3")
-    assert json.loads(out)["q"] == 3.0  # explicit flag wins
-
-
 def test_shifted_weight_default_profile(capsys):
     code, out, _ = run(capsys, "shifted-weight", "--n", "6", "--a", "-3",
                        "--t-values", "0.02,0.05")
@@ -186,20 +176,6 @@ def test_phase_alpha_and_alpha_range_exclude_each_other(capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("entry,flag,alphas", [
-    ("alpha = 1", "--alpha-range=0,1,1", [0.0, 1.0]),
-    ("alpha_range = 0,1,1", "--alpha=0.5", [0.5]),
-])
-def test_phase_alpha_flag_beats_the_other_in_config(capsys, monkeypatch,
-                                                    tmp_path, entry, flag, alphas):
-    cfg = tmp_path / "ckn.cfg"
-    cfg.write_text(entry + "\n")
-    monkeypatch.setenv("CKN_CONFIG", str(cfg))
-    code, out, err = run(capsys, "phase", "--n", "5", flag, "--jobs", "1")
-    assert code == EXIT_OK, err
-    assert [r["alpha"] for r in json.loads(out)["rows"]] == alphas
-
-
 def test_consistency_failure_exits_1(capsys, monkeypatch):
     import ckn.phase
     from ckn.params import phase_thresholds
@@ -244,6 +220,7 @@ def test_alpha_range_must_not_be_empty(capsys, command, fmt):
     ("bn-probe", "--n", "5", "--lambdas", "0", "--seed", "3"),
     ("verify", "--suite", "critical", "--grid", "12,101"),
     ("scan", "--n", "5", "--q", "3", "--alpha-range", "0,1,1", "--seed", "3"),
+    ("constants", "--n", "5", "--alpha", "0", "--config", "x"),
 ])
 def test_flags_without_effect_are_rejected(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -268,40 +245,6 @@ def test_phase_byte_identical_across_jobs(tmp_path):
     assert dispatch(args + ["--jobs", "2", "--out", str(out2)]) == EXIT_OK
     assert len(out1.read_text().splitlines()) == 102
     assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_config_key_of_no_subcommand_is_refused(capsys, monkeypatch, tmp_path):
-    cfg = tmp_path / "ckn.cfg"
-    cfg.write_text("qq = 4\n")
-    monkeypatch.setenv("CKN_CONFIG", str(cfg))
-    code, out, err = run(capsys, "constants", "--n", "5", "--alpha", "0",
-                         "--q", "3")
-    assert code == EXIT_DOMAIN
-    assert "parameter error" in err and "'qq'" in err
-    assert out == ""
-
-
-def test_config_key_of_another_subcommand_is_ignored(capsys, monkeypatch,
-                                                     tmp_path):
-    cfg = tmp_path / "ckn.cfg"
-    cfg.write_text("lam = 7\ngrid = 1,5\nq = 4\n")
-    monkeypatch.setenv("CKN_CONFIG", str(cfg))
-    code, out, _ = run(capsys, "constants", "--n", "5", "--alpha", "0")
-    assert code == EXIT_OK
-    assert json.loads(out)["q"] == 4.0
-
-
-def test_config_key_of_renamed_flag_yields_to_flag(capsys, monkeypatch,
-                                                    tmp_path):
-    # the key `lam` (the dest) and the flag `--lambda` name one setting
-    cfg = tmp_path / "ckn.cfg"
-    cfg.write_text("lam = 0.5\n")
-    monkeypatch.setenv("CKN_CONFIG", str(cfg))
-    _, out, _ = run(capsys, "ueps", "--n", "5", "--epsilons", "0.2")
-    assert json.loads(out)["lambda"] == 0.5
-    _, out, _ = run(capsys, "ueps", "--n", "5", "--epsilons", "0.2",
-                    "--lambda", "1")
-    assert json.loads(out)["lambda"] == 1.0
 
 
 def test_radial_min_reports_status(capsys):
@@ -343,31 +286,24 @@ def test_bn_reports_no_identity_residual_at_sstar(capsys):
     assert payload["status"] == "stalled"
 
 
-def test_stab_setting_is_gone(capsys, monkeypatch, tmp_path):
+def test_stab_setting_is_gone(capsys):
     code, out, err = run(capsys, "bn", "--n", "6", "--lambda", "10",
                          "--stab", "1")
     assert code == EXIT_DOMAIN
     assert "unrecognized arguments" in err and out == ""
-    cfg = tmp_path / "ckn.cfg"
-    cfg.write_text("stab = 1\n")
-    monkeypatch.setenv("CKN_CONFIG", str(cfg))
-    code, out, err = run(capsys, "bn-probe", "--n", "6", "--lambdas", "0")
-    assert code == EXIT_DOMAIN
-    assert "'stab'" in err and out == ""
 
 
-@pytest.mark.parametrize("entry,argv", [
-    ("format = xml", ("constants", "--n", "5", "--alpha", "0")),
-    ("model = bogus", ("phase", "--n", "5", "--alpha", "1")),
-])
-def test_config_value_outside_choices_is_refused(capsys, monkeypatch,
-                                                 tmp_path, entry, argv):
+def test_config_file_setting_is_refused(capsys, monkeypatch, tmp_path):
+    """ckn reads no config file, so a set CKN_CONFIG fails loudly rather
+    than leave its values silently unused."""
     cfg = tmp_path / "ckn.cfg"
-    cfg.write_text(entry + "\n")
+    cfg.write_text("q = 4\n")
     monkeypatch.setenv("CKN_CONFIG", str(cfg))
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, "constants", "--n", "5", "--alpha", "0")
     assert code == EXIT_DOMAIN
-    assert "parameter error" in err and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("parameter error: ")
+    assert "CKN_CONFIG" in err
+    assert out == ""
 
 
 def test_scan_at_q2_reports_converged_rows(capsys):
@@ -378,24 +314,6 @@ def test_scan_at_q2_reports_converged_rows(capsys):
     assert [r[-1] for r in rows] == ["true", "true"]
     assert rows[0][1] == "1.6740561902333677"  # radial-min's mu_q at alpha = 0
     assert [r[-2] for r in rows] == ["false", "false"]
-
-
-def test_config_value_takes_the_flags_type(capsys, monkeypatch, tmp_path):
-    cfg = tmp_path / "ckn.cfg"
-    cfg.write_text("jobs = 2\nq = 3\n")
-    monkeypatch.setenv("CKN_CONFIG", str(cfg))
-    code, out, err = run(capsys, "phase", "--n", "5", "--alpha-range=0,1,0.5")
-    assert code == EXIT_OK, err
-    assert len(json.loads(out)["rows"]) == 3
-
-
-def test_abbreviated_flag_beats_config(capsys, monkeypatch, tmp_path):
-    cfg = tmp_path / "ckn.cfg"
-    cfg.write_text("lam = 0.5\n")
-    monkeypatch.setenv("CKN_CONFIG", str(cfg))
-    _, out, _ = run(capsys, "ueps", "--n", "5", "--epsilons", "0.2",
-                    "--lamb", "1")
-    assert json.loads(out)["lambda"] == 1.0
 
 
 def test_bn_csv_writes_missing_residual_as_nan(capsys):
@@ -462,12 +380,13 @@ def test_ueps_refuses_empty_epsilons(capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("t_values", ["", "0.05", "0,0.05"])
+@pytest.mark.parametrize("t_values", ["", "0.05", "0,0.05", "0.1,0.1", "0,0.1,0.1"])
 def test_shifted_weight_refuses_fewer_than_two_positive_t(capsys, t_values):
     code, out, err = run(capsys, "shifted-weight", "--n", "6", "--a", "-3",
                          f"--t-values={t_values}")
     assert code == EXIT_DOMAIN
-    assert err == "parameter error: the t, t^2 fit needs at least two t values > 0\n"
+    assert err == ("parameter error: the t, t^2 fit needs at least two distinct "
+                   "t values > 0\n")
     assert out == ""
 
 
@@ -477,6 +396,19 @@ def test_shifted_weight_refuses_t_outside_a_quarter(capsys, t_values):
                          f"--t-values={t_values}")
     assert code == EXIT_DOMAIN
     assert err == "parameter error: t values must lie in [0, 1/4]\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    "talenti-verify --n 5 --a-values=",
+    "talenti-verify --n 5 --a-values nan",
+    "talenti-verify --n 5 --a-values=-3,inf",
+    "talenti-verify --n 5 --a-values 1e200",
+])
+def test_talenti_verify_refuses_bad_a_values(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == EXIT_DOMAIN
+    assert len(err.splitlines()) == 1 and err.startswith("parameter error: ")
     assert out == ""
 
 
@@ -503,6 +435,15 @@ def test_bn_probe_refuses_empty_lambdas(capsys):
     "bn-probe --n 6 --lambdas 0,nan --nr 201 --jobs 1",
     "radial-min --n 5 --alpha 1 --q 3 --grid nan,41",
     "scan --n 5 --q 3 --alpha-range 0,1,1 --grid inf,41",
+    "constants --n 5 --alpha 1 --q inf",
+    "scan --n 5 --q inf --alpha-range 0,1,1 --jobs 1",
+    "radial-min --n 5 --alpha 1 --q inf",
+    "phase --n 5 --alpha 1 --q inf",
+    "radial-min --n 5 --alpha 1 --q 3 --grid 1e-200,5",
+    "radial-min --n 5 --alpha 1 --q 3 --grid 1e-100,5",
+    "radial-min --n 5 --alpha 1 --q 3 --grid 1e300,5",
+    "scan --n 5 --q 3 --alpha-range 0,1,1 --grid 1e-200,5 --jobs 1",
+    "scan --n 5 --q 3 --alpha-range 0,1,1 --grid 1e300,5 --jobs 1",
 ])
 def test_bad_parameters_are_refused_once(capsys, argv):
     # refused before any row or solve: no NaN rows, no traceback, no output

@@ -12,7 +12,9 @@ them):
   `radial-sweep` and `certify` workloads;
 - each subcommand in JSON and in CSV, on small inputs that also reach a
   refused empty alpha range, a NaN sweep row and library warnings;
-- the command lines that refuse a bad (n, q) or a non-finite real.
+- the command lines that refuse a bad (n, q), a non-finite real, a grid
+  spacing h whose h^4 or h^-4 is not a finite positive float, a bad sample
+  list, or a flag that no subcommand has.
 
 OUT.json maps each command line to `[exit code, stdout, stderr]`, one entry
 per line of the file, so `diff A.json B.json` lists the commands whose
@@ -57,7 +59,8 @@ SUBCOMMANDS = (
     ("verify", "--suite", "all", "--n", "5"),
 )
 
-# refused with exit 1: a bad (n, q), and a non-finite real where it enters
+# refused with exit 1: a bad (n, q), a non-finite real, a grid spacing out
+# of range or a bad sample list where it enters, and an unknown flag
 REFUSALS = (
     ("scan", "--n", "5", "--q", "1", "--alpha-range", "0,1,0.5", "--jobs", "1"),
     ("scan", "--n", "5", "--q", "nan", "--alpha-range", "0,1,0.5", "--jobs", "1"),
@@ -74,6 +77,20 @@ REFUSALS = (
     ("bn-probe", "--n", "6", "--lambdas", "0,nan", "--nr", "201", "--jobs", "1"),
     ("radial-min", "--n", "5", "--alpha", "1", "--q", "3", "--grid", "nan,41"),
     ("radial-min", "--n", "5", "--alpha", "1", "--q", "3", "--grid", "inf,41"),
+    ("constants", "--n", "5", "--alpha", "1", "--q", "inf"),
+    ("scan", "--n", "5", "--q", "inf", "--alpha-range", "0,1,1", "--jobs", "1"),
+    ("radial-min", "--n", "5", "--alpha", "1", "--q", "inf"),
+    ("phase", "--n", "5", "--alpha", "1", "--q", "inf"),
+    ("radial-min", "--n", "5", "--alpha", "1", "--q", "3", "--grid", "1e-200,5"),
+    ("radial-min", "--n", "5", "--alpha", "1", "--q", "3", "--grid", "1e-100,5"),
+    ("radial-min", "--n", "5", "--alpha", "1", "--q", "3", "--grid", "1e300,5"),
+    ("scan", "--n", "5", "--q", "3", "--alpha-range", "0,1,1", "--grid", "1e300,5",
+     "--jobs", "1"),
+    ("talenti-verify", "--n", "5", "--a-values="),
+    ("talenti-verify", "--n", "5", "--a-values", "nan"),
+    ("talenti-verify", "--n", "5", "--a-values", "1e200"),
+    ("shifted-weight", "--n", "6", "--a", "-3", "--t-values", "0.1,0.1"),
+    ("constants", "--n", "5", "--alpha", "0", "--config", "x"),
 )
 
 
