@@ -8,7 +8,7 @@ lambda_21 = inf int|Delta u|^2 / int|grad u|^2 (>= n^2/4), Pohozaev
 residuals of the associated Euler-Lagrange problem, and a lambda probe
 for critical-dimension behavior.
 
-Discretization: the origin plus log-spaced nodes r_1 = r_min < ... <
+Discretization: the origin plus log-spaced nodes r_1 = R_MIN < ... <
 r_M = 1, with three-point stencils; the clamped end is eliminated
 (u_M = 0, ghost u_(M+1) = u_(M-1)), and regularity at the origin uses
 even reflection (u_(-1) = u_1, Delta u(0) = 2n (u_1-u_0)/r_1^2). The
@@ -32,12 +32,15 @@ from .params import require_n5, sstar
 from .quadrature import sphere_area
 
 
+# the innermost nonzero node of the ball grid
+R_MIN = 1e-6
+
+
 @dataclass(frozen=True)
 class BNConfig:
     n: int = 6
     lam: float = 1.0
     N_r: int = 2001
-    r_min: float = 1e-6
     max_iters: int = 600
 
     def __post_init__(self):
@@ -46,6 +49,9 @@ class BNConfig:
             raise ParameterDomainError(f"lambda={self.lam!r} must be finite")
         if self.N_r < 9:
             raise ParameterDomainError("need at least 9 radial nodes")
+        if self.max_iters < 1:
+            raise ParameterDomainError(
+                f"need at least one iteration, got max_iters={self.max_iters}")
 
 
 @dataclass(frozen=True)
@@ -63,20 +69,18 @@ class BNReport:
     status: str = "residual"  # residual | stalled | max_iters
 
 
-def _bn_nodes(N_r: int, r_min: float) -> np.ndarray:
+def _bn_nodes(N_r: int) -> np.ndarray:
     """Geometric radial grid: the origin node plus log-spaced nodes from
-    r_min up to the clamped end r = 1.
+    R_MIN up to the clamped end r = 1.
 
     Log spacing resolves a concentrating bubble with the same number of
-    nodes at every scale above r_min, which is what lets the minimization
+    nodes at every scale above R_MIN, which is what lets the minimization
     track the (non-attained) concentration limit instead of stalling an
     O(grid) distance above it."""
-    if not 0.0 < r_min < 0.1:
-        raise ParameterDomainError(f"need 0 < r_min < 0.1, got {r_min}")
     M = N_r - 1
     r = np.empty(M + 1)
     r[0] = 0.0
-    r[1:] = np.exp(np.linspace(math.log(r_min), 0.0, M))
+    r[1:] = np.exp(np.linspace(math.log(R_MIN), 0.0, M))
     return r
 
 
@@ -173,9 +177,9 @@ def _lambda21(B: sp.csr_matrix, C: sp.csr_matrix, w: np.ndarray) -> float:
     return run.value
 
 
-def bn_lambda21(n: int, N_r: int = 2001, r_min: float = 1e-6) -> float:
-    """lambda_21 on the grid `_bn_nodes(N_r, r_min)`."""
-    B, _, C, w = _quadratic_forms(n, _bn_nodes(N_r, r_min))
+def bn_lambda21(n: int, N_r: int = 2001) -> float:
+    """lambda_21 on the grid `_bn_nodes(N_r)`."""
+    B, _, C, w = _quadratic_forms(n, _bn_nodes(N_r))
     return _lambda21(B, C, w)
 
 
@@ -192,7 +196,7 @@ def _bn_inits(n: int, r: np.ndarray) -> List[np.ndarray]:
 
 def minimize_bn(cfg: BNConfig) -> BNReport:
     n, lam = cfg.n, float(cfg.lam)
-    r = _bn_nodes(cfg.N_r, cfg.r_min)
+    r = _bn_nodes(cfg.N_r)
     B, G, C, w = _quadratic_forms(n, r)
     lambda21 = _lambda21(B, C, w)
     if not lambda21 >= 0.25 * n**2 * (1.0 - 1e-6):

@@ -148,7 +148,7 @@ def _min_config(args) -> "MinimizationConfig":
 
 
 def _jobs(args) -> int:
-    j = getattr(args, "jobs", None)
+    j = args.jobs
     if j is None:
         j = os.cpu_count() or 1
     if j < 1:
@@ -278,12 +278,8 @@ def _cmd_phase(args) -> int:
     from .phase import POSITIVITY_NOTE, phase_row
     from .spectrum import full_sphere, half_sphere
 
-    if args.alpha_range is not None:
-        alphas = _alpha_range(args.alpha_range)
-    elif args.alpha is not None:
-        alphas = [args.alpha]
-    else:
-        raise ParameterDomainError("phase needs --alpha or --alpha-range")
+    alphas = ([args.alpha] if args.alpha_range is None
+              else _alpha_range(args.alpha_range))
     model = (full_sphere if args.model == "full" else half_sphere)(args.n)
     rows = _fan_out(phase_row,
                     [(args.n, a, args.q, model) for a in alphas], _jobs(args))
@@ -310,27 +306,32 @@ def _cmd_critical_check(args) -> int:
     return EXIT_OK
 
 
+# the bubble identities pass at this worst relative error, checked at these
+# a values by `talenti-verify` (by default) and by `verify --suite talenti`
+TALENTI_A_VALUES = (-3.0, -2.5, 1.0, 2.0)
+TALENTI_TOL = 1e-6
+
+
+def _talenti_pass(rep) -> dict:
+    worst = rep.worst_relerr
+    return {"worst_relerr": worst, "tol": TALENTI_TOL,
+            "passed": worst <= TALENTI_TOL}
+
+
 def _cmd_talenti_verify(args) -> int:
     from .critical import talenti_identity_suite
-    from .quadrature import QuadratureContext
 
-    ctx = QuadratureContext()
-    if args.double_panels:
-        ctx = QuadratureContext(panel_order=ctx.panel_order,
-                                panel_count=2 * ctx.panel_count,
-                                grading_levels=ctx.grading_levels + 40)
     a_values = _float_list(args.a_values)
     if not a_values:
         # it would pass with no expansion checked
         raise ParameterDomainError("the list of a values is empty")
-    rep = talenti_identity_suite(args.n, a_values, ctx=ctx)
-    worst = rep.worst_relerr
-    payload = {**_fields(rep), "worst_relerr": worst, "tol": args.tol,
-               "passed": worst <= args.tol}
+    rep = talenti_identity_suite(args.n, a_values, doubled=args.double_panels)
+    payload = {**_fields(rep), **_talenti_pass(rep)}
     _write(args, payload, ("n", "I", "J", "ratio_relerr", "sstar_num",
                            "worst_relerr", "passed"))
     if not payload["passed"]:
-        _diag(f"talenti-verify: worst relative error {worst:.3g} > tol {args.tol:g}")
+        _diag(f"talenti-verify: worst relative error {payload['worst_relerr']:.3g}"
+              f" > tol {TALENTI_TOL:g}")
         return EXIT_UNCONVERGED
     return EXIT_OK
 
@@ -353,7 +354,7 @@ def _cmd_shifted_weight(args) -> int:
 def _cmd_ueps(args) -> int:
     from .critical import ueps_family
 
-    rep = ueps_family(args.n, getattr(args, "lam"), _float_list(args.epsilons))
+    rep = ueps_family(args.n, args.lam, _float_list(args.epsilons))
     _write(args, _fields(rep),
            ("epsilon", "ratio", "biharmonic_excess", "mass_deficit"),
            list(zip(rep.epsilons, rep.ratios, rep.biharmonic_excess,
@@ -365,7 +366,7 @@ def _bn_config(args) -> "BNConfig":
     from .bn_ball import BNConfig
 
     return BNConfig(n=args.n, lam=getattr(args, "lam", 0.0), N_r=args.nr,
-                    r_min=args.r_min, max_iters=args.max_iters)
+                    max_iters=args.max_iters)
 
 
 def _cmd_bn(args) -> int:
@@ -395,8 +396,8 @@ def _cmd_bn_probe(args) -> int:
 def _suite_talenti(args) -> Tuple[bool, dict]:
     from .critical import talenti_identity_suite
 
-    worst = talenti_identity_suite(args.n, (-3.0, -2.5, 1.0, 2.0)).worst_relerr
-    return worst <= 1e-6, {"worst_relerr": worst, "tol": 1e-6}
+    detail = _talenti_pass(talenti_identity_suite(args.n, TALENTI_A_VALUES))
+    return detail.pop("passed"), detail
 
 
 def _suite_identity(args) -> Tuple[bool, dict]:
@@ -501,7 +502,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("phase", help="positivity/symmetry phase indicators")
     sp.add_argument("--n", type=int, required=True)
-    alpha = sp.add_mutually_exclusive_group()
+    alpha = sp.add_mutually_exclusive_group(required=True)
     alpha.add_argument("--alpha", type=float, default=None)
     alpha.add_argument("--alpha-range", default=None, metavar="LO,HI,STEP")
     sp.add_argument("--q", type=float, default=None)
@@ -518,8 +519,8 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("talenti-verify", help="bubble identity suite")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--a-values", default="-3,-2.5,1,2")
-    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--a-values",
+                    default=",".join(f"{a:g}" for a in TALENTI_A_VALUES))
     sp.add_argument("--double-panels", action="store_true")
     _common_flags(sp)
     sp.set_defaults(run=_cmd_talenti_verify)
@@ -544,7 +545,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--n", type=int, required=True)
         sp.add_argument("--nr", type=int, default=2001,
                         help="radial nodes on [0, 1]")
-        sp.add_argument("--r-min", type=float, default=1e-6)
         sp.add_argument("--max-iters", type=int, default=600)
 
     sp = sub.add_parser("bn", help="perturbed critical minimization on the ball")

@@ -21,13 +21,13 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 from scipy.interpolate import make_interp_spline
 
-from .errors import (ConsistencyError, ParameterDomainError,
+from .errors import (ConsistencyError, IntegrandError, ParameterDomainError,
                      SupportViolationError, SupportWarning)
 from .grids import RadialProfile
 from .params import (bubble_energy, bubble_mass, check_alpha, phase_thresholds,
                      require_n5, sstar)
-from .quadrature import (DEFAULT_CTX, QuadratureContext, gauss_panels,
-                         sphere_area, weighted_radial_integral)
+from .quadrature import (GRADING_LEVELS, gauss_panels, sphere_area,
+                         weighted_radial_integral)
 
 # ---------------------------------------------------------------------------
 # Talenti bubble and its analytic derivatives
@@ -83,7 +83,7 @@ def _relerr(lhs: float, rhs: float) -> float:
 def talenti_identity_suite(
     n: int,
     a_values: Sequence[float],
-    ctx: QuadratureContext = DEFAULT_CTX,
+    doubled: bool = False,
 ) -> TalentiReport:
     """Verify the radial identities on U by independent quadrature.
 
@@ -91,8 +91,9 @@ def talenti_identity_suite(
     never from finite differences, so the recorded relative errors measure
     only the quadrature.  `sstar_num` is the closed form; its quadrature
     value is kept as the check identity_relerrs["sstar"].  Each a must be
-    finite with a^4 below the float maximum; with no a, only the identities
-    are checked."""
+    finite with a^4 below the float maximum, and its expansion integrand
+    finite; with no a, only the identities are checked.  `doubled` takes
+    the finer quadrature rule."""
     require_n5(n)
     a_values = [float(a) for a in a_values]
     for a in a_values:
@@ -103,33 +104,34 @@ def talenti_identity_suite(
     U = lambda r: talenti(r, n)
     Up = lambda r: talenti_d1(r, n)
     lap = lambda r: talenti_laplacian(r, n)
+    quad = lambda g, p: weighted_radial_integral(g, n, p, doubled=doubled)
 
-    I = weighted_radial_integral(lambda r: U(r) ** 2, n, -4.0, ctx=ctx)
-    J = weighted_radial_integral(lambda r: Up(r) ** 2, n, -2.0, ctx=ctx)
+    I = quad(lambda r: U(r) ** 2, -4.0)
+    J = quad(lambda r: Up(r) ** 2, -2.0)
     ratio = (n - 2) * (n - 4) ** 2 / (4.0 * (n - 3))
     ratio_relerr = _relerr(J / I, ratio)
 
     identity_relerrs = {
         # int |x|^-4 U (x . grad U) = -(n-4)/2 I
         "radial-1": _relerr(
-            weighted_radial_integral(lambda r: U(r) * r * Up(r), n, -4.0, ctx=ctx),
+            quad(lambda r: U(r) * r * Up(r), -4.0),
             -0.5 * (n - 4) * I,
         ),
         # int |x|^-2 (x . grad U) Delta U = (n/2) J
         "radial-2": _relerr(
-            weighted_radial_integral(lambda r: r * Up(r) * lap(r), n, -2.0, ctx=ctx),
+            quad(lambda r: r * Up(r) * lap(r), -2.0),
             0.5 * n * J,
         ),
         # int |x|^-2 U Delta U = -J - (n-4) I
         "radial-3": _relerr(
-            weighted_radial_integral(lambda r: U(r) * lap(r), n, -2.0, ctx=ctx),
+            quad(lambda r: U(r) * lap(r), -2.0),
             -J - (n - 4) * I,
         ),
     }
 
-    energy = weighted_radial_integral(lambda r: lap(r) ** 2, n, 0.0, ctx=ctx)
+    energy = quad(lambda r: lap(r) ** 2, 0.0)
     two_ss = 2.0 * n / (n - 4)
-    mass = weighted_radial_integral(lambda r: U(r) ** two_ss, n, 0.0, ctx=ctx)
+    mass = quad(lambda r: U(r) ** two_ss, 0.0)
     sstar_num = sstar(n)
     identity_relerrs["sstar"] = _relerr(energy / mass ** (2.0 / two_ss), sstar_num)
 
@@ -143,7 +145,12 @@ def talenti_identity_suite(
             # |x|^-a Delta(|x|^a U), so the weight cancels in the square
             return (lap(r) + (2.0 * a * Up(r) / r) + a * (n - 2 + a) * U(r) / r**2) ** 2
 
-        lhs = weighted_radial_integral(modified, n, 0.0, ctx=ctx)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                lhs = quad(modified, 0.0)
+        except IntegrandError as exc:
+            raise ParameterDomainError(
+                f"a={a!r}: the expansion integrand overflows ({exc})") from exc
         expansion_relerrs[a] = _relerr(lhs, energy + c * I)
 
     return TalentiReport(
@@ -285,8 +292,12 @@ def shifted_weight_lemma_check(
     f_values: List[float] = []
     for t in t_values:
         W = 1.0 + 2.0 * t * R * C + (t * R) ** 2
-        integrand = (LAP + (2.0 * a * t * UR * (t * R + C) + a * (n - 2 + a) * t**2 * UV) / W) ** 2
-        f_values.append(float(omega_sec * mr @ integrand @ mth))
+        with np.errstate(over="ignore", invalid="ignore"):
+            integrand = (LAP + (2.0 * a * t * UR * (t * R + C)
+                                + a * (n - 2 + a) * t**2 * UV) / W) ** 2
+            f_values.append(float(omega_sec * mr @ integrand @ mth))
+    if not all(math.isfinite(f) for f in f_values):
+        raise ParameterDomainError(f"a={a!r}: the integrand of f(t) overflows")
 
     # at t = 0 the weight is 1 and the integrands are radial
     omega = sphere_area(n)
@@ -370,6 +381,12 @@ def _ueps_derivs(n: int, eps: float, r: np.ndarray):
     return v1, v2
 
 
+# the graded quadrature resolves u_eps while its core r < eps spans ten of
+# the panels 2^-k/2 on [0, 1/2]; at eps = 1e-26 the core lies inside the
+# innermost panel and R(eps) reads 25% below S** at n = 6
+EPS_MIN = 2.0 ** (10 - GRADING_LEVELS)
+
+
 def ueps_family(n: int, lam: float, epsilons: Sequence[float]) -> UepsReport:
     """Rayleigh quotients R(eps) of the truncated bubbles on the unit ball.
 
@@ -381,6 +398,10 @@ def ueps_family(n: int, lam: float, epsilons: Sequence[float]) -> UepsReport:
         raise ParameterDomainError("the list of epsilon values is empty")
     if any(not 0.0 < e <= 0.25 for e in epsilons):
         raise ParameterDomainError("epsilon values must lie in (0, 1/4]")
+    if min(epsilons) < EPS_MIN:
+        raise ParameterDomainError(
+            f"epsilon={min(epsilons)!r} is below {EPS_MIN:.3g}, which the "
+            "quadrature does not resolve")
     if not math.isfinite(lam):
         raise ParameterDomainError(f"lambda={lam!r} must be finite")
     if any(b >= a for a, b in zip(epsilons[:-1], epsilons[1:])):

@@ -4,7 +4,6 @@ grading at singular endpoints and a tangent substitution for the tail."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
@@ -17,21 +16,12 @@ def sphere_area(n: int) -> float:
     return math.exp(math.log(2.0) + 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n))
 
 
-@dataclass(frozen=True)
-class QuadratureContext:
-    """Panelized Gauss-Legendre settings.
-
-    panel_order: nodes per panel; panel_count: panels on a smooth interval;
-    grading_levels geometric panels, each half the width of the next, absorb
-    a singular r -> 0 endpoint.
-    """
-
-    panel_order: int = 12
-    panel_count: int = 64
-    grading_levels: int = 80
-
-
-DEFAULT_CTX = QuadratureContext()
+# Gauss nodes per panel, panels on a smooth interval, and geometric panels,
+# each half the width of the next, that absorb a singular r -> 0 endpoint; a
+# doubled rule takes twice the panels and 40 more grading levels
+PANEL_ORDER = 12
+PANEL_COUNT = 64
+GRADING_LEVELS = 80
 
 
 def gauss_panels(edges, order: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -50,23 +40,18 @@ def _live_panels(edges) -> Tuple[np.ndarray, np.ndarray]:
     return edges[:-1][keep], edges[1:][keep]
 
 
-def _graded_panels(a: float, b: float, ctx: QuadratureContext) -> np.ndarray:
-    """Panel edges on [a, b] accumulating geometrically toward a."""
-    span = b - a
-    edges = [b]
-    for k in range(1, ctx.grading_levels + 1):
-        edges.append(a + span * 0.5**k)
-    edges.append(a)
-    return np.array(edges[::-1])
-
-
-def _panel_sum(vals: np.ndarray, edges: np.ndarray, order: int, where: str) -> float:
-    """Sum of the weighted integrand values; IntegrandError names the first
-    panel holding a non-finite one."""
+def _panel_sum(f, weight_pow: float, edges: np.ndarray, cut=None) -> float:
+    """Gauss sum of r^weight_pow f(r) dr over the panels `edges` in r or, for
+    a tail past `cut`, in theta with r = cut + tan(theta); IntegrandError
+    names the first panel holding a non-finite term."""
+    x, w = gauss_panels(edges, PANEL_ORDER)
+    r, jac = (x, 1.0) if cut is None else (cut + np.tan(x), 1.0 / np.cos(x) ** 2)
+    vals = w * np.power(r, weight_pow) * np.asarray(f(r), dtype=float) * jac
     finite = np.isfinite(vals)
     if not np.all(finite):
-        k = int(np.argmin(finite)) // order
+        k = int(np.argmin(finite)) // PANEL_ORDER
         a, b = _live_panels(edges)
+        where = "panel" if cut is None else "tail panel"
         raise IntegrandError(f"non-finite integrand on {where} [{a[k]}, {b[k]}]")
     return float(np.sum(vals))
 
@@ -76,12 +61,12 @@ def weighted_radial_integral(
     n: int,
     p: float,
     domain: Tuple[float, float] = (0.0, math.inf),
-    ctx: QuadratureContext = DEFAULT_CTX,
+    doubled: bool = False,
 ) -> float:
     """omega_n * int_domain r^(n-1+p) f(r) dr.
 
     The r -> 0 endpoint gets geometric panel grading; an infinite upper end
-    is compactified with r = c + tan(theta).
+    is compactified with r = c + tan(theta).  `doubled` takes the finer rule.
     """
     a, b = float(domain[0]), float(domain[1])
     if a < 0 or b <= a:
@@ -91,35 +76,19 @@ def weighted_radial_integral(
         raise DivergentWeightError(
             f"r^{weight_pow} is not integrable at r=0 (need n-1+p > -1)"
         )
-    omega = sphere_area(n)
-    total = 0.0
-    if math.isinf(b):
-        cut = max(1.0, 2.0 * a)
-        total += _finite_part(f, weight_pow, a, cut, ctx)
-        total += _tail_part(f, weight_pow, cut, ctx)
-    else:
-        total += _finite_part(f, weight_pow, a, b, ctx)
-    return omega * total
-
-
-def _finite_part(f, weight_pow, a, b, ctx) -> float:
+    panels = PANEL_COUNT * (2 if doubled else 1)
+    top = max(1.0, 2.0 * a) if math.isinf(b) else b
     if a == 0.0:
-        edges = _graded_panels(a, b, ctx)
-    elif b / a > 50.0:
+        # panels [top 2^-(k+1), top 2^-k], then [0, top 2^-levels]
+        levels = GRADING_LEVELS + (40 if doubled else 0)
+        edges = np.append(0.0, top * 0.5 ** np.arange(levels, -1, -1))
+    elif top / a > 50.0:
         # wide ratio: log-spaced panels resolve power-law/log-scale structure
-        edges = np.exp(np.linspace(math.log(a), math.log(b), ctx.panel_count + 1))
+        edges = np.exp(np.linspace(math.log(a), math.log(top), panels + 1))
     else:
-        edges = np.linspace(a, b, ctx.panel_count + 1)
-    r, w = gauss_panels(edges, ctx.panel_order)
-    vals = w * np.power(r, weight_pow) * np.asarray(f(r), dtype=float)
-    return _panel_sum(vals, edges, ctx.panel_order, "panel")
-
-
-def _tail_part(f, weight_pow, cut, ctx) -> float:
-    # r = cut + tan(theta), theta in [0, pi/2)
-    edges = np.linspace(0.0, 0.5 * math.pi, ctx.panel_count + 1)
-    theta, w = gauss_panels(edges, ctx.panel_order)
-    r = cut + np.tan(theta)
-    jac = 1.0 / np.cos(theta) ** 2
-    vals = w * np.power(r, weight_pow) * np.asarray(f(r), dtype=float) * jac
-    return _panel_sum(vals, edges, ctx.panel_order, "tail panel")
+        edges = np.linspace(a, top, panels + 1)
+    total = _panel_sum(f, weight_pow, edges)
+    if math.isinf(b):
+        theta = np.linspace(0.0, 0.5 * math.pi, panels + 1)
+        total += _panel_sum(f, weight_pow, theta, cut=top)
+    return sphere_area(n) * total

@@ -17,7 +17,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .descent import inverse_iteration, upper_bands
-from .errors import ParameterDomainError, UnconvergedResultError
+from .errors import GridError, ParameterDomainError, UnconvergedResultError
 from .grids import LineGrid, LineProfile
 from .params import (conjugate_exponent, derive_params, radial_closed_forms,
                      scaling_relation)
@@ -61,6 +61,9 @@ def _assemble_form(grid: LineGrid, gbar: float, gam: float):
     A = grid.h * (D2.T @ D2 + 2.0 * gbar * D1.T @ D1
                   + gam**2 * sp.identity(grid.N - 2))
     A = A.tocsr()
+    if not np.all(np.isfinite(A.data)):
+        raise GridError(f"the line form overflows on the grid with spacing "
+                        f"h={grid.h!r} (L={grid.L}, N={grid.N})")
     return A, upper_bands(A, 2)
 
 

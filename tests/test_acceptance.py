@@ -85,7 +85,6 @@ def test_criterion_02_change_of_variables_identities():
 def test_criterion_03_bubble_identity_suite():
     """Moment-ratio + expansion identities for n in 5..8, and sqrt(13)."""
     from ckn.critical import strictness_sign_check, talenti_identity_suite
-    from ckn.quadrature import QuadratureContext
 
     t0 = time.time()
     ok = True
@@ -97,9 +96,7 @@ def test_criterion_03_bubble_identity_suite():
         worst_default = max(worst_default, worst)
     ok &= worst_default <= 1e-6
 
-    doubled = QuadratureContext(panel_order=12, panel_count=128,
-                                grading_levels=120)
-    rep = talenti_identity_suite(6, (-3.0, -2.5, 1.0, 2.0), ctx=doubled)
+    rep = talenti_identity_suite(6, (-3.0, -2.5, 1.0, 2.0), doubled=True)
     worst_doubled = max([rep.ratio_relerr] + list(rep.expansion_relerrs.values())
                         + list(rep.identity_relerrs.values()))
     ok &= worst_doubled <= 1e-8

@@ -19,7 +19,7 @@ QUICK = dict(N_r=801, max_iters=400)
 
 
 def test_nodes_geometric_and_anchored():
-    r = _bn_nodes(801, 1e-6)
+    r = _bn_nodes(801)
     assert r[0] == 0.0
     assert r[1] == pytest.approx(1e-6, rel=1e-12)
     assert r[-1] == 1.0
@@ -33,13 +33,6 @@ def test_nodes_geometric_and_anchored():
 def test_config_refuses_a_non_finite_lambda(lam):
     with pytest.raises(ParameterDomainError):
         BNConfig(n=6, lam=lam)
-
-
-def test_nodes_validation():
-    with pytest.raises(ParameterDomainError):
-        _bn_nodes(801, 0.5)
-    with pytest.raises(ParameterDomainError):
-        _bn_nodes(801, 0.0)
 
 
 @pytest.mark.parametrize("n,frozen", [(5, 33.217), (6, 40.705), (7, 48.829)])
@@ -58,7 +51,7 @@ def test_lambda21_stable_under_refinement():
 @pytest.mark.parametrize("N_r", [201, 801])
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_lambda21_matches_dense_pencil(n, N_r):
-    B, G, _, _ = _quadratic_forms(n, _bn_nodes(N_r, 1e-6))
+    B, G, _, _ = _quadratic_forms(n, _bn_nodes(N_r))
     m = B.shape[0]
     top = sla.eigh(G.toarray(), B.toarray(), eigvals_only=True,
                    subset_by_index=[m - 1, m - 1])[0]

@@ -125,13 +125,18 @@ def test_shifted_weight_default_profile(capsys):
     assert payload["inequality_ok"] is True
 
 
-def test_talenti_verify_exit_semantics(capsys):
+def test_talenti_verify_exit_semantics(capsys, monkeypatch):
+    import ckn.cli
+
     code, out, _ = run(capsys, "talenti-verify", "--n", "5")
     assert code == EXIT_OK
     assert json.loads(out)["passed"] is True
     # an absurd tolerance cannot be met
-    code, _, _ = run(capsys, "talenti-verify", "--n", "5", "--tol", "1e-30")
+    monkeypatch.setattr(ckn.cli, "TALENTI_TOL", 1e-30)
+    code, out, err = run(capsys, "talenti-verify", "--n", "5")
     assert code == EXIT_UNCONVERGED
+    assert json.loads(out)["tol"] == 1e-30
+    assert err.startswith("talenti-verify: worst relative error ")
 
 
 def test_constants_alpha_within_rounding_of_n(capsys):
@@ -166,6 +171,13 @@ def test_constants_at_alpha_1e12(capsys):
     payload = json.loads(out)
     assert payload["rellich_full_sphere"] == rellich_constant(full_sphere(5), 5, 1e12)
     assert payload["rellich_half_sphere"] == rellich_constant(half_sphere(5), 5, 1e12)
+
+
+def test_phase_needs_alpha_or_alpha_range(capsys):
+    code, out, err = run(capsys, "phase", "--n", "5")
+    assert code == EXIT_DOMAIN
+    assert "one of the arguments --alpha --alpha-range is required" in err
+    assert out == ""
 
 
 def test_phase_alpha_and_alpha_range_exclude_each_other(capsys):
@@ -221,6 +233,9 @@ def test_alpha_range_must_not_be_empty(capsys, command, fmt):
     ("verify", "--suite", "critical", "--grid", "12,101"),
     ("scan", "--n", "5", "--q", "3", "--alpha-range", "0,1,1", "--seed", "3"),
     ("constants", "--n", "5", "--alpha", "0", "--config", "x"),
+    ("bn", "--n", "6", "--lambda", "1", "--r-min", "1e-6"),
+    ("bn-probe", "--n", "6", "--lambdas", "1", "--r-min", "1e-6"),
+    ("talenti-verify", "--n", "5", "--tol", "1e-6"),
 ])
 def test_flags_without_effect_are_rejected(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -404,12 +419,25 @@ def test_shifted_weight_refuses_t_outside_a_quarter(capsys, t_values):
     "talenti-verify --n 5 --a-values nan",
     "talenti-verify --n 5 --a-values=-3,inf",
     "talenti-verify --n 5 --a-values 1e200",
+    "talenti-verify --n 5 --a-values 1e70",
 ])
 def test_talenti_verify_refuses_bad_a_values(capsys, argv):
     code, out, err = run(capsys, *argv.split())
     assert code == EXIT_DOMAIN
     assert len(err.splitlines()) == 1 and err.startswith("parameter error: ")
     assert out == ""
+
+
+def test_ueps_refuses_epsilon_below_the_quadrature_floor(capsys):
+    code, out, err = run(capsys, "ueps", "--n", "6", "--epsilons", "1e-26")
+    assert code == EXIT_DOMAIN
+    assert err == ("parameter error: epsilon=1e-26 is below 8.47e-22, which "
+                   "the quadrature does not resolve\n")
+    assert out == ""
+    for epsilons in ("0.2,0.1,0.05,0.025", "1e-20"):
+        code, out, err = run(capsys, "ueps", "--n", "6", "--epsilons", epsilons)
+        assert code == EXIT_OK, err
+        assert json.loads(out)["below_sstar"] is False
 
 
 def test_bn_probe_refuses_empty_lambdas(capsys):
@@ -431,7 +459,10 @@ def test_bn_probe_refuses_empty_lambdas(capsys):
     "ueps --n 5 --lambda nan",
     "shifted-weight --n 6 --a nan",
     "shifted-weight --n 6 --a inf",
+    "shifted-weight --n 6 --a 1e100",
     "bn --n 6 --lambda nan --nr 201",
+    "bn --n 6 --lambda 1 --nr 201 --max-iters 0",
+    "bn-probe --n 6 --lambdas 1 --nr 201 --max-iters -5 --jobs 1",
     "bn-probe --n 6 --lambdas 0,nan --nr 201 --jobs 1",
     "radial-min --n 5 --alpha 1 --q 3 --grid nan,41",
     "scan --n 5 --q 3 --alpha-range 0,1,1 --grid inf,41",
@@ -442,6 +473,7 @@ def test_bn_probe_refuses_empty_lambdas(capsys):
     "radial-min --n 5 --alpha 1 --q 3 --grid 1e-200,5",
     "radial-min --n 5 --alpha 1 --q 3 --grid 1e-100,5",
     "radial-min --n 5 --alpha 1 --q 3 --grid 1e300,5",
+    "radial-min --n 5 --alpha 1 --q 3 --grid 2.5e-77,5",
     "scan --n 5 --q 3 --alpha-range 0,1,1 --grid 1e-200,5 --jobs 1",
     "scan --n 5 --q 3 --alpha-range 0,1,1 --grid 1e300,5 --jobs 1",
 ])

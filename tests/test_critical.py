@@ -19,9 +19,7 @@ from ckn.errors import (ConsistencyError, ParameterDomainError,
                         SupportViolationError, SupportWarning)
 from ckn.params import phase_thresholds, sstar
 from ckn.grids import RadialProfile
-from ckn.quadrature import QuadratureContext, sphere_area, weighted_radial_integral
-
-DOUBLED = QuadratureContext(panel_order=12, panel_count=128, grading_levels=120)
+from ckn.quadrature import sphere_area, weighted_radial_integral
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +49,7 @@ def test_ratio_identity_all_dimensions(n):
 
 
 def test_doubled_panels_reach_1e8():
-    rep = talenti_identity_suite(6, (-3.0, 2.0), ctx=DOUBLED)
+    rep = talenti_identity_suite(6, (-3.0, 2.0), doubled=True)
     worst = max([rep.ratio_relerr] + list(rep.expansion_relerrs.values())
                 + list(rep.identity_relerrs.values()))
     assert worst <= 1e-8

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from scipy.special import beta as beta_fn
 
 from ckn.errors import DivergentWeightError, IntegrandError
-from ckn.quadrature import (DEFAULT_CTX, QuadratureContext, gauss_panels,
-                            sphere_area, weighted_radial_integral)
+from ckn.quadrature import (PANEL_COUNT, gauss_panels, sphere_area,
+                            weighted_radial_integral)
 
 
 def bubble_moment(n, p, nu):
@@ -92,13 +92,13 @@ def test_dilation_covariance(n, c):
 
 
 def test_doubled_panels_tighten():
-    fine = QuadratureContext(panel_order=12, panel_count=128, grading_levels=120)
-    exact = bubble_moment(5, -2.0, 3.0)
-    coarse_ctx = QuadratureContext(panel_order=4, panel_count=8, grading_levels=20)
-    f = lambda r: (1.0 + r**2) ** (-3.0)
-    err_coarse = abs(weighted_radial_integral(f, 5, -2.0, ctx=coarse_ctx) - exact)
-    err_fine = abs(weighted_radial_integral(f, 5, -2.0, ctx=fine) - exact)
-    assert err_fine <= err_coarse
+    # omega_5 int r^-0.9 e^-r dr = omega_5 Gamma(0.1): the r^-0.9 endpoint
+    # is hard enough that the default rule misses by about 2e-3
+    exact = sphere_area(5) * math.gamma(0.1)
+    f = lambda r: np.exp(-r)
+    err = abs(weighted_radial_integral(f, 5, -4.9) - exact) / exact
+    err_doubled = abs(weighted_radial_integral(f, 5, -4.9, doubled=True) - exact) / exact
+    assert err_doubled <= err / 10.0
 
 
 @pytest.mark.parametrize("domain,calls", [((0.0, 1.0), 1), ((0.5, 2.0), 1),
@@ -127,13 +127,13 @@ def test_gauss_panels_exact_to_degree_2order_minus_1(order):
 
 
 def test_integrand_error_names_the_panel():
-    edges = np.linspace(0.5, 2.0, DEFAULT_CTX.panel_count + 1)
+    edges = np.linspace(0.5, 2.0, PANEL_COUNT + 1)
     bad = lambda r: np.where(r > 1.0, np.nan, 1.0)
     with pytest.raises(IntegrandError,
                        match=re.escape(f"on panel [{edges[21]}, {edges[22]}]")):
         weighted_radial_integral(bad, 5, 0.0, domain=(0.5, 2.0))
     # r = 1 + tan(theta): the tail's theta panels are [k pi/128, (k+1) pi/128]
-    theta = np.linspace(0.0, 0.5 * math.pi, DEFAULT_CTX.panel_count + 1)
+    theta = np.linspace(0.0, 0.5 * math.pi, PANEL_COUNT + 1)
     k = int(np.searchsorted(theta, math.atan(2.0)))
     bad = lambda r: np.where(r > 3.0, np.inf, np.exp(-r))
     with pytest.raises(IntegrandError,

@@ -115,6 +115,10 @@ def test_consistency_suite_n5():
     assert rep.conjugate_relerr is not None and rep.conjugate_relerr <= 1e-3
     assert rep.sandwich_ok
     assert rep.concavity_ok
+    # s(alpha)/|alpha-2|^(3+2/q) approaches s(2)/(n-2)^(3+2/q) as alpha
+    # grows: the relative errors at alpha = 30, 60 are about 0.018, 0.0042
+    e30, e60 = rep.asymptotic_ratio_err
+    assert e30 <= 0.05 and e60 <= e30 / 3.0
 
 
 def test_consistency_suite_solves_each_point_once(monkeypatch):

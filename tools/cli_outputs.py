@@ -13,8 +13,9 @@ them):
 - each subcommand in JSON and in CSV, on small inputs that also reach a
   refused empty alpha range, a NaN sweep row and library warnings;
 - the command lines that refuse a bad (n, q), a non-finite real, a grid
-  spacing h whose h^4 or h^-4 is not a finite positive float, a bad sample
-  list, or a flag that no subcommand has.
+  spacing h whose h^4 or h^-4 is not a finite positive float, an input
+  whose integrands overflow, a bad sample list, an epsilon below the
+  quadrature's floor, a missing --alpha, or a flag that no subcommand has.
 
 OUT.json maps each command line to `[exit code, stdout, stderr]`, one entry
 per line of the file, so `diff A.json B.json` lists the commands whose
@@ -48,7 +49,6 @@ SUBCOMMANDS = (
     ("phase", "--n", "5", "--alpha", "1", "--model", "half"),
     ("critical-check", "--n", "5", "--alpha", "5"),
     ("talenti-verify", "--n", "5"),
-    ("talenti-verify", "--n", "5", "--tol", "1e-30"),
     ("shifted-weight", "--n", "6", "--a", "-3", "--t-values", "0.02,0.05"),
     ("ueps", "--n", "5", "--epsilons", "0.2,0.1"),
     ("ueps", "--n", "6", "--lambda", "1", "--epsilons", "0.2,0.1"),
@@ -60,7 +60,8 @@ SUBCOMMANDS = (
 )
 
 # refused with exit 1: a bad (n, q), a non-finite real, a grid spacing out
-# of range or a bad sample list where it enters, and an unknown flag
+# of range, an input whose integrands overflow or a bad sample list where
+# it enters, and an unknown or removed flag
 REFUSALS = (
     ("scan", "--n", "5", "--q", "1", "--alpha-range", "0,1,0.5", "--jobs", "1"),
     ("scan", "--n", "5", "--q", "nan", "--alpha-range", "0,1,0.5", "--jobs", "1"),
@@ -91,6 +92,14 @@ REFUSALS = (
     ("talenti-verify", "--n", "5", "--a-values", "1e200"),
     ("shifted-weight", "--n", "6", "--a", "-3", "--t-values", "0.1,0.1"),
     ("constants", "--n", "5", "--alpha", "0", "--config", "x"),
+    ("talenti-verify", "--n", "5", "--tol", "1e-30"),
+    ("bn", "--n", "6", "--lambda", "1", "--nr", "201", "--r-min", "1e-6"),
+    ("bn", "--n", "6", "--lambda", "1", "--nr", "201", "--max-iters", "0"),
+    ("ueps", "--n", "6", "--epsilons", "1e-26"),
+    ("talenti-verify", "--n", "5", "--a-values", "1e70"),
+    ("shifted-weight", "--n", "6", "--a", "1e100"),
+    ("radial-min", "--n", "5", "--alpha", "1", "--q", "3", "--grid", "2.5e-77,5"),
+    ("phase", "--n", "5"),
 )
 
 
