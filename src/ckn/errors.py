@@ -21,7 +21,7 @@ class IntegrandError(CknError):
     """The integrand returned NaN somewhere on the domain."""
 
 
-class GridError(CknError):
+class GridError(ParameterDomainError):
     """Bad grid: too coarse, wrong parity, or mismatched nodes."""
 
 
@@ -37,7 +37,7 @@ class UnconvergedResultError(CknError):
     """An operation refused to consume an unconverged solver result."""
 
 
-class DegenerateIdentityError(CknError):
+class DegenerateIdentityError(ParameterDomainError):
     """An integral identity degenerates for the given parameters."""
 
 

@@ -47,6 +47,10 @@ class LineGrid:
         if not (0 < h4 < math.inf and 1 / h4 < math.inf):
             raise GridError(f"spacing h={self.h!r} (L={self.L}, N={self.N}) "
                             "must have h^4 and h^-4 finite and positive")
+        # at any alpha, the diagonal of D2^T D2 in the line form is 6/h^4
+        if not 6 / h4 < math.inf:
+            raise GridError(f"the line form overflows on the grid with spacing "
+                            f"h={self.h!r} (L={self.L}, N={self.N})")
 
     @property
     def h(self) -> float:

@@ -61,6 +61,7 @@ def _assemble_form(grid: LineGrid, gbar: float, gam: float):
     A = grid.h * (D2.T @ D2 + 2.0 * gbar * D1.T @ D1
                   + gam**2 * sp.identity(grid.N - 2))
     A = A.tocsr()
+    # LineGrid bounds D2^T D2; the terms in gbar and gam^2 depend on alpha
     if not np.all(np.isfinite(A.data)):
         raise GridError(f"the line form overflows on the grid with spacing "
                         f"h={grid.h!r} (L={grid.L}, N={grid.N})")

@@ -476,6 +476,7 @@ def test_bn_probe_refuses_empty_lambdas(capsys):
     "radial-min --n 5 --alpha 1 --q 3 --grid 2.5e-77,5",
     "scan --n 5 --q 3 --alpha-range 0,1,1 --grid 1e-200,5 --jobs 1",
     "scan --n 5 --q 3 --alpha-range 0,1,1 --grid 1e300,5 --jobs 1",
+    "scan --n 5 --q 3 --alpha-range 0,1,1 --grid 2.5e-77,5 --jobs 1",
 ])
 def test_bad_parameters_are_refused_once(capsys, argv):
     # refused before any row or solve: no NaN rows, no traceback, no output

@@ -1,15 +1,12 @@
-"""The change-of-variables transform and identities, and the conjugate
-rescaling map."""
+"""The change-of-variables transform and its integral identities."""
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from ckn.errors import SupportWarning
-from ckn.grids import LineGrid, LineProfile, RadialProfile
-from ckn.operators import (conjugate_rescale, emden_fowler_inverse,
-                           norm_identity_check)
+from ckn.grids import LineGrid, LineProfile
+from ckn.operators import emden_fowler_inverse, norm_identity_check
 from ckn.params import derive_params
 
 
@@ -20,14 +17,14 @@ def gaussian_line_profile(n=5, alpha=0.0, q=3.0, L=12.0, N=2001):
 
 
 def test_norm_identity_accurate_routes():
-    rep = norm_identity_check(gaussian_line_profile(N=4001))
-    assert rep.rel_errors["q"] <= 1e-6
-    assert rep.rel_errors["quad"] <= 1e-6
+    rel_errors = norm_identity_check(gaussian_line_profile(N=4001))
+    assert rel_errors["q"] <= 1e-6
+    assert rel_errors["quad"] <= 1e-6
 
 
 def test_norm_identity_discrete_routes_second_order():
-    e1 = norm_identity_check(gaussian_line_profile(N=1001)).rel_errors
-    e2 = norm_identity_check(gaussian_line_profile(N=2001)).rel_errors
+    e1 = norm_identity_check(gaussian_line_profile(N=1001))
+    e2 = norm_identity_check(gaussian_line_profile(N=2001))
     for key in ("q_discrete", "quad_discrete"):
         slope = math.log2(e1[key] / e2[key])
         assert 1.8 <= slope <= 2.2, (key, slope)
@@ -57,18 +54,3 @@ def test_emden_fowler_inverse_is_r_m_w(alpha):
     expected = u.nodes**m * np.exp(-t**2) * (2.0 + np.sin(t))
     assert u.n == 5
     assert np.allclose(u.values, expected, rtol=1e-9, atol=0.0)
-
-
-def test_conjugate_rescale_identities():
-    # compactly supported bump in log-radius
-    r = np.exp(np.linspace(-4.0, 4.0, 2001))
-    s = np.log(r)
-    vals = np.where(np.abs(s) < 3.0, np.exp(-1.0 / np.maximum(9.0 - s**2, 1e-12)), 0.0)
-    u = RadialProfile(nodes=r, values=vals, n=5)
-    params = derive_params(5, 6.0, 3.0)
-    rep = conjugate_rescale(u, params, 4.25)
-    assert rep.tau == pytest.approx(4.0 / 3.0, rel=1e-12)
-    assert rep.taug1_relerr <= 1e-6
-    # the second identity needs two spline derivatives, so it converges
-    # more slowly; at 2001 log-spaced nodes a few permille is on-curve
-    assert rep.taug2_relerr <= 1e-2

@@ -1,5 +1,6 @@
 """Constrained minimization of the one-dimensional quotient: solver vs
-brute-force oracle, symmetry, degeneracies, and the sweep machinery."""
+brute-force oracle and the closed-form bubble curve, symmetry, degeneracies,
+and the sweep machinery."""
 import math
 
 import numpy as np
@@ -15,13 +16,59 @@ from ckn.radial_solver import (MinimizationConfig, _assemble_form,
 COARSE = LineGrid(12.0, 41)
 
 
-@pytest.mark.parametrize("n, alpha, q", [(5, 0.0, 3.0), (7, -1.0, 2.5)])
+# criterion 04 runs the same comparison at (5, 0, 3)
+@pytest.mark.parametrize("n, alpha, q", [(7, -1.0, 2.5)])
 def test_solver_matches_brute_force_oracle(n, alpha, q):
     cfg = MinimizationConfig(grid=COARSE)
     res = minimize_mu_q(n, alpha, q, cfg)
     oracle = brute_force_oracle(n, alpha, q, COARSE)
     assert res.converged
     assert abs(res.mu_q - oracle) / oracle <= 1e-4
+
+
+def bubble_curve(n, alpha):
+    """(q*, mu_q, kappa, N) on the bubble curve: the line problem at alpha is
+    the one at alpha = 0 in the real dimension N = 2 + 2(n-2)/|alpha-2|,
+    rescaled in t by kappa = |alpha-2|/2, so at q* = 2N/(N-4) its minimizer
+    is cosh(kappa t)^(-(N-4)/2) and mu_q has a closed form."""
+    d = abs(alpha - 2.0)
+    N = 2.0 + 2.0 * (n - 2) / d
+    kappa = d / 2.0
+    q = 2.0 * N / (N - 4.0)
+    # sqrt(pi) Gamma(N/2) / Gamma((N+1)/2)
+    ratio = math.exp(0.5 * math.log(math.pi) + math.lgamma(N / 2.0)
+                     - math.lgamma((N + 1.0) / 2.0))
+    mu = (kappa ** (3.0 + 2.0 / q) * N * (N + 2.0) * (N - 2.0) * (N - 4.0) / 16.0
+          * ratio ** (4.0 / N))
+    return q, mu, kappa, N
+
+
+# points with q* <= 2** where the window L = 12 does not truncate the profile
+BUBBLE_POINTS = [(5, 1.0), (6, 3.0), (7, 0.5), (7, 2.5), (8, 1.0), (6, 0.0)]
+
+
+@pytest.mark.parametrize("n, alpha", BUBBLE_POINTS)
+def test_solver_matches_the_bubble_curve_at_second_order(n, alpha):
+    q, mu, _, _ = bubble_curve(n, alpha)
+    errors = []
+    for N in (2001, 4001):
+        res = minimize_mu_q(n, alpha, q, MinimizationConfig(grid=LineGrid(12.0, N)))
+        assert res.converged
+        errors.append((res.mu_q - mu) / mu)
+    # default grid: -3.4e-6 to -2.0e-5; halving h divides the error by 3.9-4.0
+    assert abs(errors[0]) <= 3e-5
+    assert 3.5 <= errors[0] / errors[1] <= 4.5
+
+
+@pytest.mark.parametrize("n, alpha", BUBBLE_POINTS)
+def test_solver_profile_is_the_bubble(n, alpha):
+    q, _, kappa, N = bubble_curve(n, alpha)
+    res = minimize_mu_q(n, alpha, q, MinimizationConfig())
+    grid = res.profile.grid
+    bubble = np.cosh(kappa * grid.s) ** (-(N - 4.0) / 2.0)
+    bubble /= (grid.h * np.sum(bubble**q)) ** (1.0 / q)  # the solver's unit mass
+    # at most 4.5e-5 on the default grid
+    assert np.max(np.abs(res.profile.values - bubble)) <= 1e-4 * np.max(bubble)
 
 
 @pytest.mark.parametrize("n, alpha", [(5, 0.0), (7, -1.0), (6, 1.0)])

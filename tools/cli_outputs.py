@@ -13,9 +13,10 @@ them):
 - each subcommand in JSON and in CSV, on small inputs that also reach a
   refused empty alpha range, a NaN sweep row and library warnings;
 - the command lines that refuse a bad (n, q), a non-finite real, a grid
-  spacing h whose h^4 or h^-4 is not a finite positive float, an input
-  whose integrands overflow, a bad sample list, an epsilon below the
-  quadrature's floor, a missing --alpha, or a flag that no subcommand has.
+  spacing h whose h^4 or h^-4 is not a finite positive float or on which
+  the line form overflows, an input whose integrands overflow, a bad
+  sample list, an epsilon below the quadrature's floor, a missing --alpha,
+  or a flag that no subcommand has.
 
 OUT.json maps each command line to `[exit code, stdout, stderr]`, one entry
 per line of the file, so `diff A.json B.json` lists the commands whose
@@ -99,6 +100,8 @@ REFUSALS = (
     ("talenti-verify", "--n", "5", "--a-values", "1e70"),
     ("shifted-weight", "--n", "6", "--a", "1e100"),
     ("radial-min", "--n", "5", "--alpha", "1", "--q", "3", "--grid", "2.5e-77,5"),
+    ("scan", "--n", "5", "--q", "3", "--alpha-range", "0,1,1", "--grid", "2.5e-77,5",
+     "--jobs", "1"),
     ("phase", "--n", "5"),
 )
 
