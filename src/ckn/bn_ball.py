@@ -154,7 +154,8 @@ def _make_spd_solver(A: sp.csr_matrix):
     cb = cholesky_banded(upper_bands(sp.diags(s) @ A @ sp.diags(s), 4))
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        return s * cho_solve_banded((cb, False), s * rhs)
+        # the factor is finite, and inverse_iteration refuses a non-finite rhs
+        return s * cho_solve_banded((cb, False), s * rhs, check_finite=False)
 
     return solve
 

@@ -119,12 +119,18 @@ def _float_list(text: str) -> List[float]:
 
 
 def _alpha_range(text: str) -> List[float]:
+    """The alphas of --alpha-range, each checked in order before any row
+    runs, so the first that fails is the one named."""
     from .grids import alpha_grid
+    from .params import check_alpha
 
     vals = _float_list(text)
     if len(vals) != 3:
         raise ParameterDomainError(f"range expects lo,hi,step, got {text!r}")
-    return alpha_grid(*vals)
+    alphas = alpha_grid(*vals)
+    for a in alphas:
+        check_alpha(a)
+    return alphas
 
 
 def _common_flags(sp: argparse.ArgumentParser, default_format: str = "json") -> None:

@@ -6,9 +6,10 @@ ball's lambda_21:
 with Phi the identity unless the caller gives a map.  At p = 2 it is
 inverse power iteration for the smallest eigenvalue of the pencil
 (A, Phi^T diag(weights) Phi).  Every caller hands its forms to the banded
-Cholesky factorization through `upper_bands`."""
+Cholesky factorization in the layout of `upper_bands`."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -53,7 +54,8 @@ def inverse_iteration(
     fixed point the value change is below rounding); if no halving is
     accepted the status is `stalled`.  `project` maps every iterate into a
     subspace before normalization; `phi` (None: the identity) maps an
-    iterate to the values the constraint weighs."""
+    iterate to the values the constraint weighs.  A residual that is not
+    finite raises ValueError before it reaches `solve`."""
 
     def normalize(v: np.ndarray) -> Optional[np.ndarray]:
         if project is not None:
@@ -77,6 +79,10 @@ def inverse_iteration(
     for iterations in range(1, max_iters + 1):
         if res <= RESIDUAL_TOL:
             break
+        # the callers' solves skip the scan for non-finite entries; a
+        # non-finite entry of r makes res non-finite
+        if not math.isfinite(res):
+            raise ValueError("array must not contain infs or NaNs")
         d = solve(r)
         t = 1.0
         for _ in range(MAX_HALVINGS):

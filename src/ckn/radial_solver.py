@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .descent import inverse_iteration, upper_bands
+from .descent import inverse_iteration
 from .errors import GridError, ParameterDomainError, UnconvergedResultError
 from .grids import LineGrid, LineProfile
 from .params import (conjugate_exponent, derive_params, radial_closed_forms,
@@ -54,18 +54,60 @@ def _line_operators(grid: LineGrid):
     return D2, D1
 
 
+# line grids whose alpha-free form parts `_form_parts` keeps; a consistency
+# suite solves on up to four (its grid, the |tau|-scaled window and two
+# `_scaled_grid` windows)
+_FORM_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=_FORM_CACHE_SIZE)
+def _form_parts(grid: LineGrid):
+    """The parts of the line form that do not depend on alpha: the three
+    upper bands of D2^T D2, the D1 entry a = 1/(2h), and the sorted CSR
+    layout of a pentadiagonal matrix (for each stored entry (i, j) its place
+    (2 - |i - j|) M + max(i, j) in the flattened upper bands, then the
+    column indices and the row pointers).  Read-only: every form on the
+    grid shares them."""
+    D2, D1 = _line_operators(grid)
+    P = D2.T @ D2
+    M = grid.N - 2
+    rows = np.repeat(np.arange(M), 5)
+    cols = rows + np.tile(np.arange(-2, 3), M)
+    keep = (cols >= 0) & (cols < M)
+    rows, cols = rows[keep], cols[keep]
+    bands = tuple(P.diagonal(k) for k in range(3))
+    flat = (2 - np.abs(rows - cols)) * M + np.maximum(rows, cols)
+    indices = cols.astype(np.int32)
+    indptr = np.searchsorted(rows, np.arange(M + 1)).astype(np.int32)
+    for arr in (*bands, flat, indices, indptr):
+        arr.setflags(write=False)
+    return bands, D1.diagonal(1)[0], flat, indices, indptr
+
+
 def _assemble_form(grid: LineGrid, gbar: float, gam: float):
     """Pentadiagonal SPD matrix h (D2^T D2 + 2 gbar D1^T D1 + gam^2 I) of
-    the discrete quadratic form on the interior unknowns."""
-    D2, D1 = _line_operators(grid)
-    A = grid.h * (D2.T @ D2 + 2.0 * gbar * D1.T @ D1
-                  + gam**2 * sp.identity(grid.N - 2))
-    A = A.tocsr()
+    the discrete quadratic form on the interior unknowns, with its upper
+    bands in the layout of `descent.upper_bands`.
+
+    Built band by band with the floating-point operations of that sparse
+    expression, so both match it bit for bit: with tau = ((2 gbar) a) a,
+    D1^T D1 is 2 tau on the diagonal (tau at its two ends) and -tau on the
+    second off-diagonal, and each band is h ((P2 + C1) + gam^2), P2 and C1
+    the bands of D2^T D2 and 2 gbar D1^T D1."""
+    (p0, p1, p2), a, flat, indices, indptr = _form_parts(grid)
+    h, M = grid.h, grid.N - 2
+    tau = ((2.0 * gbar) * a) * a
+    diag = p0 + 2.0 * tau
+    diag[[0, -1]] = p0[[0, -1]] + tau
+    ab = np.zeros((3, M))
+    ab[2] = h * (diag + gam**2)
+    ab[1, 1:] = h * p1
+    ab[0, 2:] = h * (p2 - tau)
     # LineGrid bounds D2^T D2; the terms in gbar and gam^2 depend on alpha
-    if not np.all(np.isfinite(A.data)):
+    if not np.all(np.isfinite(ab)):
         raise GridError(f"the line form overflows on the grid with spacing "
                         f"h={grid.h!r} (L={grid.L}, N={grid.N})")
-    return A, upper_bands(A, 2)
+    return sp.csr_matrix((ab.ravel()[flat], indices, indptr), shape=(M, M)), ab
 
 
 def minimize_mu_q(n: int, alpha: float, q: float, cfg: MinimizationConfig) -> MinimizationResult:
@@ -86,8 +128,9 @@ def minimize_mu_q(n: int, alpha: float, q: float, cfg: MinimizationConfig) -> Mi
     A, ab = _assemble_form(grid, float(params.gbar), float(params.gamma))
     cb = sla.cholesky_banded(ab, lower=False)
     q = float(q)
+    # the form is finite, and inverse_iteration refuses a non-finite residual
     run = inverse_iteration(
-        A, lambda r: sla.cho_solve_banded((cb, False), r),
+        A, lambda r: sla.cho_solve_banded((cb, False), r, check_finite=False),
         1.0 / np.cosh(grid.s[1:-1]) ** 2, np.full(grid.N - 2, grid.h), q,
         MAX_ITERS, project=lambda v: 0.5 * (v + v[::-1]),
     )

@@ -211,6 +211,17 @@ def test_alpha_range_must_be_finite(capsys, command, bad):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["phase", "scan"])
+def test_alpha_range_names_its_first_overflowing_alpha(capsys, command):
+    # 1e150, 2e150 and 3e150 all have an alpha^4 that overflows
+    code, out, err = run(capsys, command, "--n", "5", "--q", "3",
+                         "--alpha-range", "0,3e150,1e150", "--jobs", "1")
+    assert code == EXIT_DOMAIN
+    assert err == ("parameter error: alpha=1e+150 must be finite with alpha^4 "
+                   "below the float maximum\n")
+    assert out == ""
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("command", ["phase", "scan"])
 def test_alpha_range_must_not_be_empty(capsys, command, fmt):
@@ -477,6 +488,7 @@ def test_bn_probe_refuses_empty_lambdas(capsys):
     "scan --n 5 --q 3 --alpha-range 0,1,1 --grid 1e-200,5 --jobs 1",
     "scan --n 5 --q 3 --alpha-range 0,1,1 --grid 1e300,5 --jobs 1",
     "scan --n 5 --q 3 --alpha-range 0,1,1 --grid 2.5e-77,5 --jobs 1",
+    "scan --n 5 --q 3 --alpha-range 0,1e150,1e150 --jobs 1",
 ])
 def test_bad_parameters_are_refused_once(capsys, argv):
     # refused before any row or solve: no NaN rows, no traceback, no output

@@ -74,3 +74,16 @@ def test_projection_keeps_iterates_even():
                             project=lambda v: 0.5 * (v + v[::-1]))
     assert run.status == "residual"
     np.testing.assert_array_equal(run.x, run.x[::-1])
+
+
+def test_non_finite_residual_raises_before_the_solve():
+    # A x overflows, so the residual is NaN; the callers' banded solves skip
+    # their own scan for non-finite entries and rely on this refusal
+    A = np.full((3, 3), 1e308)
+
+    def solve(r):
+        raise AssertionError("solve reached with a non-finite residual")
+
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        inverse_iteration(A, solve, np.ones(3), np.ones(3), 3.0, 10)

@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
+from ckn.descent import upper_bands
 from ckn.grids import LineGrid, alpha_grid
-from ckn.params import derive_params
-from ckn.radial_solver import (MinimizationConfig, _assemble_form,
-                               _line_operators, brute_force_oracle, consistency_suite,
+from ckn.params import conjugate_exponent, derive_params, scaling_relation
+from ckn.radial_solver import (MinimizationConfig, _assemble_form, _line_operators,
+                               _scaled_grid, brute_force_oracle, consistency_suite,
                                minimize_mu_q, scan_row)
 
 COARSE = LineGrid(12.0, 41)
@@ -93,6 +95,46 @@ def test_assembled_form_is_built_from_the_line_operators():
     A, _ = _assemble_form(COARSE, 2.5, -1.5)
     B = COARSE.h * (D2.T @ D2 + 5.0 * D1.T @ D1 + 2.25 * np.eye(COARSE.N - 2))
     assert np.array_equal(A.toarray(), B)
+
+
+def _form_windows():
+    """The default grid, a coarse and a wide fine one, and the |tau|-scaled
+    and `_scaled_grid` windows that consistency_suite(5, 6, q) solves on."""
+    base = MinimizationConfig().grid
+    tau = float(scaling_relation(5, 6.0, float(conjugate_exponent(5, 6.0))).tau)
+    return [base, COARSE, LineGrid(24.0, 8001),
+            LineGrid(base.L * abs(tau), base.N), _scaled_grid(5, 30.0, base)]
+
+
+# mirror pairs alpha, 4 - alpha, and |alpha| up to 1e30
+FORM_ALPHAS = [0.0, 4.0, 1.0, 3.0, -0.5, 4.5, 2.0, 0.1, 3.9, 60.0, -56.0,
+               1e30, -1e30]
+
+
+@pytest.mark.parametrize("grid", _form_windows(), ids=lambda g: f"{g.L:g},{g.N}")
+@pytest.mark.parametrize("n", [2, 5, 7])
+def test_assembled_form_matches_the_sparse_formula_bit_for_bit(grid, n):
+    # the CSR arrays fix A.toarray() and the order in which A @ x sums each
+    # row, so the solver's iterates do not move by a bit
+    D2, D1 = _line_operators(grid)
+    P2 = D2.T @ D2
+    bands = {}
+    for alpha in FORM_ALPHAS:
+        params = derive_params(n, alpha, 3.0)
+        gbar, gam = float(params.gbar), float(params.gamma)
+        ref = (grid.h * (P2 + 2.0 * gbar * D1.T @ D1
+                         + gam**2 * sp.identity(grid.N - 2))).tocsr()
+        A, ab = _assemble_form(grid, gbar, gam)
+        assert np.array_equal(ab, upper_bands(ref, 2))
+        assert np.array_equal(A.indptr, ref.indptr)
+        assert np.array_equal(A.indices, ref.indices)
+        assert np.array_equal(A.data, ref.data)
+        if grid.N <= 41:
+            assert np.array_equal(A.toarray(), ref.toarray())
+        bands[alpha] = ab
+    for alpha in FORM_ALPHAS:
+        if 4.0 - alpha in bands:
+            assert np.array_equal(bands[alpha], bands[4.0 - alpha])
 
 
 def test_reported_value_within_rounding_of_its_sums_of_squares():

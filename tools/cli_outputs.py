@@ -11,12 +11,14 @@ them):
 - the CLI operations of one round (seed 1) of the `ball-sweep`,
   `radial-sweep` and `certify` workloads;
 - each subcommand in JSON and in CSV, on small inputs that also reach a
-  refused empty alpha range, a NaN sweep row and library warnings;
-- the command lines that refuse a bad (n, q), a non-finite real, a grid
-  spacing h whose h^4 or h^-4 is not a finite positive float or on which
-  the line form overflows, an input whose integrands overflow, a bad
-  sample list, an epsilon below the quadrature's floor, a missing --alpha,
-  or a flag that no subcommand has.
+  refused empty alpha range, a NaN sweep row and library warnings, and
+  line solves on a wide fine grid and on a coarse grid with a mirror pair
+  alpha, 4 - alpha;
+- the command lines that refuse a bad (n, q), a non-finite real, an alpha
+  whose alpha^4 overflows, a grid spacing h whose h^4 or h^-4 is not a
+  finite positive float or on which the line form overflows, an input
+  whose integrands overflow, a bad sample list, an epsilon below the
+  quadrature's floor, a missing --alpha, or a flag that no subcommand has.
 
 OUT.json maps each command line to `[exit code, stdout, stderr]`, one entry
 per line of the file, so `diff A.json B.json` lists the commands whose
@@ -41,11 +43,14 @@ SUBCOMMANDS = (
     ("constants", "--n", "5", "--alpha", "0", "--q", "12"),
     ("radial-min", "--n", "5", "--alpha", "1", "--q", "3", "--grid", "8,401"),
     ("radial-min", "--n", "5", "--alpha", "-1", "--q", "3"),
+    ("radial-min", "--n", "5", "--alpha", "0.5", "--q", "3", "--grid", "24,8001"),
     ("scan", "--n", "5", "--q", "3", "--alpha-range", "0,1,0.5",
      "--grid", "8,401", "--jobs", "1"),
     ("scan", "--n", "5", "--q", "3", "--alpha-range", "1,0,1", "--jobs", "1"),
     ("scan", "--n", "5", "--q", "12", "--alpha-range", "0,3,1", "--jobs", "1"),
     ("scan", "--n", "5", "--q", "12", "--alpha-range", "0,3,1", "--jobs", "2"),
+    ("scan", "--n", "7", "--q", "4", "--alpha-range=-2.5,6.5,4.5", "--grid", "3,11",
+     "--jobs", "1"),
     ("phase", "--n", "5", "--q", "3", "--alpha-range=-2,6,2", "--jobs", "1"),
     ("phase", "--n", "5", "--alpha", "1", "--model", "half"),
     ("critical-check", "--n", "5", "--alpha", "5"),
@@ -60,9 +65,9 @@ SUBCOMMANDS = (
     ("verify", "--suite", "all", "--n", "5"),
 )
 
-# refused with exit 1: a bad (n, q), a non-finite real, a grid spacing out
-# of range, an input whose integrands overflow or a bad sample list where
-# it enters, and an unknown or removed flag
+# refused with exit 1: a bad (n, q), a non-finite real or overflowing alpha,
+# a grid spacing out of range, an input whose integrands overflow or a bad
+# sample list where it enters, and an unknown or removed flag
 REFUSALS = (
     ("scan", "--n", "5", "--q", "1", "--alpha-range", "0,1,0.5", "--jobs", "1"),
     ("scan", "--n", "5", "--q", "nan", "--alpha-range", "0,1,0.5", "--jobs", "1"),
@@ -103,6 +108,7 @@ REFUSALS = (
     ("scan", "--n", "5", "--q", "3", "--alpha-range", "0,1,1", "--grid", "2.5e-77,5",
      "--jobs", "1"),
     ("phase", "--n", "5"),
+    ("scan", "--n", "5", "--q", "3", "--alpha-range", "0,1e150,1e150", "--jobs", "1"),
 )
 
 
