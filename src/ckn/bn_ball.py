@@ -22,7 +22,7 @@ from typing import List, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded, get_lapack_funcs
 
 from .descent import inverse_iteration, upper_bands
 from .errors import (ConsistencyError, DegenerateIdentityError,
@@ -152,10 +152,15 @@ def _make_spd_solver(A: sp.csr_matrix):
     forms to four bands above the diagonal."""
     s = 1.0 / np.sqrt(A.diagonal())
     cb = cholesky_banded(upper_bands(sp.diags(s) @ A @ sp.diags(s), 4))
+    pbtrs, = get_lapack_funcs(("pbtrs",), (cb,))
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        # the factor is finite, and inverse_iteration refuses a non-finite rhs
-        return s * cho_solve_banded((cb, False), s * rhs, check_finite=False)
+        # LAPACK's banded Cholesky solve, as cho_solve_banded calls it: the
+        # factor is finite, and inverse_iteration refuses a non-finite rhs
+        x, info = pbtrs(cb, s * rhs, lower=0, overwrite_b=1)
+        if info != 0:
+            raise ValueError(f"banded Cholesky solve failed (pbtrs info {info})")
+        return s * x
 
     return solve
 

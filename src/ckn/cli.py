@@ -224,9 +224,12 @@ def _write_sweep(args, row_type, values: Sequence[float], results: List) -> None
 #
 # Each subcommand imports the ckn modules it needs when it runs, not at the
 # top of this module, since a command needs only some of them.  Medians of
-# 9 cold imports without bytecode writes, on a 2-vCPU machine: `ckn.cli`
-# alone 0.20 s; with the modules of `bn-probe` 0.55 s, with those of `scan`
-# and `phase` 0.55 s, with every ckn module 0.90 s.
+# 9 cold imports without bytecode writes, two passes on a shared 2-vCPU
+# machine: `ckn.cli` alone 0.20-0.27 s; with the modules of `bn-probe`
+# 0.49-0.68 s, with those of `scan` and `phase` 0.56-0.67 s, with those of
+# `verify`, `talenti-verify`, `ueps`, `critical-check` and `shifted-weight`
+# 0.59-0.69 s, with every ckn module 0.48-0.70 s.  ckn loads numpy,
+# `scipy.linalg` and `scipy.sparse`, and no other part of scipy.
 
 
 def _cmd_constants(args) -> int:

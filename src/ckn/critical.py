@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from .errors import (ConsistencyError, IntegrandError, ParameterDomainError,
                      SupportViolationError, SupportWarning)
@@ -28,6 +27,7 @@ from .params import (bubble_energy, bubble_mass, check_alpha, phase_thresholds,
                      require_n5, sstar)
 from .quadrature import (GRADING_LEVELS, gauss_panels, sphere_area,
                          weighted_radial_integral)
+from .splines import not_a_knot
 
 # ---------------------------------------------------------------------------
 # Talenti bubble and its analytic derivatives
@@ -214,11 +214,11 @@ class ShiftedWeightReport:
 
 
 def _profile_splines(u: RadialProfile):
-    r = np.asarray(u.nodes, dtype=float)
-    v = np.asarray(u.values, dtype=float)
-    k = 5 if r.size >= 6 else 3
-    spl = make_interp_spline(r, v, k=k)
-    return spl, spl.derivative(1), spl.derivative(2)
+    """The profile's not-a-knot spline (quintic from 6 nodes, cubic on 4 or
+    5) and its first two derivatives."""
+    spl = not_a_knot(u.nodes, u.values, 5 if u.nodes.size >= 6 else 3)
+    s1 = spl.derivative()
+    return spl, s1, s1.derivative()
 
 
 def _check_ball_support(u: RadialProfile) -> float:

@@ -70,7 +70,7 @@ def inverse_iteration(
         y = v if phi is None else phi @ v
         g = weights * np.abs(y) ** (p - 2.0) * y
         r = Av - value * (g if phi is None else phi.T @ g)
-        res = float(np.max(np.abs(r))) / max(float(np.max(np.abs(Av))), 1e-300)
+        res = float(np.abs(r).max()) / max(float(np.abs(Av).max()), 1e-300)
         return v, value, r, res
 
     x, value, r, res = state(normalize(x0))

@@ -6,13 +6,13 @@ import warnings
 from typing import Dict
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import SupportWarning
 from .grids import LineProfile, RadialProfile, log_uniform_radial_nodes
 from .params import DerivedParams
 from .quadrature import gauss_panels, sphere_area, weighted_radial_integral
 from .radial_solver import _line_operators
+from .splines import NaturalCubic
 
 
 def _transform_power(params: DerivedParams) -> float:
@@ -28,7 +28,7 @@ def emden_fowler_inverse(w: LineProfile) -> RadialProfile:
     return RadialProfile(nodes=log_uniform_radial_nodes(w.grid), values=u, n=w.params.n)
 
 
-def _spline_eval(spline: CubicSpline, t: np.ndarray, nu: int, L: float) -> np.ndarray:
+def _spline_eval(spline: NaturalCubic, t: np.ndarray, nu: int, L: float) -> np.ndarray:
     """Evaluate a derivative of the spline, zero outside [-L, L]."""
     out = np.zeros_like(t)
     inside = (t >= -L) & (t <= L)
@@ -37,7 +37,7 @@ def _spline_eval(spline: CubicSpline, t: np.ndarray, nu: int, L: float) -> np.nd
 
 
 def _spline_quadratic_form(
-    spline: CubicSpline, gbar: float, gam: float
+    spline: NaturalCubic, gbar: float, gam: float
 ) -> float:
     """Exact integral of S''^2 + 2 gbar S'^2 + gam^2 S^2 over the knot span
     (4-point Gauss per interval is exact up to degree 7)."""
@@ -88,7 +88,7 @@ def norm_identity_check(w: LineProfile) -> Dict[str, float]:
     if not np.any(w.values):
         return {"q": 0.0, "quad": 0.0, "q_discrete": 0.0, "quad_discrete": 0.0}
 
-    spline = CubicSpline(w.grid.s, w.values, bc_type="natural")
+    spline = NaturalCubic(w.grid.s, w.values)
 
     def u_abs_q(r: np.ndarray) -> np.ndarray:
         t = -np.log(r)

@@ -3,6 +3,7 @@ omega_n * int r^(n-1+p) f(r) dr on intervals and half-lines, with geometric
 grading at singular endpoints and a tangent substitution for the tail."""
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Tuple
 
@@ -24,12 +25,26 @@ PANEL_COUNT = 64
 GRADING_LEVELS = 80
 
 
+# Gauss-Legendre orders whose rule `_legendre_rule` keeps: ckn uses 12
+# (`PANEL_ORDER` and the shifted-weight rule) and 4 (the spline energy)
+_RULE_CACHE_SIZE = 4
+
+
+@functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
+def _legendre_rule(order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the `order`-point rule on [-1, 1], read-only:
+    every caller shares them."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_panels(edges, order: int) -> Tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule with `order` nodes on each panel
     [edges[i], edges[i+1]], panels of zero width dropped; nodes and
     weights run panel by panel, left to right."""
     a, b = _live_panels(edges)
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _legendre_rule(order)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 

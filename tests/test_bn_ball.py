@@ -6,11 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from ckn import bn_ball
 from ckn.bn_ball import (BNConfig, BNReport, _bn_nodes, _quadratic_forms,
                          bn_lambda21, dimension_probe, minimize_bn,
                          pohozaev_residuals)
+from ckn.descent import upper_bands
 from ckn.errors import (DegenerateIdentityError, ParameterDomainError,
                         UnconvergedResultError)
 from ckn.grids import RadialProfile
@@ -56,6 +58,20 @@ def test_lambda21_matches_dense_pencil(n, N_r):
     top = sla.eigh(G.toarray(), B.toarray(), eigvals_only=True,
                    subset_by_index=[m - 1, m - 1])[0]
     assert bn_lambda21(n, N_r=N_r) == pytest.approx(1.0 / top, rel=1e-7)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_spd_solver_matches_cho_solve_banded(n):
+    # the closure calls LAPACK's pbtrs itself; scipy's wrapper is the reference
+    B, G, _, _ = _quadratic_forms(n, _bn_nodes(401))
+    s = 1.0 / np.sqrt(B.diagonal())
+    cb = sla.cholesky_banded(upper_bands(sp.diags(s) @ B @ sp.diags(s), 4))
+    for form in (B, G):
+        rhs = form @ np.sin(np.arange(1, B.shape[0] + 1))
+        rhs_copy = rhs.copy()
+        x = bn_ball._make_spd_solver(B)(rhs)
+        assert np.array_equal(x, s * sla.cho_solve_banded((cb, False), s * rhs))
+        assert np.array_equal(rhs, rhs_copy)
 
 
 def test_lambda21_stops_on_the_residual_rule(monkeypatch):

@@ -399,6 +399,29 @@ def test_shifted_weight_refuses_a_line_profile(capsys, tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("0 1\n1 0\n", "the spline needs at least 4 nodes, got 2"),
+    ("0 1\n0.5 0.421875\n1 0\n", "the spline needs at least 4 nodes, got 3"),
+    ("0 1\n0.3 nan\n0.6 0.262144\n1 0\n",
+     "the spline needs finite data, got y=nan at x=0.3 (1 non-finite node(s))"),
+    ("0 1\n0.3 inf\n0.6 0.262144\n0.8 nan\n1 0\n",
+     "the spline needs finite data, got y=inf at x=0.3 (2 non-finite node(s))"),
+])
+def test_shifted_weight_refuses_a_short_or_non_finite_profile(capsys, tmp_path,
+                                                              rows, message):
+    path = tmp_path / "radial.txt"
+    path.write_text("# kind=radial\n# n=6\n" + rows)
+    code, out, err = run(capsys, "shifted-weight", "--n", "6", "--a", "-3",
+                         "--profile", str(path))
+    assert code == EXIT_DOMAIN
+    assert err == f"parameter error: {message}\n"
+    assert out == ""
+    path.write_text("# kind=radial\n# n=6\n0 1\n0.3 0.753571\n0.6 0.262144\n1 0\n")
+    code, out, err = run(capsys, "shifted-weight", "--n", "6", "--a", "-3",
+                         "--profile", str(path))
+    assert code == EXIT_OK, err
+
+
 def test_ueps_refuses_empty_epsilons(capsys):
     code, out, err = run(capsys, "ueps", "--n", "5", "--epsilons", "")
     assert code == EXIT_DOMAIN

@@ -13,12 +13,17 @@ them):
 - each subcommand in JSON and in CSV, on small inputs that also reach a
   refused empty alpha range, a NaN sweep row and library warnings, and
   line solves on a wide fine grid and on a coarse grid with a mirror pair
-  alpha, 4 - alpha;
+  alpha, 4 - alpha; `shifted-weight` also reads a profile that `bn`
+  saves (geometric nodes) and a 4-node one (the cubic spline);
 - the command lines that refuse a bad (n, q), a non-finite real, an alpha
   whose alpha^4 overflows, a grid spacing h whose h^4 or h^-4 is not a
   finite positive float or on which the line form overflows, an input
   whose integrands overflow, a bad sample list, an epsilon below the
-  quadrature's floor, a missing --alpha, or a flag that no subcommand has.
+  quadrature's floor, a missing --alpha, a flag that no subcommand has, or
+  a profile too short or not finite for its spline.
+
+Profile files are written to a temporary directory; the command lines
+name it by the placeholder TMP, as they are recorded.
 
 OUT.json maps each command line to `[exit code, stdout, stderr]`, one entry
 per line of the file, so `diff A.json B.json` lists the commands whose
@@ -33,9 +38,19 @@ import io
 import json
 import os
 import sys
+import tempfile
 
 SEED = 1
 CLI_WORKLOADS = ("ball-sweep", "radial-sweep", "certify")
+
+# the radial profiles the tool writes, in the directory TMP stands for
+TMP = "TMP"
+_RADIAL = "# kind=radial\n# n=6\n"
+PROFILE_FILES = {
+    "four-nodes.txt": _RADIAL + "0 1\n0.3 0.753571\n0.6 0.262144\n1 0\n",
+    "three-nodes.txt": _RADIAL + "0 1\n0.5 0.421875\n1 0\n",
+    "nan.txt": _RADIAL + "0 1\n0.3 nan\n0.6 0.262144\n1 0\n",
+}
 
 SUBCOMMANDS = (
     ("constants", "--n", "5", "--alpha", "0", "--q", "3"),
@@ -63,11 +78,16 @@ SUBCOMMANDS = (
     ("bn-probe", "--n", "6", "--lambdas", "0,60", "--nr", "201", "--jobs", "1"),
     ("bn-probe", "--n", "6", "--lambdas", "0,60", "--nr", "201", "--jobs", "2"),
     ("verify", "--suite", "all", "--n", "5"),
+    ("verify", "--suite", "identity", "--n", "7"),
+    ("bn", "--n", "6", "--lambda", "10", "--nr", "401", "--save-profile", f"{TMP}/bn.txt"),
+    ("shifted-weight", "--n", "6", "--a", "-3", "--profile", f"{TMP}/bn.txt"),
+    ("shifted-weight", "--n", "6", "--a", "-3", "--profile", f"{TMP}/four-nodes.txt"),
 )
 
 # refused with exit 1: a bad (n, q), a non-finite real or overflowing alpha,
 # a grid spacing out of range, an input whose integrands overflow or a bad
-# sample list where it enters, and an unknown or removed flag
+# sample list where it enters, an unknown or removed flag, and a profile
+# with fewer than 4 nodes or a non-finite value
 REFUSALS = (
     ("scan", "--n", "5", "--q", "1", "--alpha-range", "0,1,0.5", "--jobs", "1"),
     ("scan", "--n", "5", "--q", "nan", "--alpha-range", "0,1,0.5", "--jobs", "1"),
@@ -109,6 +129,8 @@ REFUSALS = (
      "--jobs", "1"),
     ("phase", "--n", "5"),
     ("scan", "--n", "5", "--q", "3", "--alpha-range", "0,1e150,1e150", "--jobs", "1"),
+    ("shifted-weight", "--n", "6", "--a", "-3", "--profile", f"{TMP}/three-nodes.txt"),
+    ("shifted-weight", "--n", "6", "--a", "-3", "--profile", f"{TMP}/nan.txt"),
 )
 
 
@@ -122,11 +144,12 @@ def command_lines(workloads):
     return argvs
 
 
-def run(dispatch, argv):
+def run(dispatch, argv, tmp):
     out, err = io.StringIO(), io.StringIO()
+    argv = [a.replace(f"{TMP}/", f"{tmp}/") for a in argv]
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            rc = dispatch(list(argv))
+            rc = dispatch(argv)
         except Exception as exc:  # what the command line shows as a traceback
             rc = f"uncaught {type(exc).__name__}: {exc}"
     return [rc, out.getvalue(), err.getvalue()]
@@ -142,7 +165,11 @@ def main(argv=None) -> int:
     from ckn.cli import dispatch
     from perfbench import workloads
 
-    dump = {" ".join(a): run(dispatch, a) for a in command_lines(workloads)}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in PROFILE_FILES.items():
+            with open(os.path.join(tmp, name), "w") as fh:
+                fh.write(text)
+        dump = {" ".join(a): run(dispatch, a, tmp) for a in command_lines(workloads)}
     with open(out_path, "w") as fh:
         fh.write("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}"
                                     for k, v in dump.items()) + "\n}\n")
