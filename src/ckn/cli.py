@@ -268,16 +268,43 @@ def _cmd_radial_min(args) -> int:
                                     "q": args.q, **_fields(res)})
 
 
+def _scan_rows(n: int, q: float, alphas: List[float], cfg) -> List:
+    """The `scan` rows of alphas that share one line problem, from one
+    solve: each row, or the exception it raised."""
+    from . import radial_solver
+
+    try:
+        res = radial_solver.minimize_mu_q(n, alphas[0], q, cfg)
+    except Exception as exc:
+        res = exc
+    rows = []
+    for a in alphas:
+        try:
+            rows.append(radial_solver.scan_row(n, q, a, cfg, res))
+        except Exception as exc:
+            rows.append(exc)
+    return rows
+
+
 def _cmd_scan(args) -> int:
     from .params import check_exponents
-    from .radial_solver import ScanRow, scan_row
+    from .radial_solver import ScanRow, line_data
 
     alphas = _alpha_range(args.alpha_range)
     # a bad (n, q) would fail every row alike
     check_exponents(args.n, args.q)
     cfg = _min_config(args)
-    rows = _fan_out(scan_row, [(args.n, args.q, a, cfg) for a in alphas],
-                    _jobs(args))
+    # one task per line problem: alpha and 4 - alpha share one when their
+    # floats of gbar and gamma are equal, so both rows carry its bits
+    groups = {}
+    for i, a in enumerate(alphas):
+        groups.setdefault(line_data(args.n, a), []).append(i)
+    tasks = [(args.n, args.q, [alphas[i] for i in idx], cfg)
+             for idx in groups.values()]
+    rows = [None] * len(alphas)
+    for idx, group in zip(groups.values(), _fan_out(_scan_rows, tasks, _jobs(args))):
+        for i, row in zip(idx, group):
+            rows[i] = row
     _write_sweep(args, ScanRow, alphas, rows)
     return EXIT_OK
 

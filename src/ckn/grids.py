@@ -93,6 +93,13 @@ class RadialProfile:
         v = np.asarray(self.values, dtype=float)
         if r.ndim != 1 or r.shape != v.shape:
             raise GridError("nodes and values must be 1-d arrays of equal length")
+        # a NaN node passes the order test, and a NaN value every later one
+        bad = np.flatnonzero(~(np.isfinite(r) & np.isfinite(v)))
+        if bad.size:
+            i = bad[0]
+            raise GridError(f"radial profile nodes and values must be finite, got "
+                            f"u={float(v[i])!r} at r={float(r[i])!r} "
+                            f"({bad.size} non-finite node(s))")
         if np.any(np.diff(r) <= 0):
             raise GridError("radial nodes must be strictly increasing")
         if r[0] < 0:

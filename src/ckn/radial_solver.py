@@ -19,8 +19,8 @@ import scipy.sparse as sp
 from .descent import inverse_iteration
 from .errors import GridError, ParameterDomainError, UnconvergedResultError
 from .grids import LineGrid, LineProfile
-from .params import (conjugate_exponent, derive_params, radial_closed_forms,
-                     scaling_relation)
+from .params import (conjugate_exponent, derive_params, gamma_alpha, gbar_alpha,
+                     radial_closed_forms, scaling_relation)
 from .quadrature import sphere_area
 
 # inverse-iteration steps of one minimization
@@ -110,6 +110,16 @@ def _assemble_form(grid: LineGrid, gbar: float, gam: float):
     return sp.csr_matrix((ab.ravel()[flat], indices, indptr), shape=(M, M)), ab
 
 
+def line_data(n: int, alpha: float) -> Tuple[bool, float, float]:
+    """All that `minimize_mu_q` reads of alpha: whether alpha is 4 - n or n
+    (a zero form), and the floats gbar and gamma.  Both depend on alpha
+    only through (alpha - 2)^2, so alpha and 4 - alpha share them when
+    their floats round alike, and with them one solve."""
+    a = float(alpha)
+    return (a in (float(4 - n), float(n)), float(gbar_alpha(n, a)),
+            float(gamma_alpha(n, a)))
+
+
 def minimize_mu_q(n: int, alpha: float, q: float, cfg: MinimizationConfig) -> MinimizationResult:
     """Inverse iteration (`descent.inverse_iteration`) on the even vectors
     with h*sum|w|^q = 1, started from the sech^2 bump and preconditioned by
@@ -119,13 +129,14 @@ def minimize_mu_q(n: int, alpha: float, q: float, cfg: MinimizationConfig) -> Mi
     value at (5, 0, 3) on the default grid, 2.3e-6 at N = 8001)."""
     params = derive_params(n, float(alpha), float(q))
     grid = cfg.grid
-    if float(alpha) in (float(4 - n), float(n)):
+    degenerate, gbar, gam = line_data(n, alpha)
+    if degenerate:
         zero = LineProfile(grid=grid, values=np.zeros(grid.N), params=params)
         return MinimizationResult(
             mu_q=0.0, s_q_rad=0.0, profile=zero,
             iterations=0, el_residual=0.0, converged=True, degenerate=True,
         )
-    A, ab = _assemble_form(grid, float(params.gbar), float(params.gamma))
+    A, ab = _assemble_form(grid, gbar, gam)
     cb = sla.cholesky_banded(ab, lower=False)
     q = float(q)
     # the form is finite, and inverse_iteration refuses a non-finite residual
@@ -278,16 +289,6 @@ class ConsistencyReport:
     n2_ratio_const_err: Optional[float]
 
 
-def _converged_min(n: int, alpha: float, q: float,
-                   cfg: MinimizationConfig) -> MinimizationResult:
-    res = minimize_mu_q(n, alpha, q, cfg)
-    if not res.converged:
-        raise UnconvergedResultError(
-            f"solver did not converge at alpha={alpha}, q={q} ({res.status})"
-        )
-    return res
-
-
 def _scaled_grid(n: int, alpha: float, base: LineGrid) -> LineGrid:
     """Shrink the truncation window to the natural concentration scale of
     large-|alpha| minimizers (the conjugate exponent sits near 2)."""
@@ -300,21 +301,30 @@ def _scaled_grid(n: int, alpha: float, base: LineGrid) -> LineGrid:
 def consistency_suite(n: int, alpha: float, q: float, cfg: MinimizationConfig) -> ConsistencyReport:
     q = float(q)
     alpha = float(alpha)
+    # one converged solve per line problem, exponent and grid: the one at
+    # (n, alpha, q) serves the conjugacy and sandwich laws, a concavity
+    # point p = q and, at alpha = 2, the asymptotic reference
+    solves = {}
 
-    @functools.cache
-    def s_alpha() -> float:
-        # the solve at (n, alpha, q), shared by the conjugacy and sandwich laws
-        return _converged_min(n, alpha, q, cfg).s_q_rad
+    def solve(a: float, p: float = q, grid: LineGrid = cfg.grid) -> MinimizationResult:
+        key = (line_data(n, a), p, grid)
+        if key not in solves:
+            res = minimize_mu_q(n, a, p, replace(cfg, grid=grid))
+            if not res.converged:
+                raise UnconvergedResultError(
+                    f"solver did not converge at alpha={a}, q={p} ({res.status})")
+            solves[key] = res
+        return solves[key]
 
     conjugate_relerr: Optional[float] = None
     if n >= 3 and alpha != 2.0 and alpha != 4.0 - n:
         at = float(conjugate_exponent(n, alpha))
         if at != 4.0 - n:
             tau = float(scaling_relation(n, alpha, at).tau)
-            s_a = s_alpha()
+            s_a = solve(alpha).s_q_rad
             # the rescaled minimizer is |tau| times wider; match the window
             grid_t = LineGrid(cfg.grid.L * abs(tau), cfg.grid.N)
-            s_t = _converged_min(n, at, q, replace(cfg, grid=grid_t)).s_q_rad
+            s_t = solve(at, grid=grid_t).s_q_rad
             pred = abs(tau) ** (3.0 + 2.0 / q) * s_t
             conjugate_relerr = abs(s_a - pred) / s_a
 
@@ -327,8 +337,8 @@ def consistency_suite(n: int, alpha: float, q: float, cfg: MinimizationConfig) -
     if at != 4.0 - n and alpha != 4.0 - n and at != float(n):
         g = abs(float(scaling_relation(n, alpha, at).g))
         tau_rev = float(scaling_relation(n, at, alpha).tau)
-        s_a = s_alpha()
-        s_t = _converged_min(n, at, q, cfg).s_q_rad
+        s_a = solve(alpha).s_q_rad
+        s_t = solve(at).s_q_rad
         mid = abs(tau_rev) ** (3.0 + 2.0 / q) * s_a
         lo = (1.0 - 4.0 * g / (n - at) ** 2) * s_t
         hi = (1.0 + 4.0 * g / (n - at) ** 2) * s_t
@@ -340,19 +350,18 @@ def consistency_suite(n: int, alpha: float, q: float, cfg: MinimizationConfig) -
     p_grid = np.linspace(p_lo, q + 1.0, 5)
     f = []
     for p in p_grid:
-        f.append(0.5 * p * math.log(_converged_min(n, alpha, float(p), cfg).mu_q))
+        f.append(0.5 * p * math.log(solve(alpha, float(p)).mu_q))
     f = np.asarray(f)
     second = f[2:] - 2.0 * f[1:-1] + f[:-2]
     concavity_ok = bool(np.all(second <= 1e-6))
 
     asymptotic_ratio_err: Optional[Tuple[float, float]] = None
     if n >= 3:
-        s2 = _converged_min(n, 2.0, q, cfg).s_q_rad
+        s2 = solve(2.0).s_q_rad
         ref = s2 / (n - 2) ** (3.0 + 2.0 / q)
         errs = []
         for a_big in (30.0, 60.0):
-            grid = _scaled_grid(n, a_big, cfg.grid)
-            s_big = _converged_min(n, a_big, q, replace(cfg, grid=grid)).s_q_rad
+            s_big = solve(a_big, grid=_scaled_grid(n, a_big, cfg.grid)).s_q_rad
             ratio = s_big / abs(a_big - 2.0) ** (3.0 + 2.0 / q)
             errs.append(abs(ratio - ref) / ref)
         asymptotic_ratio_err = (errs[0], errs[1])
@@ -361,8 +370,7 @@ def consistency_suite(n: int, alpha: float, q: float, cfg: MinimizationConfig) -
     if n == 2:
         ratios = []
         for a in (-6.0, 0.0, 10.0):
-            grid = _scaled_grid(2, a, cfg.grid)
-            s_a = _converged_min(2, a, q, replace(cfg, grid=grid)).s_q_rad
+            s_a = solve(a, grid=_scaled_grid(2, a, cfg.grid)).s_q_rad
             ratios.append(s_a / abs(a - 2.0) ** (3.0 + 2.0 / q))
         ratios = np.asarray(ratios)
         n2_ratio_const_err = float((ratios.max() - ratios.min()) / ratios.mean())
@@ -393,14 +401,24 @@ class ScanRow:
     converged: bool
 
 
-def scan_row(n: int, q: float, alpha: float, cfg: MinimizationConfig) -> ScanRow:
+def scan_row(n: int, q: float, alpha: float, cfg: MinimizationConfig,
+             res: Optional[MinimizationResult | Exception] = None) -> ScanRow:
+    """The `scan` row of alpha.  Its line solve `res` is
+    `minimize_mu_q(n, alpha, q, cfg)`, made here by default; `scan` passes
+    the solve of an alpha with the same `line_data` instead (the profile's
+    alpha is not read), or the exception that solve raised, which is
+    raised again where the solve would run.  The closed forms, the Rellich
+    constant and the predicates come from alpha itself."""
     from .phase import closed_form_breaking, symmetry_certificate
     from .spectrum import full_sphere, positivity_predicates, rellich_constant
 
     model = full_sphere(n)
     forms = radial_closed_forms(n, alpha)
     preds = positivity_predicates(model, n, alpha)
-    res = minimize_mu_q(n, alpha, q, cfg)
+    if res is None:
+        res = minimize_mu_q(n, alpha, q, cfg)
+    elif isinstance(res, Exception):
+        raise res
     bs_cf = closed_form_breaking(n, alpha, q)
     bs_cert = False
     # the second-variation test needs q > 2; below it closed_form_breaking

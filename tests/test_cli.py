@@ -376,6 +376,71 @@ def test_scan_nan_row_names_its_error(capsys, monkeypatch, jobs):
         for a in ("0.0", "0.5")]
 
 
+def _logging_solver(monkeypatch, log, solve):
+    """Patch `minimize_mu_q` to append each call's alpha to the file `log`
+    (pool workers are forked, so their calls land there too), then run
+    `solve`."""
+    import ckn.radial_solver
+
+    def logged(n, alpha, q, cfg):
+        with open(log, "a") as fh:
+            fh.write(f"{alpha!r}\n")
+        return solve(n, alpha, q, cfg)
+
+    monkeypatch.setattr(ckn.radial_solver, "minimize_mu_q", logged)
+
+    def calls():
+        return [float(line) for line in log.read_text().splitlines()]
+    return calls
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_scan_solves_each_line_problem_once(capsys, monkeypatch, tmp_path, jobs):
+    """On a grid symmetric about alpha = 2, each alpha and 4 - alpha share
+    one solve (-1 and 5 share the zero form at n = 5), and every row has
+    the bits of its own `scan_row`; nothing outlives one scan."""
+    from ckn.cli import _csv, _fields
+    from ckn.grids import LineGrid
+    from ckn.radial_solver import (MinimizationConfig, line_data, minimize_mu_q,
+                                   scan_row)
+
+    alphas = [-1.0 + 0.5 * k for k in range(13)]
+    cfg = MinimizationConfig(grid=LineGrid(8.0, 401))
+    expected = _csv(SCAN_HEADER.split(","),
+                    [list(_fields(scan_row(5, 3.0, a, cfg)).values()) for a in alphas])
+    calls = _logging_solver(monkeypatch, tmp_path / "calls.txt", minimize_mu_q)
+    argv = ("scan", "--n", "5", "--q", "3", "--alpha-range=-1,5,0.5",
+            "--grid", "8,401", "--jobs", jobs)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_OK and err == ""
+    assert out == expected
+    solved = [line_data(5, a) for a in calls()]
+    assert len(solved) == len(set(solved)) == 7
+    assert set(solved) == {line_data(5, a) for a in alphas}
+    code, again, _ = run(capsys, *argv)
+    assert code == EXIT_OK and again == expected
+    assert len(calls()) == 2 * 7
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_scan_mirror_pair_gets_a_nan_row_each(capsys, monkeypatch, tmp_path, jobs):
+    """alpha = -0.5 and 4.5 share one failing solve, yet each gets its own
+    NaN row and stderr line, in sweep order."""
+    def fail(n, alpha, q, cfg):
+        raise RuntimeError("solver exploded")
+
+    calls = _logging_solver(monkeypatch, tmp_path / "calls.txt", fail)
+    code, out, err = run(capsys, "scan", "--n", "5", "--q", "3",
+                         "--alpha-range=-0.5,4.5,5", "--jobs", jobs)
+    assert code == EXIT_OK
+    assert calls() == [-0.5]
+    assert out.splitlines()[1:] == [
+        f"{a},nan,nan,nan,nan,false,false,false,false" for a in ("-0.5", "4.5")]
+    assert err.splitlines() == [
+        f"scan: NaN row at alpha={a}: RuntimeError: solver exploded"
+        for a in ("-0.5", "4.5")]
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_bn_probe_nan_row_names_its_error(capsys, jobs):
     code, out, err = run(capsys, "bn-probe", "--n", "6", "--lambdas", "0,60",
@@ -402,10 +467,15 @@ def test_shifted_weight_refuses_a_line_profile(capsys, tmp_path):
 @pytest.mark.parametrize("rows, message", [
     ("0 1\n1 0\n", "the spline needs at least 4 nodes, got 2"),
     ("0 1\n0.5 0.421875\n1 0\n", "the spline needs at least 4 nodes, got 3"),
-    ("0 1\n0.3 nan\n0.6 0.262144\n1 0\n",
-     "the spline needs finite data, got y=nan at x=0.3 (1 non-finite node(s))"),
-    ("0 1\n0.3 inf\n0.6 0.262144\n0.8 nan\n1 0\n",
-     "the spline needs finite data, got y=inf at x=0.3 (2 non-finite node(s))"),
+    ("0 1\n0.3 nan\n0.6 0.262144\n1 0\n", "radial profile nodes and values must "
+     "be finite, got u=nan at r=0.3 (1 non-finite node(s))"),
+    ("0 1\n0.3 inf\n0.6 0.262144\n0.8 nan\n1 0\n", "radial profile nodes and "
+     "values must be finite, got u=inf at r=0.3 (2 non-finite node(s))"),
+    # not zero at r = 1: the NaN is named, not the boundary value
+    ("0 1\n0.3 nan\n0.6 0.5\n1 0.4\n", "radial profile nodes and values must "
+     "be finite, got u=nan at r=0.3 (1 non-finite node(s))"),
+    ("0 1\nnan 0.7\n0.6 0.5\n1 0\n", "radial profile nodes and values must "
+     "be finite, got u=0.7 at r=nan (1 non-finite node(s))"),
 ])
 def test_shifted_weight_refuses_a_short_or_non_finite_profile(capsys, tmp_path,
                                                               rows, message):

@@ -1,5 +1,6 @@
 """Grid and profile containers plus the two-column profile file format."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +37,18 @@ def test_radial_profile_validation():
                       values=np.zeros(3), n=5)
     with pytest.raises(GridError):
         RadialProfile(nodes=np.array([-0.1, 1.0]), values=np.zeros(2), n=5)
+
+
+@pytest.mark.parametrize("nodes, values, named", [
+    ([0.0, 0.3, 0.6, 1.0], [1.0, math.nan, 0.5, 0.4], "u=nan at r=0.3 (1 "),
+    ([0.0, math.nan, 0.6, 1.0], [1.0, 0.7, 0.5, 0.0], "u=0.7 at r=nan (1 "),
+    ([0.0, 0.5, math.inf], [1.0, -math.inf, 0.0], "u=-inf at r=0.5 (2 "),
+])
+def test_radial_profile_refuses_non_finite_entries(nodes, values, named):
+    """A NaN node passes the order test and a NaN value the support checks
+    of `critical`, so the profile refuses both and names the first."""
+    with pytest.raises(GridError, match=re.escape(named)):
+        RadialProfile(nodes=np.array(nodes), values=np.array(values), n=6)
 
 
 def test_log_uniform_nodes_increasing():

@@ -211,7 +211,8 @@ def test_consistency_suite_n5():
 
 
 def test_consistency_suite_solves_each_point_once(monkeypatch):
-    """The conjugacy and sandwich laws share the solve at (n, alpha, q)."""
+    """The conjugacy and sandwich laws, a concavity point p = q and, at
+    alpha = 2, the asymptotic reference share the solve at (n, alpha, q)."""
     import ckn.radial_solver
 
     calls = []
@@ -224,6 +225,15 @@ def test_consistency_suite_solves_each_point_once(monkeypatch):
     consistency_suite(5, 6.0, 3.0, MinimizationConfig())
     assert len(calls) == 11
     assert calls.count((5, 6.0, 3.0)) == 1
+    # the concavity points linspace(3, 5, 5) hold p = q
+    calls.clear()
+    consistency_suite(5, 6.0, 4.0, MinimizationConfig())
+    assert len(calls) == 10
+    assert calls.count((5, 6.0, 4.0)) == 1
+    calls.clear()
+    consistency_suite(5, 2.0, 3.0, MinimizationConfig())
+    assert len(calls) == 9
+    assert calls.count((5, 2.0, 3.0)) == 1
 
 
 def test_consistency_suite_n2_ratio_constancy():

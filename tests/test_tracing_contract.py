@@ -51,3 +51,30 @@ def test_traced_inline_probe_counts_its_nan_row(capsys):
     assert code == 0
     assert counts["cli.nan_rows"] == 1
     assert "NaN row at lambda=60.0" in capsys.readouterr().err
+
+
+def test_traced_scan_counts_a_nan_row_per_mirror_alpha(capsys, monkeypatch):
+    """alpha = -0.5 and 4.5 share one failing solve; `cli.nan_rows` still
+    counts both NaN rows, since each row goes through `scan_row`."""
+    import ckn.radial_solver
+    from ckn import cli
+
+    def fail(n, alpha, q, cfg):
+        raise RuntimeError("solver exploded")
+
+    tracing = _load_tracing()
+    inst = tracing.Instrumentation()
+    inst.install()
+    try:
+        monkeypatch.setattr(ckn.radial_solver, "minimize_mu_q", fail)
+        inst.tracer = tracing.Tracer()
+        code = cli.dispatch(["scan", "--n", "5", "--q", "3",
+                             "--alpha-range=-0.5,4.5,5", "--jobs", "1"])
+        counts = inst.tracer.counts
+    finally:
+        inst.tracer = None
+        monkeypatch.undo()
+        inst.uninstall()
+    assert code == 0
+    assert counts["cli.nan_rows"] == 2
+    assert capsys.readouterr().err.count("scan: NaN row at alpha=") == 2

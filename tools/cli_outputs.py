@@ -20,7 +20,7 @@ them):
   finite positive float or on which the line form overflows, an input
   whose integrands overflow, a bad sample list, an epsilon below the
   quadrature's floor, a missing --alpha, a flag that no subcommand has, or
-  a profile too short or not finite for its spline.
+  a profile too short for its spline or with a non-finite node or value.
 
 Profile files are written to a temporary directory; the command lines
 name it by the placeholder TMP, as they are recorded.
