@@ -12,7 +12,7 @@ from ckn import bn_ball
 from ckn.bn_ball import (BNConfig, BNReport, _bn_nodes, _quadratic_forms,
                          bn_lambda21, dimension_probe, minimize_bn,
                          pohozaev_residuals)
-from ckn.descent import upper_bands
+from ckn.descent import inverse_iteration, upper_bands
 from ckn.errors import (DegenerateIdentityError, ParameterDomainError,
                         UnconvergedResultError)
 from ckn.grids import RadialProfile
@@ -58,6 +58,24 @@ def test_lambda21_matches_dense_pencil(n, N_r):
     top = sla.eigh(G.toarray(), B.toarray(), eigvals_only=True,
                    subset_by_index=[m - 1, m - 1])[0]
     assert bn_lambda21(n, N_r=N_r) == pytest.approx(1.0 / top, rel=1e-7)
+
+
+def _lambda21_error(n, N_r):
+    """Relative error of `bn_lambda21` against its closed form: the square
+    of the first positive zero of J_{n/2}, the clamped ball's radial
+    buckling load."""
+    import mpmath
+    exact = float(mpmath.besseljzero(mpmath.mpf(n) / 2, 1) ** 2)
+    return (bn_lambda21(n, N_r=N_r) - exact) / exact
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_lambda21_against_the_closed_form(n):
+    # at the default grid the FD value lies below j_{n/2,1}^2 by 2.0e-5 (n = 5)
+    # to 6.2e-5 (n = 8), and the error falls at the O(h^2) rate
+    coarse, fine = _lambda21_error(n, 2001), _lambda21_error(n, 4001)
+    assert -1e-4 <= coarse < 0.0
+    assert 3.5 <= coarse / fine <= 4.5
 
 
 @pytest.mark.parametrize("n", [5, 7])
@@ -108,6 +126,72 @@ def test_minimize_assembles_the_forms_once(monkeypatch):
     monkeypatch.setattr(bn_ball, "_quadratic_forms", counting)
     minimize_bn(BNConfig(n=6, lam=1.0, N_r=201))
     assert calls == [6]
+
+
+def _full_multistart(cfg):
+    """Every start of `_bn_inits` run to cfg.max_iters and the lowest kept,
+    ties to the earliest: the reference `minimize_bn`'s tournament
+    stands for."""
+    n = cfg.n
+    r = _bn_nodes(cfg.N_r)
+    B, G, _, w = _quadratic_forms(n, r)
+    A = (B - cfg.lam * G).tocsr()
+    solve = bn_ball._make_spd_solver(A)
+    runs = [inverse_iteration(A, solve, u0, w[:-1], 2.0 * n / (n - 4),
+                              cfg.max_iters)
+            for u0 in bn_ball._bn_inits(n, r)]
+    return min(runs, key=lambda run: run.value)
+
+
+def _assert_report_is(rep, ref):
+    assert rep.s_lambda == ref.value
+    assert rep.iterations == ref.iterations
+    assert rep.status == ref.status
+    assert rep.el_residual == ref.residual
+    u = -ref.x if ref.x[np.argmax(np.abs(ref.x))] < 0 else ref.x
+    np.testing.assert_array_equal(rep.profile.values[:-1], u)
+
+
+# the rows where a 10- or a 40-iteration tournament misses the full
+# multistart by more than 1e-7 (both at (5, 0)), and the largest move of the
+# 20-iteration one (3.4e-8 at (6, 10))
+@pytest.mark.parametrize("n,lam", [(5, 0.0), (6, 10.0), (7, 1.0)])
+def test_tournament_matches_the_full_multistart(n, lam):
+    cfg = BNConfig(n=n, lam=lam, N_r=2001, max_iters=600)
+    rep, ref = minimize_bn(cfg), _full_multistart(cfg)
+    assert abs(rep.s_lambda - ref.value) <= 1e-7 * ref.value
+
+
+def test_tournament_winner_done_inside_the_tournament_is_final():
+    # at (7, 0) the winner meets the residual rule after 8 iterations
+    cfg = BNConfig(n=7, lam=0.0, N_r=2001, max_iters=600)
+    rep, ref = minimize_bn(cfg), _full_multistart(cfg)
+    assert (ref.status, ref.iterations) == ("residual", 8)
+    assert (rep.s_lambda, rep.iterations, rep.status) == (
+        ref.value, ref.iterations, ref.status)
+
+
+@pytest.mark.parametrize("n,lam,max_iters", [(5, 0.0, 20), (6, 10.0, 20),
+                                             (7, 5.0, 7), (8, 5.0, 1)])
+def test_small_budget_is_the_full_multistart(n, lam, max_iters):
+    # with max_iters <= TOURNAMENT_ITERS the tournament is the multistart
+    cfg = BNConfig(n=n, lam=lam, N_r=801, max_iters=max_iters)
+    _assert_report_is(minimize_bn(cfg), _full_multistart(cfg))
+
+
+def test_only_the_tournament_winner_runs_on(monkeypatch):
+    budgets = []
+
+    def recording(A, solve, x0, weights, p, max_iters, **kwargs):
+        budgets.append(max_iters)
+        return inverse_iteration(A, solve, x0, weights, p, max_iters, **kwargs)
+
+    monkeypatch.setattr(bn_ball, "inverse_iteration", recording)
+    rep = minimize_bn(BNConfig(n=6, lam=10.0, N_r=401, max_iters=600))
+    # lambda_21's iteration, seven starts, one continuation
+    k = bn_ball.TOURNAMENT_ITERS
+    assert budgets == [bn_ball.LAMBDA21_MAX_ITERS] + [k] * 7 + [600 - k]
+    assert k < rep.iterations <= 600
 
 
 def test_minimize_rejects_supercritical_lambda():
