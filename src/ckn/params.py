@@ -12,7 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 from .errors import (ConsistencyError, ParameterDomainError,
                      SingularParameterError)
@@ -134,6 +134,27 @@ def conjugate_exponent(n: int, alpha: Real) -> Real:
         raise ParameterDomainError("alpha = 2 has no finite conjugate exponent")
     (a,) = _coerce(alpha)
     return 2 + (n - 2) ** 2 / (a - 2)
+
+
+def bubble_curve(n: int, alpha: float) -> Tuple[float, float, float, float]:
+    """(q*, mu_q, kappa, N) on the bubble curve, for 0 < |alpha - 2| < n - 2:
+    the line problem at alpha is the one at alpha = 0 in the real dimension
+    N = 2 + 2(n-2)/|alpha-2|, rescaled in t by kappa = |alpha-2|/2, so at
+    q* = 2N/(N-4) its minimizer is cosh(kappa t)^(-(N-4)/2) and mu_q has a
+    closed form."""
+    d = abs(float(check_alpha(alpha)) - 2.0)
+    if not 0.0 < d < n - 2:
+        raise ParameterDomainError(
+            f"the bubble curve needs 0 < |alpha - 2| < n - 2, got n={n}, alpha={alpha}")
+    N = 2.0 + 2.0 * (n - 2) / d
+    kappa = d / 2.0
+    q = 2.0 * N / (N - 4.0)
+    # sqrt(pi) Gamma(N/2) / Gamma((N+1)/2)
+    ratio = math.exp(0.5 * math.log(math.pi) + math.lgamma(N / 2.0)
+                     - math.lgamma((N + 1.0) / 2.0))
+    mu = (kappa ** (3.0 + 2.0 / q) * N * (N + 2.0) * (N - 2.0) * (N - 4.0) / 16.0
+          * ratio ** (4.0 / N))
+    return q, mu, kappa, N
 
 
 @dataclass(frozen=True)

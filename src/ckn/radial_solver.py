@@ -163,7 +163,8 @@ def minimize_mu_q(n: int, alpha: float, q: float, cfg: MinimizationConfig) -> Mi
 _ORACLE_STARTS = 200
 _ORACLE_PASS_TOL = 1e-9
 _ORACLE_MAX_PASSES = 120
-_ORACLE_NEWTON_STEPS = 8  # line steps per coordinate
+_ORACLE_NEWTON_STEPS = 8  # cap on the line steps per coordinate
+_ORACLE_STEP_TOL = 1e-12  # a Newton step this small, relative to 1 + |z_j|, has converged
 
 
 def brute_force_oracle(n: int, alpha: float, q: float, coarse_grid: LineGrid) -> float:
@@ -171,11 +172,13 @@ def brute_force_oracle(n: int, alpha: float, q: float, coarse_grid: LineGrid) ->
     the Cholesky-whitened basis z = R w (A = R^T R) where the quadratic form
     is |z|^2 and coordinate descent is well conditioned.  All 200 starts
     (three bumps and 197 seeded normal vectors) advance in lockstep; the
-    line minimization along each coordinate is `_ORACLE_NEWTON_STEPS`
-    vectorized Newton steps on the log of the quotient, safeguarded by a
-    shrinking bracket and bisection, and a start takes the step only if it
-    lowers its value.  Deterministic: fixed internal seeds, best value
-    wins, ties to the earliest start.
+    line minimization along each coordinate is vectorized Newton steps on
+    the log of the quotient, safeguarded by a shrinking bracket and
+    bisection, until every start has taken a Newton step of at most
+    `_ORACLE_STEP_TOL` (1 + |z_j|), at most `_ORACLE_NEWTON_STEPS` of them;
+    a start takes the line's point only if it lowers its value.
+    Deterministic: fixed internal seeds, best value wins, ties to the
+    earliest start.
 
     Its domain is the points whose minimizer the N <= 41 grid resolves, as
     criterion 04's.  At (n, alpha, q) = (6, 1, 4) and (8, -2, 3.5) it finds
@@ -238,10 +241,13 @@ def brute_force_oracle(n: int, alpha: float, q: float, coarse_grid: LineGrid) ->
 
             # Newton on g = log num - (2/q) log mass from delta = 0; the
             # bracket [-span, span] shrinks by the sign of g', and a step
-            # bisects it where g'' <= 0 or the Newton point leaves it
+            # bisects it where g'' <= 0 or the Newton point leaves it (a
+            # converged point lies on the bracket end just set, so the ends
+            # count as inside)
             span = 2.0 + 2.0 * np.abs(zj)
             lo, hi = -span, span
             delta = np.zeros_like(zj)
+            converged = np.zeros(zj.shape, dtype=bool)
             head_mass, m1, m2 = along(delta)
             tail_mass = mass - head_mass
             for _ in range(_ORACLE_NEWTON_STEPS):
@@ -254,9 +260,13 @@ def brute_force_oracle(n: int, alpha: float, q: float, coarse_grid: LineGrid) ->
                 lo = np.where(g1 > 0.0, lo, delta)
                 hi = np.where(g1 > 0.0, delta, hi)
                 step = delta - g1 / np.where(g2 > 0.0, g2, 1.0)
-                newton = (g2 > 0.0) & (step > lo) & (step < hi)
+                newton = (g2 > 0.0) & (step >= lo) & (step <= hi)
+                converged |= newton & (np.abs(step - delta)
+                                       <= _ORACLE_STEP_TOL * (1.0 + np.abs(zj + step)))
                 delta = np.where(newton, step, 0.5 * (lo + hi))
                 head_mass, m1, m2 = along(delta)
+                if converged.all():
+                    break
             cand_mass = tail_mass + head_mass
             cand_quad = quad + 2.0 * delta * zj + delta**2
             cand = cand_quad / np.maximum(cand_mass, 1e-300) ** two_q

@@ -13,8 +13,12 @@ from .params import Real, gamma_alpha
 FULL_SPHERE = "full-sphere"
 HALF_SPHERE = "half-sphere"
 
-# relative tolerance for "is -gamma an eigenvalue" in float mode
+# "is -gamma an eigenvalue" in float mode: within MEMBERSHIP_RTOL of the
+# nearest level, but never beyond MEMBERSHIP_GAP_FRACTION of the gap
+# 2k + n - 1 above it; the relative tolerance alone spans half a gap once
+# |alpha| passes about 2e9, and every -gamma would count as a level
 MEMBERSHIP_RTOL = 1e-9
+MEMBERSHIP_GAP_FRACTION = 1e-3
 
 
 @dataclass(frozen=True)
@@ -69,6 +73,12 @@ def spectral_distance(model: SpectrumModel, value: Real) -> Tuple[Real, Real]:
     return dist, model.sphere_eigenvalue(k)
 
 
+def _membership_tol(model: SpectrumModel, k: int) -> float:
+    """How far a float -gamma may lie from the level of k and still count as on it."""
+    return min(MEMBERSHIP_RTOL * max(1.0, float(model.sphere_eigenvalue(k))),
+               MEMBERSHIP_GAP_FRACTION * (2 * k + model.n - 1))
+
+
 def rellich_constant(model: SpectrumModel, n: int, alpha: Real) -> Real:
     """Best q=2 constant: squared distance of -gamma_alpha to the spectrum."""
     dist, _ = spectral_distance(model, -gamma_alpha(n, alpha))
@@ -88,11 +98,11 @@ def positivity_predicates(model: SpectrumModel, n: int, alpha: Real) -> Positivi
     whether the positivity-breaking condition -gamma > (l1+l2)/2 holds."""
     g = gamma_alpha(n, alpha)
     target = -g
-    dist, nearest = spectral_distance(model, target)
+    k, dist = _nearest_sphere_level(model, target)
     if isinstance(g, Fraction):
         member = dist == 0
     else:
-        member = float(dist) <= MEMBERSHIP_RTOL * max(1.0, abs(float(nearest)))
+        member = float(dist) <= _membership_tol(model, k)
     lam1, lam2 = (float(model.sphere_eigenvalue(k)) for k in (model.k_min, model.k_min + 1))
     return PositivityPredicates(
         sq_positive=not member,

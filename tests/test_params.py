@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 import ckn.params
 from ckn.errors import (ConsistencyError, ParameterDomainError,
                         SingularParameterError)
-from ckn.params import (bubble_energy, bubble_mass, conjugate_exponent,
+from ckn.params import (bubble_curve, bubble_energy, bubble_mass, conjugate_exponent,
                         derive_params, gamma_alpha, gbar_alpha,
                         phase_thresholds, radial_closed_forms,
                         scaling_relation, sstar)
+from ckn.quadrature import sphere_area
 
 
 def test_derive_params_spot_values():
@@ -135,6 +136,21 @@ def test_sstar_closed_form():
         sstar(4)
     with pytest.raises(ParameterDomainError):
         bubble_mass(4)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 12])
+def test_bubble_curve_at_alpha_0_is_sstar(n):
+    # at alpha = 0 the curve's dimension is n itself: kappa = 1, q* = 2**,
+    # and |S^(n-1)|^(1-2/q*) mu_q is the radial Sobolev constant S**
+    q, mu, kappa, N = bubble_curve(n, 0.0)
+    assert (q, kappa, N) == (2.0 * n / (n - 4), 1.0, float(n))
+    assert sphere_area(n) ** ((q - 2.0) / q) * mu == pytest.approx(sstar(n), rel=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [2.0, 5.0, -1.0, 7.0, math.nan])
+def test_bubble_curve_refuses_alpha_off_the_curve(alpha):
+    with pytest.raises(ParameterDomainError):
+        bubble_curve(5, alpha)
 
 
 @pytest.mark.parametrize("q", [math.nan, 1.0])

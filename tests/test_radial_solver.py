@@ -1,7 +1,6 @@
 """Constrained minimization of the one-dimensional quotient: solver vs
 brute-force oracle and the closed-form bubble curve, symmetry, degeneracies,
 and the sweep machinery."""
-import math
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ import scipy.sparse as sp
 
 from ckn.descent import upper_bands
 from ckn.grids import LineGrid, alpha_grid
-from ckn.params import conjugate_exponent, derive_params, scaling_relation
+from ckn.params import bubble_curve, conjugate_exponent, derive_params, scaling_relation
 from ckn.radial_solver import (MinimizationConfig, _assemble_form, _line_operators,
                                _scaled_grid, brute_force_oracle, consistency_suite,
                                minimize_mu_q, scan_row)
@@ -28,21 +27,14 @@ def test_solver_matches_brute_force_oracle(n, alpha, q):
     assert abs(res.mu_q - oracle) / oracle <= 1e-4
 
 
-def bubble_curve(n, alpha):
-    """(q*, mu_q, kappa, N) on the bubble curve: the line problem at alpha is
-    the one at alpha = 0 in the real dimension N = 2 + 2(n-2)/|alpha-2|,
-    rescaled in t by kappa = |alpha-2|/2, so at q* = 2N/(N-4) its minimizer
-    is cosh(kappa t)^(-(N-4)/2) and mu_q has a closed form."""
-    d = abs(alpha - 2.0)
-    N = 2.0 + 2.0 * (n - 2) / d
-    kappa = d / 2.0
-    q = 2.0 * N / (N - 4.0)
-    # sqrt(pi) Gamma(N/2) / Gamma((N+1)/2)
-    ratio = math.exp(0.5 * math.log(math.pi) + math.lgamma(N / 2.0)
-                     - math.lgamma((N + 1.0) / 2.0))
-    mu = (kappa ** (3.0 + 2.0 / q) * N * (N + 2.0) * (N - 2.0) * (N - 4.0) / 16.0
-          * ratio ** (4.0 / N))
-    return q, mu, kappa, N
+@pytest.mark.parametrize("n, alpha, q", [(7, -1.0, 2.5), (6, 1.0, 2.5)])
+def test_brute_force_oracle_does_not_depend_on_the_newton_cap(monkeypatch, n, alpha, q):
+    # each line search stops once converged, so a higher cap changes nothing
+    import ckn.radial_solver
+
+    capped = brute_force_oracle(n, alpha, q, COARSE)
+    monkeypatch.setattr(ckn.radial_solver, "_ORACLE_NEWTON_STEPS", 16)
+    assert abs(brute_force_oracle(n, alpha, q, COARSE) - capped) <= 1e-12 * capped
 
 
 # points with q* <= 2** where the window L = 12 does not truncate the profile

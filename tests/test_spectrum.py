@@ -8,8 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ckn.params import gamma_alpha, radial_closed_forms
-from ckn.spectrum import (full_sphere, half_sphere, positivity_predicates,
-                          rellich_constant, spectral_distance)
+from ckn.spectrum import (_membership_tol, _nearest_sphere_level, full_sphere,
+                          half_sphere, positivity_predicates, rellich_constant,
+                          spectral_distance)
 
 
 def test_full_sphere_rellich_spot():
@@ -29,13 +30,20 @@ def test_rellich_bounded_by_radial_closed_form(n, alpha):
     assert float(rc) <= s2 * (1.0 + 1e-12)
 
 
-@given(st.integers(5, 10), st.floats(-25, 25, allow_nan=False))
+@given(st.integers(5, 10),
+       st.floats(-25, 25, allow_nan=False) | st.floats(-1e12, 1e12, allow_nan=False))
 def test_positivity_predicates_consistent(n, alpha):
-    preds = positivity_predicates(full_sphere(n), n, alpha)
+    model = full_sphere(n)
+    preds = positivity_predicates(model, n, alpha)
     assert preds.lambda1 <= preds.lambda2
+    rellich = float(rellich_constant(model, n, alpha))
     # sq_positive requires the constant to be positive
     if preds.sq_positive:
-        assert float(rellich_constant(full_sphere(n), n, alpha)) > 0.0
+        assert rellich > 0.0
+    # and a distance well beyond the membership tolerance grants it
+    k, _ = _nearest_sphere_level(model, -gamma_alpha(n, alpha))
+    if rellich > (2.0 * _membership_tol(model, k)) ** 2:
+        assert preds.sq_positive
 
 
 def test_spectrum_eigenvalues_monotone():

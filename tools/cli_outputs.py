@@ -11,9 +11,10 @@ them):
 - the CLI operations of one round (seed 1) of the `ball-sweep`,
   `radial-sweep` and `certify` workloads;
 - each subcommand in JSON and in CSV, on small inputs that also reach a
-  refused empty alpha range, a NaN sweep row and library warnings, and
-  line solves on a wide fine grid and on a coarse grid with a mirror pair
-  alpha, 4 - alpha; `shifted-weight` also reads a profile that `bn`
+  refused empty alpha range, a NaN sweep row, library warnings, alpha
+  near 4e9 (sphere levels 4e9 apart, -gamma off them), and line solves
+  on a wide fine grid and on a coarse grid with a mirror pair alpha,
+  4 - alpha; `shifted-weight` also reads a profile that `bn`
   saves (geometric nodes) and a 4-node one (the cubic spline);
 - the command lines that refuse a bad (n, q), a non-finite real, an alpha
   whose alpha^4 overflows, a grid spacing h whose h^4 or h^-4 is not a
@@ -65,6 +66,8 @@ SUBCOMMANDS = (
     ("scan", "--n", "5", "--q", "12", "--alpha-range", "0,3,1", "--jobs", "1"),
     ("scan", "--n", "5", "--q", "12", "--alpha-range", "0,3,1", "--jobs", "2"),
     ("scan", "--n", "7", "--q", "4", "--alpha-range=-2.5,6.5,4.5", "--grid", "3,11",
+     "--jobs", "1"),
+    ("scan", "--n", "5", "--q", "3", "--alpha-range=4000000000.5,4000000001.5,1",
      "--jobs", "1"),
     ("phase", "--n", "5", "--q", "3", "--alpha-range=-2,6,2", "--jobs", "1"),
     ("phase", "--n", "5", "--alpha", "1", "--model", "half"),
