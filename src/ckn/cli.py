@@ -174,18 +174,20 @@ def _row_or_error(worker, *task):
 
 
 def _fan_out(worker, tasks: List[tuple], jobs: int) -> List:
-    """Order-preserving `worker(*task)` over tasks, optionally across
-    processes; a task that raises gives its exception in place of a row.
+    """Order-preserving `worker(*task)` over tasks, optionally across at
+    most `jobs` processes, one per task and CPU at most; a task that raises
+    gives its exception in place of a row.
 
     Rows are computed by the same picklable (module-level) worker either
     way, so output bytes do not depend on the job count.  The warnings of
     each task are raised again here, in the parent, in task order."""
-    if jobs <= 1 or len(tasks) <= 1:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         results = [_row_or_error(worker, *t) for t in tasks]
     else:
         # about four chunks per worker: few round trips, balanced tails
-        chunksize = math.ceil(len(tasks) / (4 * jobs))
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        chunksize = math.ceil(len(tasks) / (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(functools.partial(_row_or_error, worker),
                                     *zip(*tasks), chunksize=chunksize))
     for _, caught in results:
@@ -456,14 +458,14 @@ def _suite_closed_form(args) -> Tuple[bool, dict]:
     forms = radial_closed_forms(5, 0.0)
     checks["s2_rad(5,0)"] = float(forms.s2_rad)
     checks["rellich_half(5,0)"] = float(rellich_constant(half_sphere(5), 5, 0.0))
-    ok = (abs(checks["s2_rad(5,0)"] - 25.0 / 16.0) == 0.0
-          and abs(checks["rellich_half(5,0)"] - 27.5625) <= 1e-12)
+    ok = checks["s2_rad(5,0)"] == 25 / 16 and checks["rellich_half(5,0)"] == 27.5625
     # the full-sphere constant is a squared spectral distance, so it is
-    # bounded by the radial closed form on a sample of alphas
+    # bounded by the radial closed form on a sample of alphas; both are
+    # exact values rounded once, so the bound holds in floats too
     for a in (-6.0, -1.0, 0.0, 1.0, 3.0, 7.0):
         rc = float(rellich_constant(full_sphere(args.n), args.n, a))
         s2 = float(radial_closed_forms(args.n, a).s2_rad)
-        if rc > s2 * (1.0 + 1e-12):
+        if rc > s2:
             ok = False
             checks[f"sandwich_violated_alpha={a}"] = rc
     return ok, checks

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -23,8 +24,8 @@ import numpy as np
 from .errors import (ConsistencyError, IntegrandError, ParameterDomainError,
                      SupportViolationError, SupportWarning)
 from .grids import RadialProfile
-from .params import (bubble_energy, bubble_mass, check_alpha, phase_thresholds,
-                     require_n5, sstar)
+from .params import (Real, bubble_energy, bubble_mass, check_alpha,
+                     phase_thresholds, require_n5, shift_ratio, sstar)
 from .quadrature import (GRADING_LEVELS, gauss_panels, sphere_area,
                          weighted_radial_integral)
 from .splines import not_a_knot
@@ -52,10 +53,11 @@ def talenti_laplacian(r: np.ndarray, n: int) -> np.ndarray:
     return talenti_d2(r, n) + (n - 1) / r * talenti_d1(r, n)
 
 
-def expansion_coefficient(n: int, a: float) -> float:
-    """c(n, a) = a(a+2)[a^2 + 2a - (n-2)^2 (n-4)/(2(n-3))]."""
-    bracket = (n - 2) ** 2 * (n - 4) / (2.0 * (n - 3))
-    return a * (a + 2.0) * (a**2 + 2.0 * a - bracket)
+def expansion_coefficient(n: int, a: Real) -> Real:
+    """c(n, a) = a(a+2)[a^2 + 2a - (n-2)^2 (n-4)/(2(n-3))]; exact for a
+    Fraction a, in floats for a float a."""
+    bracket = Fraction((n - 2) ** 2 * (n - 4), 2 * (n - 3))
+    return a * (a + 2) * (a**2 + 2 * a - bracket)
 
 
 @dataclass(frozen=True)
@@ -173,25 +175,21 @@ def strictness_sign_check(n: int, alpha: float) -> dict:
     """Sign of c(n, -alpha/2), cross-checked against the interval form.
 
     With x = a^2 + 2a = ((alpha-2)^2 - 4)/4 and j the bracket constant,
-    c = x (x - j); hence c < 0 iff 2 < |alpha - 2| < sqrt(4 + 4j)."""
+    c = x (x - j); hence c < 0 iff 2 < |alpha - 2| < sqrt(4 + 4j).  Both
+    routes are exact: c at the exact value of alpha (reported rounded once),
+    and the interval as (n-3) (alpha-2)^2 against 4(n-3) and
+    4(n-3) + 2(n-2)^2(n-4) in integers."""
     require_n5(n)
-    a = -0.5 * float(check_alpha(alpha))
-    coefficient = expansion_coefficient(n, a)
-    upper = phase_thresholds(n).strictness_upper
-    shift = abs(float(alpha) - 2.0)
-    predicate = 2.0 < shift < upper
-
-    # the two routes are algebraically identical; only a float landing
-    # exactly on a boundary could make them disagree
-    x = a * (a + 2.0)
-    j = (n - 2) ** 2 * (n - 4) / (2.0 * (n - 3))
-    on_boundary = min(abs(x), abs(x - j)) < 1e-12 * max(1.0, j)
-    if (coefficient < 0.0) != predicate and not on_boundary:
-        raise ConsistencyError(
-            f"sign route c={coefficient} disagrees with interval route "
-            f"|alpha-2|={shift}, upper={upper}"
-        )
-    return {"predicate": predicate, "coefficient": coefficient, "interval": (2.0, upper)}
+    p, den = shift_ratio(alpha)
+    c = expansion_coefficient(n, Fraction(check_alpha(alpha)) / -2)
+    lo = 4 * (n - 3)
+    hi = lo + 2 * (n - 2) ** 2 * (n - 4)
+    predicate = lo * den * den < (n - 3) * p * p < hi * den * den
+    if (c < 0) != predicate:
+        raise ConsistencyError(f"sign route c={c} disagrees with interval route "
+                               f"at n={n}, alpha={alpha}")
+    return {"predicate": predicate, "coefficient": float(c),
+            "interval": (2.0, phase_thresholds(n).strictness_upper)}
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,13 @@ def check_alpha(alpha: Real) -> Real:
     return a
 
 
+def shift_ratio(alpha: Real) -> Tuple[int, int]:
+    """The ints (p, den) with |alpha - 2| = p/den exactly (a float is a dyadic
+    rational): the phase boundaries compare (alpha - 2)^2 with rationals."""
+    p, den = check_alpha(alpha).as_integer_ratio()
+    return abs(p - 2 * den), den
+
+
 def gamma_alpha(n: int, alpha: Real) -> Real:
     a = check_alpha(alpha)
     # a product, not `** 2`: in floats the two can differ in the last bit
@@ -106,26 +113,24 @@ class RadialClosedForms:
 
 def radial_closed_forms(n: int, alpha: Real) -> RadialClosedForms:
     """Best q=2 radial constant, the second-order/first-order ratio, and the
-    conjugate exponent of alpha."""
+    conjugate exponent of alpha: computed exactly, and rounded once for a
+    float alpha."""
     check_exponents(n)
-    (a,) = _coerce(alpha)
-    g = gamma_alpha(n, a)
+    a = check_alpha(alpha)
+    x = Fraction(a)
+    g = gamma_alpha(n, x)
     s2 = g * g
-    # same value written as a product of linear factors; cross-check.  Both
-    # routes cancel terms of size gbar, so in floats they agree to a few
-    # ulps of gbar^2, not of s2 (which vanishes at alpha = n and 4 - n)
-    alt = (n - 4 + a) ** 2 * (n - a) ** 2 / 16
-    if isinstance(a, Fraction):
-        agree = s2 == alt
-    else:
-        agree = abs(float(s2) - float(alt)) <= 1e-12 * float(gbar_alpha(n, a)) ** 2
-    if not agree:
+    # the same value as a product of linear factors; cross-check
+    alt = (n - 4 + x) ** 2 * (n - x) ** 2 / 16
+    if s2 != alt:
         raise ConsistencyError(
             f"s2_rad routes disagree at n={n}, alpha={alpha}: {s2} != {alt}"
         )
-    mu21 = ((n - a) / 2) ** 2
-    conj = conjugate_exponent(n, a) if n >= 3 and a != 2 else None
-    return RadialClosedForms(s2_rad=s2, mu21_rad=mu21, conjugate_alpha=conj)
+    mu21 = ((n - x) / 2) ** 2
+    conj = conjugate_exponent(n, x) if n >= 3 and x != 2 else None
+    rnd = type(a)
+    return RadialClosedForms(s2_rad=rnd(s2), mu21_rad=rnd(mu21),
+                             conjugate_alpha=None if conj is None else rnd(conj))
 
 
 def conjugate_exponent(n: int, alpha: Real) -> Real:
@@ -180,13 +185,12 @@ def scaling_relation(n: int, alpha: Real, alpha_tilde: Real) -> ScalingRelation:
 @dataclass(frozen=True)
 class PhaseThresholds:
     bs1: Optional[float]
-    break_pos_sphere: float
     strictness_upper: Optional[float]
 
 
 def phase_thresholds(n: int, q: Optional[Real] = None) -> PhaseThresholds:
-    """Closed-form thresholds for symmetry breaking, positivity breaking on
-    the sphere, and critical-exponent strictness."""
+    """Closed-form thresholds for symmetry breaking and critical-exponent
+    strictness."""
     check_exponents(n)
     bs1 = None
     if q is not None:
@@ -195,15 +199,10 @@ def phase_thresholds(n: int, q: Optional[Real] = None) -> PhaseThresholds:
         check_exponents(n, q)
         q = float(q)
         bs1 = (n - 1) / (q - 2) * (1.0 + math.sqrt(q - 1.0))
-    break_pos_sphere = math.sqrt((n - 1) ** 2 + 1)
     strictness_upper = None
     if n >= 5:
         strictness_upper = math.sqrt(4.0 + 2.0 * (n - 2) ** 2 * (n - 4) / (n - 3))
-    return PhaseThresholds(
-        bs1=bs1,
-        break_pos_sphere=break_pos_sphere,
-        strictness_upper=strictness_upper,
-    )
+    return PhaseThresholds(bs1=bs1, strictness_upper=strictness_upper)
 
 
 # ---------------------------------------------------------------------------

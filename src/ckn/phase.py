@@ -22,19 +22,25 @@ import numpy as np
 from .errors import (ConsistencyError, ParameterDomainError,
                      UnconvergedResultError)
 from .radial_solver import MinimizationResult
-from .spectrum import SpectrumModel, positivity_predicates
-from .params import gamma_alpha, phase_thresholds
+from .spectrum import FULL_SPHERE, SpectrumModel, positivity_predicates
+from .params import gamma_alpha, phase_thresholds, shift_ratio
 
 CERTIFICATE_MARGIN = 1e-6
 
 
 def closed_form_breaking(n: int, alpha: float, q: float) -> bool:
-    """|gamma_alpha| beyond the closed-form threshold (n-1)(1+sqrt(q-1))/(q-2);
-    False at q = 2, and `phase_thresholds` refuses q < 2 and NaN."""
+    """|gamma_alpha| beyond the closed-form threshold (n-1)(1+sqrt(q-1))/(q-2),
+    decided exactly: with r = |gamma|(q-2)/(n-1) - 1 = num/d in ints, it is
+    r > 0 and r^2 > q - 1.  False at q = 2; `phase_thresholds` refuses
+    q < 2 and NaN."""
     if q == 2:
         return False
-    thr = phase_thresholds(n, q).bs1
-    return abs(float(gamma_alpha(n, alpha))) > thr
+    phase_thresholds(n, q)
+    p, den = shift_ratio(alpha)
+    qn, qd = q.as_integer_ratio()
+    d = 4 * den * den * qd * (n - 1)
+    num = abs((n - 2) ** 2 * den * den - p * p) * (qn - 2 * qd) - d
+    return num > 0 and num * num * qd > (qn - qd) * d * d
 
 
 @dataclass(frozen=True)
@@ -79,17 +85,15 @@ class PositivityReport:
 
 
 def positivity_phase(n: int, alpha: float, model: SpectrumModel) -> PositivityReport:
+    """The model's breaking-positivity predicate and the sphere threshold
+    |alpha - 2| > sqrt((n-1)^2 + 1), decided exactly on (alpha - 2)^2."""
     preds = positivity_predicates(model, n, float(alpha))
-    thr = phase_thresholds(n).break_pos_sphere
-    exceeded = abs(float(alpha) - 2.0) > thr
-    if model.kind == "full-sphere":
-        # on the full sphere the two predicates are algebraically identical;
-        # tolerate disagreement only within rounding distance of the threshold
-        margin = abs(abs(float(alpha) - 2.0) - thr)
-        if preds.break_pos != exceeded and margin > 1e-9 * max(1.0, thr):
-            raise ConsistencyError(
-                "inconsistent positivity predicates away from the threshold"
-            )
+    p, den = shift_ratio(float(alpha))
+    exceeded = p * p > ((n - 1) ** 2 + 1) * den * den
+    # on the full sphere the two predicates are algebraically identical
+    if model.kind == FULL_SPHERE and preds.break_pos != exceeded:
+        raise ConsistencyError(
+            f"inconsistent positivity predicates at n={n}, alpha={alpha}")
     return PositivityReport(
         break_pos=preds.break_pos,
         sphere_threshold_exceeded=exceeded,

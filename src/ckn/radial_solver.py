@@ -63,51 +63,44 @@ _FORM_CACHE_SIZE = 8
 @functools.lru_cache(maxsize=_FORM_CACHE_SIZE)
 def _form_parts(grid: LineGrid):
     """The parts of the line form that do not depend on alpha: the three
-    upper bands of D2^T D2, the D1 entry a = 1/(2h), and the sorted CSR
-    layout of a pentadiagonal matrix (for each stored entry (i, j) its place
-    (2 - |i - j|) M + max(i, j) in the flattened upper bands, then the
-    column indices and the row pointers).  Read-only: every form on the
-    grid shares them."""
+    upper bands of D2^T D2 and the D1 entry a = 1/(2h).  Read-only: every
+    form on the grid shares them."""
     D2, D1 = _line_operators(grid)
     P = D2.T @ D2
-    M = grid.N - 2
-    rows = np.repeat(np.arange(M), 5)
-    cols = rows + np.tile(np.arange(-2, 3), M)
-    keep = (cols >= 0) & (cols < M)
-    rows, cols = rows[keep], cols[keep]
     bands = tuple(P.diagonal(k) for k in range(3))
-    flat = (2 - np.abs(rows - cols)) * M + np.maximum(rows, cols)
-    indices = cols.astype(np.int32)
-    indptr = np.searchsorted(rows, np.arange(M + 1)).astype(np.int32)
-    for arr in (*bands, flat, indices, indptr):
+    for arr in bands:
         arr.setflags(write=False)
-    return bands, D1.diagonal(1)[0], flat, indices, indptr
+    return bands, D1.diagonal(1)[0]
 
 
 def _assemble_form(grid: LineGrid, gbar: float, gam: float):
     """Pentadiagonal SPD matrix h (D2^T D2 + 2 gbar D1^T D1 + gam^2 I) of
-    the discrete quadratic form on the interior unknowns, with its upper
-    bands in the layout of `descent.upper_bands`.
+    the discrete quadratic form on the interior unknowns, as a DIA array,
+    with its upper bands in the layout of `descent.upper_bands`.
 
     Built band by band with the floating-point operations of that sparse
     expression, so both match it bit for bit: with tau = ((2 gbar) a) a,
     D1^T D1 is 2 tau on the diagonal (tau at its two ends) and -tau on the
     second off-diagonal, and each band is h ((P2 + C1) + gam^2), P2 and C1
-    the bands of D2^T D2 and 2 gbar D1^T D1."""
-    (p0, p1, p2), a, flat, indices, indptr = _form_parts(grid)
+    the bands of D2^T D2 and 2 gbar D1^T D1.  A DIA product sums each row
+    in ascending column order, as the CSR product of the formula does."""
+    (p0, p1, p2), a = _form_parts(grid)
     h, M = grid.h, grid.N - 2
     tau = ((2.0 * gbar) * a) * a
     diag = p0 + 2.0 * tau
     diag[[0, -1]] = p0[[0, -1]] + tau
-    ab = np.zeros((3, M))
-    ab[2] = h * (diag + gam**2)
-    ab[1, 1:] = h * p1
-    ab[0, 2:] = h * (p2 - tau)
+    # DIA row d holds the band of offset d - 2 by column, so rows 4, 3, 2
+    # are the upper bands and rows 0, 1 the same bands from their third
+    # and second entry on
+    data = np.zeros((5, M))
+    data[2] = h * (diag + gam**2)
+    data[3, 1:] = data[1, :-1] = h * p1
+    data[4, 2:] = data[0, :-2] = h * (p2 - tau)
     # LineGrid bounds D2^T D2; the terms in gbar and gam^2 depend on alpha
-    if not np.all(np.isfinite(ab)):
+    if not np.all(np.isfinite(data)):
         raise GridError(f"the line form overflows on the grid with spacing "
                         f"h={grid.h!r} (L={grid.L}, N={grid.N})")
-    return sp.csr_matrix((ab.ravel()[flat], indices, indptr), shape=(M, M)), ab
+    return sp.dia_array((data, [-2, -1, 0, 1, 2]), shape=(M, M)), data[:1:-1]
 
 
 def line_data(n: int, alpha: float) -> Tuple[bool, float, float]:

@@ -1,24 +1,18 @@
 """Dirichlet Laplace-Beltrami spectra of the sphere and the half-sphere,
-and the derived Rellich constants and positivity predicates."""
+and the derived Rellich constants and positivity predicates, decided
+exactly: with |alpha - 2| = p/den and rho_k = 2k + n - 2, 4 den^2 times
+-gamma_alpha - k(n-2+k) is the int (p - rho_k den)(p + rho_k den)."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
 from .errors import ParameterDomainError
-from .params import Real, gamma_alpha
+from .params import Real, shift_ratio
 
 FULL_SPHERE = "full-sphere"
 HALF_SPHERE = "half-sphere"
-
-# "is -gamma an eigenvalue" in float mode: within MEMBERSHIP_RTOL of the
-# nearest level, but never beyond MEMBERSHIP_GAP_FRACTION of the gap
-# 2k + n - 1 above it; the relative tolerance alone spans half a gap once
-# |alpha| passes about 2e9, and every -gamma would count as a level
-MEMBERSHIP_RTOL = 1e-9
-MEMBERSHIP_GAP_FRACTION = 1e-3
 
 
 @dataclass(frozen=True)
@@ -51,38 +45,37 @@ def half_sphere(n: int) -> SpectrumModel:
     return SpectrumModel(kind=HALF_SPHERE, n=n)
 
 
-def _nearest_sphere_level(model: SpectrumModel, target: Real) -> Tuple[int, Real]:
-    """argmin over admissible k of |target - k(n-2+k)|, ties to smaller k:
-    the floor of the root of (2k + n - 2)^2 = 4 target + (n-2)^2 or the next
-    k, with isqrt finding the floor to within one.  A float of 2^52 or more
-    is an integer and is compared in ints, as nearby levels need not fit a float."""
-    exact = int(target) if isinstance(target, float) and abs(target) >= 2.0**52 else target
-    n2 = model.n - 2
-    disc = math.floor(4 * exact) + n2 * n2
-    k0 = max(math.isqrt(max(disc, 0)) - n2, 0) // 2
-    ks = range(max(model.k_min, k0 - 1), k0 + 3)
-    dists = [abs(exact - k * (n2 + k)) for k in ks]
-    i = dists.index(min(dists))
-    return ks[i], dists[i] if exact is target else float(dists[i])
+def _nearest_sphere_level(model: SpectrumModel, n: int,
+                          alpha: Real) -> Tuple[int, int, int, int]:
+    """(k, d, p, den): |alpha - 2| = p/den, the admissible k whose level is
+    nearest -gamma_alpha, and 4 den^2 times that distance as the int d;
+    rho_k and rho_(k+1) bracket p/den (a tie would need (rho_k + 1)^2 + 1
+    to be a square)."""
+    if n != model.n:
+        raise ParameterDomainError(f"n={n} is not the dimension {model.n} of the sphere")
+    p, den = shift_ratio(alpha)
+    k = max(model.k_min, (p - (n - 2) * den) // (2 * den))
+    r0, r1 = (2 * k + n - 2) * den, (2 * k + n) * den
+    near, far = abs(p - r0) * (p + r0), abs(p - r1) * (p + r1)
+    return (k, near, p, den) if near <= far else (k + 1, far, p, den)
 
 
-def spectral_distance(model: SpectrumModel, value: Real) -> Tuple[Real, Real]:
-    """Distance from `value` to the spectrum, and the eigenvalue attaining it
-    (the smallest one on ties)."""
-    k, dist = _nearest_sphere_level(model, value)
-    return dist, model.sphere_eigenvalue(k)
+def _rounded(num: int, den: int, alpha: Real) -> Real:
+    """num/den: exact for an int or Fraction alpha, else rounded once."""
+    return Fraction(num, den) if isinstance(alpha, (int, Fraction)) else num / den
 
 
-def _membership_tol(model: SpectrumModel, k: int) -> float:
-    """How far a float -gamma may lie from the level of k and still count as on it."""
-    return min(MEMBERSHIP_RTOL * max(1.0, float(model.sphere_eigenvalue(k))),
-               MEMBERSHIP_GAP_FRACTION * (2 * k + model.n - 1))
+def spectral_distance(model: SpectrumModel, alpha: Real) -> Tuple[Real, int]:
+    """Distance from -gamma_alpha to the spectrum, and the eigenvalue
+    attaining it."""
+    k, d, _, den = _nearest_sphere_level(model, model.n, alpha)
+    return _rounded(d, 4 * den * den, alpha), model.sphere_eigenvalue(k)
 
 
 def rellich_constant(model: SpectrumModel, n: int, alpha: Real) -> Real:
     """Best q=2 constant: squared distance of -gamma_alpha to the spectrum."""
-    dist, _ = spectral_distance(model, -gamma_alpha(n, alpha))
-    return dist * dist
+    _, d, _, den = _nearest_sphere_level(model, n, alpha)
+    return _rounded(d * d, 16 * den**4, alpha)
 
 
 @dataclass(frozen=True)
@@ -95,18 +88,13 @@ class PositivityPredicates:
 
 def positivity_predicates(model: SpectrumModel, n: int, alpha: Real) -> PositivityPredicates:
     """Whether the best constant is positive (-gamma off the spectrum) and
-    whether the positivity-breaking condition -gamma > (l1+l2)/2 holds."""
-    g = gamma_alpha(n, alpha)
-    target = -g
-    k, dist = _nearest_sphere_level(model, target)
-    if isinstance(g, Fraction):
-        member = dist == 0
-    else:
-        member = float(dist) <= _membership_tol(model, k)
-    lam1, lam2 = (float(model.sphere_eigenvalue(k)) for k in (model.k_min, model.k_min + 1))
+    whether the positivity-breaking condition -gamma > (l1+l2)/2, that is
+    (alpha-2)^2 > (n-2)^2 + 2(l1+l2), holds."""
+    _, d, p, den = _nearest_sphere_level(model, n, alpha)
+    lam1, lam2 = (model.sphere_eigenvalue(k) for k in (model.k_min, model.k_min + 1))
     return PositivityPredicates(
-        sq_positive=not member,
-        break_pos=target > (lam1 + lam2) / 2,
-        lambda1=lam1,
-        lambda2=lam2,
+        sq_positive=d != 0,
+        break_pos=p * p > ((n - 2) ** 2 + 2 * (lam1 + lam2)) * den * den,
+        lambda1=float(lam1),
+        lambda2=float(lam2),
     )

@@ -190,10 +190,14 @@ def test_phase_alpha_and_alpha_range_exclude_each_other(capsys):
 
 def test_consistency_failure_exits_1(capsys, monkeypatch):
     import ckn.phase
-    from ckn.params import phase_thresholds
 
-    wrong = dataclasses.replace(phase_thresholds(5), break_pos_sphere=100.0)
-    monkeypatch.setattr(ckn.phase, "phase_thresholds", lambda n, q=None: wrong)
+    predicates = ckn.phase.positivity_predicates
+
+    def wrong(model, n, alpha):
+        preds = predicates(model, n, alpha)
+        return dataclasses.replace(preds, break_pos=not preds.break_pos)
+
+    monkeypatch.setattr(ckn.phase, "positivity_predicates", wrong)
     code, out, err = run(capsys, "phase", "--n", "5", "--alpha", "10",
                          "--jobs", "1")
     assert code == EXIT_DOMAIN
@@ -271,6 +275,36 @@ def test_phase_byte_identical_across_jobs(tmp_path):
     assert dispatch(args + ["--jobs", "2", "--out", str(out2)]) == EXIT_OK
     assert len(out1.read_text().splitlines()) == 102
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_fan_out_caps_its_workers_at_the_cpu_count(capsys, monkeypatch):
+    """--jobs 5000 over 4,401 rows asks a 3-CPU machine for 3 workers and
+    about four chunks each; no process is started here."""
+    import ckn.cli
+
+    started = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize):
+            started.append(chunksize)
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(ckn.cli, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(ckn.cli.os, "cpu_count", lambda: 3)
+    argv = ["phase", "--n", "5", "--q", "3", "--alpha-range=-20,24,0.01", "--format", "csv"]
+    serial = run(capsys, *argv, "--jobs", "1")
+    assert started == []
+    assert run(capsys, *argv, "--jobs", "5000") == serial
+    assert started == [3, math.ceil(4401 / 12)]
 
 
 def test_radial_min_reports_status(capsys):

@@ -1,8 +1,8 @@
 """Bubble identities, the strictness sign test, the shifted-weight
 comparison, and the concentrating family."""
-import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from ckn.critical import (strictness_sign_check, expansion_coefficient,
                           ueps_family)
 from ckn.errors import (ConsistencyError, ParameterDomainError,
                         SupportViolationError, SupportWarning)
-from ckn.params import phase_thresholds, sstar
+from ckn.params import sstar
 from ckn.grids import RadialProfile
 from ckn.quadrature import sphere_area, weighted_radial_integral
 
@@ -91,10 +91,10 @@ def test_strictness_interval_endpoint_sqrt13():
 
 
 def test_strictness_route_disagreement_is_a_library_error(monkeypatch):
-    wrong = dataclasses.replace(phase_thresholds(5), strictness_upper=10.0)
-    monkeypatch.setattr(ckn.critical, "phase_thresholds", lambda n: wrong)
+    # a sign route that reads c > 0 everywhere
+    monkeypatch.setattr(ckn.critical, "expansion_coefficient", lambda n, a: Fraction(1))
     with pytest.raises(ConsistencyError):
-        strictness_sign_check(5, 7.0)  # |alpha-2| = 5 is outside (2, sqrt 13)
+        strictness_sign_check(5, 5.0)  # |alpha-2| = 3 is inside (2, sqrt 13)
 
 
 def test_strictness_outside_interval():
@@ -113,11 +113,13 @@ def test_strictness_requires_n5():
 def test_strictness_dual_routes_agree(n, alpha):
     """strictness_sign_check raises internally if the sign of c(n, -alpha/2)
     disagrees with the interval characterization; sampling widely is the
-    proof burden here."""
+    proof burden here.  The predicate is exact in alpha: 2 < |alpha - 2|
+    holds for alpha = -1e-194, where the float alpha - 2 rounds to -2."""
     rep = strictness_sign_check(n, alpha)
     lo, hi = rep["interval"]
     assert lo == 2.0 and hi > lo
-    assert rep["predicate"] == (lo < abs(alpha - 2.0) < hi)
+    upper2 = 4 + Fraction(2 * (n - 2) ** 2 * (n - 4), n - 3)
+    assert rep["predicate"] == (4 < (Fraction(alpha) - 2) ** 2 < upper2)
 
 
 # ---------------------------------------------------------------------------

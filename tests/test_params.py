@@ -73,10 +73,11 @@ def test_radial_closed_forms_rational():
 
 @given(st.integers(5, 12), st.floats(-30, 30, allow_nan=False))
 def test_s2_is_gamma_squared(n, alpha):
-    g = float(gamma_alpha(n, alpha))
-    assert float(radial_closed_forms(n, alpha).s2_rad) == pytest.approx(
-        g * g, rel=1e-12, abs=1e-300
-    )
+    # gamma^2 at the exact value of alpha, rounded once
+    g = gamma_alpha(n, Fraction(alpha))
+    forms = radial_closed_forms(n, alpha)
+    assert forms.s2_rad == float(g * g)
+    assert forms.mu21_rad == float((n - Fraction(alpha)) ** 2 / 4)
 
 
 @given(
@@ -111,9 +112,10 @@ def test_phase_thresholds_closed_form():
 @pytest.mark.parametrize("n,alpha", [(7, 7.000000000000001), (7, -3.0000000000000004),
                                      (5, 5.000000000000001), (6, -2.0000000000000004)])
 def test_radial_closed_forms_within_rounding_of_a_root(n, alpha):
-    # gamma ~ 1e-15 here: the two routes to s2 agree only to ulps of gbar^2
+    # gamma ~ 1e-15 here; s2 is its exact square, rounded once
     forms = radial_closed_forms(n, alpha)
-    assert 0.0 <= float(forms.s2_rad) < 1e-25
+    assert 0.0 < forms.s2_rad < 1e-25
+    assert forms.s2_rad == float(gamma_alpha(n, Fraction(alpha)) ** 2)
 
 
 def test_radial_closed_forms_disagreement_is_a_library_error(monkeypatch):

@@ -7,27 +7,29 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ckn.params import gamma_alpha, radial_closed_forms
-from ckn.spectrum import (_membership_tol, _nearest_sphere_level, full_sphere,
-                          half_sphere, positivity_predicates, rellich_constant,
-                          spectral_distance)
+from ckn.critical import strictness_sign_check
+from ckn.errors import ParameterDomainError
+from ckn.params import radial_closed_forms
+from ckn.phase import positivity_phase
+from ckn.spectrum import (full_sphere, half_sphere, positivity_predicates,
+                          rellich_constant, spectral_distance)
 
 
 def test_full_sphere_rellich_spot():
-    # -gamma = -25/16 sits closest to the k=0 eigenvalue 0
+    # -gamma = -5/4 sits closest to the k=0 eigenvalue 0
     assert float(rellich_constant(full_sphere(5), 5, 0.0)) == 1.5625
 
 
 def test_half_sphere_rellich_spot():
-    assert float(rellich_constant(half_sphere(5), 5, 0.0)) == pytest.approx(27.5625, abs=1e-12)
+    # |-gamma - level| = |-1.25 - 4| at k = 1
+    assert rellich_constant(half_sphere(5), 5, 0.0) == 27.5625
 
 
 @given(st.integers(5, 10), st.floats(-25, 25, allow_nan=False))
 def test_rellich_bounded_by_radial_closed_form(n, alpha):
-    """Squared distance to a set containing 0 never beats the k=0 distance."""
-    rc = rellich_constant(full_sphere(n), n, alpha)
-    s2 = float(radial_closed_forms(n, alpha).s2_rad)
-    assert float(rc) <= s2 * (1.0 + 1e-12)
+    """Squared distance to a set containing 0 never beats the k=0 distance;
+    both are exact values rounded once, so the bound holds in floats."""
+    assert rellich_constant(full_sphere(n), n, alpha) <= radial_closed_forms(n, alpha).s2_rad
 
 
 @given(st.integers(5, 10),
@@ -36,14 +38,10 @@ def test_positivity_predicates_consistent(n, alpha):
     model = full_sphere(n)
     preds = positivity_predicates(model, n, alpha)
     assert preds.lambda1 <= preds.lambda2
-    rellich = float(rellich_constant(model, n, alpha))
-    # sq_positive requires the constant to be positive
+    # sq_positive is exactly "the exact constant is positive"
+    assert preds.sq_positive == (_exact_nearest(model, alpha)[1] > 0)
     if preds.sq_positive:
-        assert rellich > 0.0
-    # and a distance well beyond the membership tolerance grants it
-    k, _ = _nearest_sphere_level(model, -gamma_alpha(n, alpha))
-    if rellich > (2.0 * _membership_tol(model, k)) ** 2:
-        assert preds.sq_positive
+        assert rellich_constant(model, n, alpha) > 0.0
 
 
 def test_spectrum_eigenvalues_monotone():
@@ -54,13 +52,38 @@ def test_spectrum_eigenvalues_monotone():
     assert lam[1] == 5.0  # k (n - 2 + k) at k = 1, n = 6
 
 
-def _brute_force_nearest(model, target):
-    """The first k >= k_min minimizing |target - k(n-2+k)|, searched over
-    every k up to a level above |target|, and that distance."""
-    ks = range(model.k_min, math.isqrt(math.floor(abs(target))) + 3)
-    dists = [abs(target - k * (model.n - 2 + k)) for k in ks]
+def _exact_gamma(n, alpha):
+    """gamma_alpha at the exact value of alpha (a float is a dyadic rational)."""
+    return Fraction(n - 2, 2) ** 2 - ((Fraction(alpha) - 2) / 2) ** 2
+
+
+def _exact_nearest(model, alpha):
+    """The level nearest -gamma_alpha (the smaller on ties) and its exact
+    distance.  The levels k(n-2+k) grow with k and lie in [k^2, (k+n)^2),
+    so with k0 = isqrt(floor(-gamma)) the two levels around -gamma have k
+    in k0 - n ... k0 + 1, and every k there is compared."""
+    target = -_exact_gamma(model.n, alpha)
+    k0 = math.isqrt(max(0, math.floor(target)))
+    levels = [model.sphere_eigenvalue(k)
+              for k in range(max(model.k_min, k0 - model.n), k0 + 2)]
+    dists = [abs(target - level) for level in levels]
     best = min(dists)
-    return ks[dists.index(best)], best
+    return levels[dists.index(best)], best
+
+
+def _brute_force_nearest(model, alpha):
+    """The first level minimizing |-gamma_alpha - k(n-2+k)| over every
+    k >= k_min up to a level above |gamma|, and that distance."""
+    target = -_exact_gamma(model.n, alpha)
+    ks = range(model.k_min, math.isqrt(math.floor(abs(target))) + 3)
+    dists = [abs(target - model.sphere_eigenvalue(k)) for k in ks]
+    best = min(dists)
+    return model.sphere_eigenvalue(ks[dists.index(best)]), best
+
+
+def _exact(alpha, value):
+    """A reference value as ckn reports it: rounded once for a float alpha."""
+    return float(value) if isinstance(alpha, float) else value
 
 
 @pytest.mark.parametrize("make", [full_sphere, half_sphere])
@@ -68,32 +91,78 @@ def _brute_force_nearest(model, target):
 def test_spectral_distance_matches_brute_force(n, make):
     model = make(n)
     rng = random.Random(n)
-    targets = [rng.uniform(-1e3, 1e6) for _ in range(150)]
-    targets += [float(t) for t in range(-20, 200)]
-    targets += [Fraction(rng.randrange(-10**4, 10**6), rng.randrange(1, 50))
-                for _ in range(100)]
-    # exact midpoints between two levels: ties go to the smaller level
-    targets += [Fraction(model.sphere_eigenvalue(k) + model.sphere_eigenvalue(k + 1), 2)
-                for k in range(12)]
-    for target in targets:
-        k, best = _brute_force_nearest(model, target)
-        dist, level = spectral_distance(model, target)
-        assert (level, dist) == (model.sphere_eigenvalue(k), best), target
-        assert type(dist) is type(best)
+    alphas = [rng.uniform(-200.0, 200.0) for _ in range(100)]
+    alphas += [float(a) / 2 for a in range(-80, 81)]
+    alphas += [Fraction(rng.randrange(-10**4, 10**4), rng.randrange(1, 50))
+               for _ in range(100)]
+    for alpha in alphas:
+        level, best = _brute_force_nearest(model, alpha)
+        dist, got = spectral_distance(model, alpha)
+        assert (got, dist) == (level, _exact(alpha, best)), alpha
+        assert type(dist) is type(_exact(alpha, best))
 
 
 @pytest.mark.parametrize("make", [full_sphere, half_sphere])
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_spectral_distance_at_alpha_1e12(n, make):
     """-gamma is about 2.5e23 here, beyond the reach of a walk over k; the
-    nearest level comes from the exact integer root of 4 target + (n-2)^2."""
+    distance and the constant are the exact ones, rounded once."""
     model = make(n)
-    target = -gamma_alpha(n, 1e12)
-    exact = Fraction(target)
-    root = (math.isqrt(math.floor(4 * exact) + (n - 2) ** 2) - (n - 2)) // 2
-    best = min((model.sphere_eigenvalue(k) for k in (root, root + 1)),
-               key=lambda level: abs(exact - level))
-    dist, level = spectral_distance(model, target)
-    assert level == best
-    assert abs(Fraction(dist) - abs(exact - best)) <= math.ulp(target)
-    assert rellich_constant(model, n, 1e12) == dist * dist
+    level, dist = _exact_nearest(model, 1e12)
+    assert spectral_distance(model, 1e12) == (float(dist), level)
+    assert rellich_constant(model, n, 1e12) == float(dist * dist)
+
+
+def _decision_alphas(n):
+    """Random alpha in [-1e3, 1e3]; integers (on a level when alpha - n is
+    even and |alpha - 2| >= n - 2, on the strictness boundary at 0 and 4)
+    and half-integers; alpha on a level at |alpha - 2| = 2k + n - 2 for k
+    from 1e13 to 1e15; |alpha| = 3e76, near the largest admitted; and
+    alpha next to the sphere and strictness thresholds."""
+    rng = random.Random(n)
+    alphas = [rng.uniform(-1e3, 1e3) for _ in range(200)]
+    alphas += [j / 2 for j in range(-60, 61)] + [float(j) for j in range(-1000, 1001, 37)]
+    ks = [10**13, 10**14, 10**15] + [rng.randrange(10**13, 10**15) for _ in range(30)]
+    alphas += [float(n + 2 * k) for k in ks] + [float(4 - n - 2 * k) for k in ks[:10]]
+    alphas += [200000000000005.0, 3e76, -3e76, 1e-300, -1e-300, 2.0, 4.0, 0.0]
+    # 2 + the float roots of the sphere and strictness thresholds, and the
+    # floats next to them: a float comparison with the rounded root errs here
+    for root2 in ((n - 1) ** 2 + 1, 4 + 2 * (n - 2) ** 2 * (n - 4) / max(n - 3, 1)):
+        t = 2.0 + math.sqrt(root2)
+        alphas += [t, math.nextafter(t, math.inf), math.nextafter(t, -math.inf)]
+    alphas += [Fraction(rng.randrange(-10**4, 10**4), rng.randrange(1, 50))
+               for _ in range(30)]
+    return alphas
+
+
+@pytest.mark.parametrize("make", [full_sphere, half_sphere])
+@pytest.mark.parametrize("n", [2, 3, 5, 6, 7, 11])
+def test_exact_decisions_match_a_fraction_reference(n, make):
+    """Every closed-form decision and constant against the exact value of
+    alpha: the Rellich constant (rounded once), sq_positive, break_pos, the
+    sphere threshold and, for n >= 5, the strictness predicate and c(n, -alpha/2)."""
+    model = make(n)
+    lam1, lam2 = (model.sphere_eigenvalue(k) for k in (model.k_min, model.k_min + 1))
+    j = Fraction((n - 2) ** 2 * (n - 4), 2 * (n - 3)) if n >= 5 else None
+    for alpha in _decision_alphas(n):
+        g = _exact_gamma(n, alpha)
+        shift2 = (Fraction(alpha) - 2) ** 2
+        _, dist = _exact_nearest(model, alpha)
+        assert rellich_constant(model, n, alpha) == _exact(alpha, dist * dist), alpha
+        preds = positivity_predicates(model, n, alpha)
+        assert preds.sq_positive == (dist * dist > 0), alpha
+        assert preds.break_pos == (-g > Fraction(lam1 + lam2, 2)), alpha
+        if isinstance(alpha, float):
+            rep = positivity_phase(n, alpha, model)
+            assert rep.sphere_threshold_exceeded == (shift2 > (n - 1) ** 2 + 1), alpha
+        if j is not None:
+            a = -Fraction(alpha) / 2
+            x = a * (a + 2)
+            rep = strictness_sign_check(n, alpha)
+            assert rep["predicate"] == (4 < shift2 < 4 + 4 * j), alpha
+            assert rep["coefficient"] == float(x * (x - j)), alpha
+
+
+def test_predicates_refuse_a_model_of_another_dimension():
+    with pytest.raises(ParameterDomainError):
+        rellich_constant(full_sphere(5), 6, 0.0)

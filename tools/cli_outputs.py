@@ -12,7 +12,8 @@ them):
   `radial-sweep` and `certify` workloads;
 - each subcommand in JSON and in CSV, on small inputs that also reach a
   refused empty alpha range, a NaN sweep row, library warnings, alpha
-  near 4e9 (sphere levels 4e9 apart, -gamma off them), and line solves
+  near 4e9 (sphere levels 4e9 apart, -gamma off them), alpha = 2e14 + 5
+  (-gamma on a level) and 3e76, and line solves
   on a wide fine grid and on a coarse grid with a mirror pair alpha,
   4 - alpha; `shifted-weight` also reads a profile that `bn`
   saves (geometric nodes) and a 4-node one (the cubic spline);
@@ -57,6 +58,9 @@ SUBCOMMANDS = (
     ("constants", "--n", "5", "--alpha", "0", "--q", "3"),
     ("constants", "--n", "4", "--alpha", "2", "--q", "3"),
     ("constants", "--n", "5", "--alpha", "0", "--q", "12"),
+    # alpha on the spectrum at |alpha - 2| = 2k + 3, and near the largest admitted |alpha|
+    ("constants", "--n", "5", "--alpha", "200000000000005", "--q", "3"),
+    ("constants", "--n", "5", "--alpha", "3e76", "--q", "3"),
     ("radial-min", "--n", "5", "--alpha", "1", "--q", "3", "--grid", "8,401"),
     ("radial-min", "--n", "5", "--alpha", "-1", "--q", "3"),
     ("radial-min", "--n", "5", "--alpha", "0.5", "--q", "3", "--grid", "24,8001"),
