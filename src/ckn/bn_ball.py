@@ -41,7 +41,6 @@ class BNConfig:
     n: int = 6
     lam: float = 1.0
     N_r: int = 2001
-    max_iters: int = 600
 
     def __post_init__(self):
         require_n5(self.n)
@@ -49,9 +48,6 @@ class BNConfig:
             raise ParameterDomainError(f"lambda={self.lam!r} must be finite")
         if self.N_r < 9:
             raise ParameterDomainError("need at least 9 radial nodes")
-        if self.max_iters < 1:
-            raise ParameterDomainError(
-                f"need at least one iteration, got max_iters={self.max_iters}")
 
 
 @dataclass(frozen=True)
@@ -204,6 +200,8 @@ def _bn_inits(n: int, r: np.ndarray) -> List[np.ndarray]:
 # that s_lambda stays within 1e-7 relative of running all starts to the end
 # (10 and 40 both miss that at n = 5, lambda = 0)
 TOURNAMENT_ITERS = 20
+# iterations the minimization may take in all, the tournament included
+MAX_ITERS = 600
 
 
 def minimize_bn(cfg: BNConfig) -> BNReport:
@@ -222,12 +220,12 @@ def minimize_bn(cfg: BNConfig) -> BNReport:
     solve = _make_spd_solver(A)
     # the clamped node u_M = 0 carries no mass
     weights, p = w[:-1], 2.0 * n / (n - 4)
-    k = min(TOURNAMENT_ITERS, cfg.max_iters)
+    k = TOURNAMENT_ITERS
     best = min((inverse_iteration(A, solve, u0, weights, p, k)
                 for u0 in _bn_inits(n, r)),
                key=lambda run: run.value)  # ties to the earliest start
-    if best.status == "max_iters" and k < cfg.max_iters:
-        rest = inverse_iteration(A, solve, best.x, weights, p, cfg.max_iters - k)
+    if best.status == "max_iters":
+        rest = inverse_iteration(A, solve, best.x, weights, p, MAX_ITERS - k)
         best = replace(rest, iterations=k + rest.iterations)
     u, S = best.x, best.value
     # a stall at a residual floor <= 1e-3 still counts as converged: the
@@ -263,7 +261,7 @@ def minimize_bn(cfg: BNConfig) -> BNReport:
     # attained; at S** minimizing sequences may concentrate and the profile
     # solves nothing (Brezis-Nirenberg)
     if lam > 0.0 and converged and evidence == "dips-below":
-        res = pohozaev_residuals(report, cfg)
+        res = pohozaev_residuals(report, lam)
         report = replace(
             report,
             pohozaev_A_residual=res["res_A"],
@@ -272,11 +270,11 @@ def minimize_bn(cfg: BNConfig) -> BNReport:
     return report
 
 
-def pohozaev_residuals(report: BNReport, cfg: BNConfig) -> dict:
+def pohozaev_residuals(report: BNReport, lam: float) -> dict:
     """Residuals of the boundary identity 2 lambda int|grad u|^2 =
     omega_n u_rr(1)^2 on the multiplier-normalized solution, plus the
     five-term r^3 identity in dimension 5."""
-    n, lam = cfg.n, float(cfg.lam)
+    n, lam = report.profile.n, float(lam)
     if lam == 0.0:
         raise DegenerateIdentityError(
             "the boundary identity degenerates to u_rr(1) = 0 at lambda = 0; "

@@ -238,8 +238,8 @@ def _cmd_constants(args) -> int:
     from .params import derive_params, radial_closed_forms
     from .spectrum import full_sphere, half_sphere, rellich_constant
 
-    rc_full = rellich_constant(full_sphere(args.n), args.n, args.alpha)
-    rc_half = rellich_constant(half_sphere(args.n), args.n, args.alpha)
+    rc_full = rellich_constant(full_sphere(args.n), args.alpha)
+    rc_half = rellich_constant(half_sphere(args.n), args.alpha)
     # float flags keep every derived value a float
     payload = {**_fields(derive_params(args.n, args.alpha, args.q)),
                **_fields(radial_closed_forms(args.n, args.alpha)),
@@ -312,14 +312,17 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_phase(args) -> int:
+    from .params import check_exponents
     from .phase import POSITIVITY_NOTE, phase_row
     from .spectrum import full_sphere, half_sphere
 
     alphas = ([args.alpha] if args.alpha_range is None
               else _alpha_range(args.alpha_range))
     model = (full_sphere if args.model == "full" else half_sphere)(args.n)
-    rows = _fan_out(phase_row,
-                    [(args.n, a, args.q, model) for a in alphas], _jobs(args))
+    # a bad q would fail every row alike
+    if args.q is not None:
+        check_exponents(args.n, args.q)
+    rows = _fan_out(phase_row, [(model, a, args.q) for a in alphas], _jobs(args))
     for row in rows:
         if isinstance(row, Exception):
             raise row
@@ -402,8 +405,7 @@ def _cmd_ueps(args) -> int:
 def _bn_config(args) -> "BNConfig":
     from .bn_ball import BNConfig
 
-    return BNConfig(n=args.n, lam=getattr(args, "lam", 0.0), N_r=args.nr,
-                    max_iters=args.max_iters)
+    return BNConfig(n=args.n, lam=getattr(args, "lam", 0.0), N_r=args.nr)
 
 
 def _cmd_bn(args) -> int:
@@ -457,13 +459,13 @@ def _suite_closed_form(args) -> Tuple[bool, dict]:
     checks = {}
     forms = radial_closed_forms(5, 0.0)
     checks["s2_rad(5,0)"] = float(forms.s2_rad)
-    checks["rellich_half(5,0)"] = float(rellich_constant(half_sphere(5), 5, 0.0))
+    checks["rellich_half(5,0)"] = float(rellich_constant(half_sphere(5), 0.0))
     ok = checks["s2_rad(5,0)"] == 25 / 16 and checks["rellich_half(5,0)"] == 27.5625
     # the full-sphere constant is a squared spectral distance, so it is
     # bounded by the radial closed form on a sample of alphas; both are
     # exact values rounded once, so the bound holds in floats too
     for a in (-6.0, -1.0, 0.0, 1.0, 3.0, 7.0):
-        rc = float(rellich_constant(full_sphere(args.n), args.n, a))
+        rc = float(rellich_constant(full_sphere(args.n), a))
         s2 = float(radial_closed_forms(args.n, a).s2_rad)
         if rc > s2:
             ok = False
@@ -582,7 +584,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--n", type=int, required=True)
         sp.add_argument("--nr", type=int, default=2001,
                         help="radial nodes on [0, 1]")
-        sp.add_argument("--max-iters", type=int, default=600)
 
     sp = sub.add_parser("bn", help="perturbed critical minimization on the ball")
     _bn_flags(sp)

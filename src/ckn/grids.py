@@ -131,10 +131,8 @@ def save_profile(path: Union[str, Path], profile: Union[LineProfile, RadialProfi
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_profile(path: Union[str, Path]):
-    """Read a profile file; returns LineProfile or RadialProfile."""
-    from .params import derive_params
-
+def load_profile(path: Union[str, Path]) -> RadialProfile:
+    """Read a radial profile file; line profiles are written, not read."""
     header = {}
     xs, ys = [], []
     for raw in Path(path).read_text().splitlines():
@@ -153,17 +151,6 @@ def load_profile(path: Union[str, Path]):
         xs.append(float(parts[0]))
         ys.append(float(parts[1]))
     kind = header.get("kind")
-    if kind == "radial":
-        return RadialProfile(nodes=np.array(xs), values=np.array(ys), n=int(header["n"]))
-    if kind == "line":
-        x = np.array(xs)
-        N = len(x)
-        L = float(x[-1])
-        if not math.isclose(-L, float(x[0]), rel_tol=1e-12):
-            raise GridError("line profile nodes must span [-L, L]")
-        grid = LineGrid(L=L, N=N)
-        if not np.allclose(grid.s, x, rtol=0, atol=1e-12 * max(1.0, L)):
-            raise GridError("line profile nodes are not uniform")
-        params = derive_params(int(header["n"]), float(header["alpha"]), float(header["q"]))
-        return LineProfile(grid=grid, values=np.array(ys), params=params)
-    raise GridError(f"missing or unknown profile kind in header: {kind!r}")
+    if kind != "radial":
+        raise GridError(f"need a radial profile (kind=radial), got kind={kind!r}")
+    return RadialProfile(nodes=np.array(xs), values=np.array(ys), n=int(header["n"]))

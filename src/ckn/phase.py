@@ -84,10 +84,11 @@ class PositivityReport:
     lambda2: float
 
 
-def positivity_phase(n: int, alpha: float, model: SpectrumModel) -> PositivityReport:
+def positivity_phase(model: SpectrumModel, alpha: float) -> PositivityReport:
     """The model's breaking-positivity predicate and the sphere threshold
     |alpha - 2| > sqrt((n-1)^2 + 1), decided exactly on (alpha - 2)^2."""
-    preds = positivity_predicates(model, n, float(alpha))
+    n = model.n
+    preds = positivity_predicates(model, float(alpha))
     p, den = shift_ratio(float(alpha))
     exceeded = p * p > ((n - 1) ** 2 + 1) * den * den
     # on the full sphere the two predicates are algebraically identical
@@ -113,10 +114,10 @@ class PhaseRow:
     bs_closed_form: bool
 
 
-def phase_row(n: int, alpha: float, q: Optional[float],
-              model: SpectrumModel) -> PhaseRow:
+def phase_row(model: SpectrumModel, alpha: float, q: Optional[float]) -> PhaseRow:
     """One row of `phase`: positivity at alpha and, given q, the closed-form flag."""
-    rep = positivity_phase(n, alpha, model)
+    n = model.n
+    rep = positivity_phase(model, alpha)
     bs = closed_form_breaking(n, alpha, q) if q is not None else False
     return PhaseRow(float(alpha), float(gamma_alpha(n, alpha)), rep.break_pos,
                     rep.sphere_threshold_exceeded, rep.lambda1, rep.lambda2, bs)

@@ -97,9 +97,6 @@ def weighted_radial_integral(
         # panels [top 2^-(k+1), top 2^-k], then [0, top 2^-levels]
         levels = GRADING_LEVELS + (40 if doubled else 0)
         edges = np.append(0.0, top * 0.5 ** np.arange(levels, -1, -1))
-    elif top / a > 50.0:
-        # wide ratio: log-spaced panels resolve power-law/log-scale structure
-        edges = np.exp(np.linspace(math.log(a), math.log(top), panels + 1))
     else:
         edges = np.linspace(a, top, panels + 1)
     total = _panel_sum(f, weight_pow, edges)

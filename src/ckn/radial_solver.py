@@ -417,7 +417,7 @@ def scan_row(n: int, q: float, alpha: float, cfg: MinimizationConfig,
 
     model = full_sphere(n)
     forms = radial_closed_forms(n, alpha)
-    preds = positivity_predicates(model, n, alpha)
+    preds = positivity_predicates(model, alpha)
     if res is None:
         res = minimize_mu_q(n, alpha, q, cfg)
     elif isinstance(res, Exception):
@@ -433,7 +433,7 @@ def scan_row(n: int, q: float, alpha: float, cfg: MinimizationConfig,
         mu_q=res.mu_q,
         s_q_rad=res.s_q_rad,
         s2_rad=float(forms.s2_rad),
-        rellich=float(rellich_constant(model, n, alpha)),
+        rellich=float(rellich_constant(model, alpha)),
         sq_positive=preds.sq_positive,
         bs_closed_form=bs_cf,
         bs_certificate=bs_cert,

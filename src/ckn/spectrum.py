@@ -45,14 +45,12 @@ def half_sphere(n: int) -> SpectrumModel:
     return SpectrumModel(kind=HALF_SPHERE, n=n)
 
 
-def _nearest_sphere_level(model: SpectrumModel, n: int,
-                          alpha: Real) -> Tuple[int, int, int, int]:
+def _nearest_sphere_level(model: SpectrumModel, alpha: Real) -> Tuple[int, int, int, int]:
     """(k, d, p, den): |alpha - 2| = p/den, the admissible k whose level is
     nearest -gamma_alpha, and 4 den^2 times that distance as the int d;
     rho_k and rho_(k+1) bracket p/den (a tie would need (rho_k + 1)^2 + 1
     to be a square)."""
-    if n != model.n:
-        raise ParameterDomainError(f"n={n} is not the dimension {model.n} of the sphere")
+    n = model.n
     p, den = shift_ratio(alpha)
     k = max(model.k_min, (p - (n - 2) * den) // (2 * den))
     r0, r1 = (2 * k + n - 2) * den, (2 * k + n) * den
@@ -68,13 +66,13 @@ def _rounded(num: int, den: int, alpha: Real) -> Real:
 def spectral_distance(model: SpectrumModel, alpha: Real) -> Tuple[Real, int]:
     """Distance from -gamma_alpha to the spectrum, and the eigenvalue
     attaining it."""
-    k, d, _, den = _nearest_sphere_level(model, model.n, alpha)
+    k, d, _, den = _nearest_sphere_level(model, alpha)
     return _rounded(d, 4 * den * den, alpha), model.sphere_eigenvalue(k)
 
 
-def rellich_constant(model: SpectrumModel, n: int, alpha: Real) -> Real:
+def rellich_constant(model: SpectrumModel, alpha: Real) -> Real:
     """Best q=2 constant: squared distance of -gamma_alpha to the spectrum."""
-    _, d, _, den = _nearest_sphere_level(model, n, alpha)
+    _, d, _, den = _nearest_sphere_level(model, alpha)
     return _rounded(d * d, 16 * den**4, alpha)
 
 
@@ -86,15 +84,15 @@ class PositivityPredicates:
     lambda2: float
 
 
-def positivity_predicates(model: SpectrumModel, n: int, alpha: Real) -> PositivityPredicates:
+def positivity_predicates(model: SpectrumModel, alpha: Real) -> PositivityPredicates:
     """Whether the best constant is positive (-gamma off the spectrum) and
     whether the positivity-breaking condition -gamma > (l1+l2)/2, that is
     (alpha-2)^2 > (n-2)^2 + 2(l1+l2), holds."""
-    _, d, p, den = _nearest_sphere_level(model, n, alpha)
+    _, d, p, den = _nearest_sphere_level(model, alpha)
     lam1, lam2 = (model.sphere_eigenvalue(k) for k in (model.k_min, model.k_min + 1))
     return PositivityPredicates(
         sq_positive=d != 0,
-        break_pos=p * p > ((n - 2) ** 2 + 2 * (lam1 + lam2)) * den * den,
+        break_pos=p * p > ((model.n - 2) ** 2 + 2 * (lam1 + lam2)) * den * den,
         lambda1=float(lam1),
         lambda2=float(lam2),
     )

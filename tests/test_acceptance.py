@@ -42,13 +42,13 @@ def test_criterion_01_closed_form_regression():
             forms = radial_closed_forms(n, alpha)
             ok &= forms.s2_rad == g * g
             ok &= forms.mu21_rad == Fraction(n - alpha, 2) ** 2
-            rc = rellich_constant(model, n, alpha)
+            rc = rellich_constant(model, alpha)
             best = min(
                 (Fraction(k * (n - 2 + k)) + g) ** 2 for k in range(0, 40)
             )
             ok &= Fraction(rc) == best
     ok &= float(radial_closed_forms(5, 0.0).s2_rad) == 1.5625
-    ok &= float(rellich_constant(half_sphere(5), 5, 0.0)) == 27.5625
+    ok &= float(rellich_constant(half_sphere(5), 0.0)) == 27.5625
     dt = time.time() - t0
     ok &= dt < 1.0
     _report("01", ok, f"rational closed forms exact on 21x21 grid ({dt:.2f}s)")

@@ -17,7 +17,7 @@ from ckn.errors import (DegenerateIdentityError, ParameterDomainError,
                         UnconvergedResultError)
 from ckn.grids import RadialProfile
 
-QUICK = dict(N_r=801, max_iters=400)
+QUICK = dict(N_r=801)
 
 
 def test_nodes_geometric_and_anchored():
@@ -129,7 +129,7 @@ def test_minimize_assembles_the_forms_once(monkeypatch):
 
 
 def _full_multistart(cfg):
-    """Every start of `_bn_inits` run to cfg.max_iters and the lowest kept,
+    """Every start of `_bn_inits` run to bn_ball.MAX_ITERS and the lowest kept,
     ties to the earliest: the reference `minimize_bn`'s tournament
     stands for."""
     n = cfg.n
@@ -138,7 +138,7 @@ def _full_multistart(cfg):
     A = (B - cfg.lam * G).tocsr()
     solve = bn_ball._make_spd_solver(A)
     runs = [inverse_iteration(A, solve, u0, w[:-1], 2.0 * n / (n - 4),
-                              cfg.max_iters)
+                              bn_ball.MAX_ITERS)
             for u0 in bn_ball._bn_inits(n, r)]
     return min(runs, key=lambda run: run.value)
 
@@ -157,26 +157,17 @@ def _assert_report_is(rep, ref):
 # 20-iteration one (3.4e-8 at (6, 10))
 @pytest.mark.parametrize("n,lam", [(5, 0.0), (6, 10.0), (7, 1.0)])
 def test_tournament_matches_the_full_multistart(n, lam):
-    cfg = BNConfig(n=n, lam=lam, N_r=2001, max_iters=600)
+    cfg = BNConfig(n=n, lam=lam, N_r=2001)
     rep, ref = minimize_bn(cfg), _full_multistart(cfg)
     assert abs(rep.s_lambda - ref.value) <= 1e-7 * ref.value
 
 
 def test_tournament_winner_done_inside_the_tournament_is_final():
     # at (7, 0) the winner meets the residual rule after 8 iterations
-    cfg = BNConfig(n=7, lam=0.0, N_r=2001, max_iters=600)
+    cfg = BNConfig(n=7, lam=0.0, N_r=2001)
     rep, ref = minimize_bn(cfg), _full_multistart(cfg)
     assert (ref.status, ref.iterations) == ("residual", 8)
-    assert (rep.s_lambda, rep.iterations, rep.status) == (
-        ref.value, ref.iterations, ref.status)
-
-
-@pytest.mark.parametrize("n,lam,max_iters", [(5, 0.0, 20), (6, 10.0, 20),
-                                             (7, 5.0, 7), (8, 5.0, 1)])
-def test_small_budget_is_the_full_multistart(n, lam, max_iters):
-    # with max_iters <= TOURNAMENT_ITERS the tournament is the multistart
-    cfg = BNConfig(n=n, lam=lam, N_r=801, max_iters=max_iters)
-    _assert_report_is(minimize_bn(cfg), _full_multistart(cfg))
+    _assert_report_is(rep, ref)
 
 
 def test_only_the_tournament_winner_runs_on(monkeypatch):
@@ -187,11 +178,11 @@ def test_only_the_tournament_winner_runs_on(monkeypatch):
         return inverse_iteration(A, solve, x0, weights, p, max_iters, **kwargs)
 
     monkeypatch.setattr(bn_ball, "inverse_iteration", recording)
-    rep = minimize_bn(BNConfig(n=6, lam=10.0, N_r=401, max_iters=600))
+    rep = minimize_bn(BNConfig(n=6, lam=10.0, N_r=401))
     # lambda_21's iteration, seven starts, one continuation
-    k = bn_ball.TOURNAMENT_ITERS
-    assert budgets == [bn_ball.LAMBDA21_MAX_ITERS] + [k] * 7 + [600 - k]
-    assert k < rep.iterations <= 600
+    k, total = bn_ball.TOURNAMENT_ITERS, bn_ball.MAX_ITERS
+    assert budgets == [bn_ball.LAMBDA21_MAX_ITERS] + [k] * 7 + [total - k]
+    assert k < rep.iterations <= total
 
 
 def test_minimize_rejects_supercritical_lambda():
@@ -209,7 +200,7 @@ def test_minimize_subcritical_dips_below():
 
 def test_minimize_lambda0_flat_at_sstar():
     # full resolution: the residual floor scales with the grid here
-    rep = minimize_bn(BNConfig(n=5, lam=0.0, N_r=2001, max_iters=600))
+    rep = minimize_bn(BNConfig(n=5, lam=0.0, N_r=2001))
     assert rep.converged
     # the infimum is not attained: the discrete value sits just above S**
     assert rep.s_lambda >= rep.sstar_num * (1.0 - 5e-3)
@@ -228,7 +219,7 @@ def test_determinism():
 def test_pohozaev_halves_under_refinement():
     res = []
     for N in (501, 1001, 2001):
-        rep = minimize_bn(BNConfig(n=6, lam=10.0, N_r=N, max_iters=600))
+        rep = minimize_bn(BNConfig(n=6, lam=10.0, N_r=N))
         assert rep.converged
         res.append(rep.pohozaev_A_residual)
     assert res[1] <= 0.75 * res[0]
@@ -238,7 +229,7 @@ def test_pohozaev_halves_under_refinement():
 def test_pohozaev_rejects_degenerate_lambda():
     rep = minimize_bn(BNConfig(n=6, lam=0.0, **QUICK))
     with pytest.raises(DegenerateIdentityError):
-        pohozaev_residuals(rep, BNConfig(n=6, lam=0.0, **QUICK))
+        pohozaev_residuals(rep, 0.0)
 
 
 def test_pohozaev_flags_manufactured_non_solution():
@@ -253,13 +244,13 @@ def test_pohozaev_flags_manufactured_non_solution():
         sstar_num=good.sstar_num, attained_evidence="dips-below",
         converged=True, iterations=1, el_residual=0.0,
     )
-    res = pohozaev_residuals(bogus, cfg)
+    res = pohozaev_residuals(bogus, cfg.lam)
     assert res["res_A"] > 0.1
     assert res["res_A"] > 10.0 * good.pohozaev_A_residual
 
 
 def test_n5_r3_identity_reported():
-    rep = minimize_bn(BNConfig(n=5, lam=20.0, N_r=1001, max_iters=600))
+    rep = minimize_bn(BNConfig(n=5, lam=20.0, N_r=1001))
     assert rep.converged
     assert rep.attained_evidence == "dips-below"
     assert rep.r3_residual is not None

@@ -169,8 +169,8 @@ def test_constants_at_alpha_1e12(capsys):
     code, out, err = run(capsys, "constants", "--n", "5", "--alpha", "1e12")
     assert code == EXIT_OK, err
     payload = json.loads(out)
-    assert payload["rellich_full_sphere"] == rellich_constant(full_sphere(5), 5, 1e12)
-    assert payload["rellich_half_sphere"] == rellich_constant(half_sphere(5), 5, 1e12)
+    assert payload["rellich_full_sphere"] == rellich_constant(full_sphere(5), 1e12)
+    assert payload["rellich_half_sphere"] == rellich_constant(half_sphere(5), 1e12)
 
 
 def test_phase_needs_alpha_or_alpha_range(capsys):
@@ -193,8 +193,8 @@ def test_consistency_failure_exits_1(capsys, monkeypatch):
 
     predicates = ckn.phase.positivity_predicates
 
-    def wrong(model, n, alpha):
-        preds = predicates(model, n, alpha)
+    def wrong(model, alpha):
+        preds = predicates(model, alpha)
         return dataclasses.replace(preds, break_pos=not preds.break_pos)
 
     monkeypatch.setattr(ckn.phase, "positivity_predicates", wrong)
@@ -203,6 +203,24 @@ def test_consistency_failure_exits_1(capsys, monkeypatch):
     assert code == EXIT_DOMAIN
     assert "error:" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("q", ["1", "nan"])
+def test_phase_refuses_a_bad_q_before_any_row(capsys, monkeypatch, q):
+    import ckn.phase
+
+    calls = []
+    row = ckn.phase.phase_row
+
+    def counting(*task):
+        calls.append(task)
+        return row(*task)
+
+    monkeypatch.setattr(ckn.phase, "phase_row", counting)
+    code, out, err = run(capsys, "phase", "--n", "5", "--q", q,
+                         "--alpha-range=-20,24,0.01", "--jobs", "1")
+    assert (code, calls, out) == (EXIT_DOMAIN, [], "")
+    assert len(err.splitlines()) == 1 and err.startswith("parameter error: ")
 
 
 @pytest.mark.parametrize("bad", ["0,inf,1", "-inf,0,1", "0,nan,1", "0,1,inf", "0,1,0"])
@@ -251,6 +269,9 @@ def test_alpha_range_must_not_be_empty(capsys, command, fmt):
     ("bn", "--n", "6", "--lambda", "1", "--r-min", "1e-6"),
     ("bn-probe", "--n", "6", "--lambdas", "1", "--r-min", "1e-6"),
     ("talenti-verify", "--n", "5", "--tol", "1e-6"),
+    ("bn", "--n", "6", "--lambda", "1", "--nr", "201", "--max-iters", "0"),
+    ("bn-probe", "--n", "6", "--lambdas", "1", "--nr", "201", "--max-iters", "-5",
+     "--jobs", "1"),
 ])
 def test_flags_without_effect_are_rejected(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -494,7 +515,8 @@ def test_shifted_weight_refuses_a_line_profile(capsys, tmp_path):
     code, out, err = run(capsys, "shifted-weight", "--n", "5", "--a", "1",
                          "--profile", str(path))
     assert code == EXIT_DOMAIN
-    assert err == "parameter error: need a radial profile, got a LineProfile\n"
+    assert err == ("parameter error: need a radial profile (kind=radial), "
+                   "got kind='line'\n")
     assert out == ""
 
 
@@ -599,8 +621,6 @@ def test_bn_probe_refuses_empty_lambdas(capsys):
     "shifted-weight --n 6 --a inf",
     "shifted-weight --n 6 --a 1e100",
     "bn --n 6 --lambda nan --nr 201",
-    "bn --n 6 --lambda 1 --nr 201 --max-iters 0",
-    "bn-probe --n 6 --lambdas 1 --nr 201 --max-iters -5 --jobs 1",
     "bn-probe --n 6 --lambdas 0,nan --nr 201 --jobs 1",
     "radial-min --n 5 --alpha 1 --q 3 --grid nan,41",
     "scan --n 5 --q 3 --alpha-range 0,1,1 --grid inf,41",

@@ -63,11 +63,15 @@ def test_line_profile_roundtrip(tmp_path):
     w = LineProfile(grid=grid, values=np.exp(-grid.s**2), params=params)
     path = tmp_path / "w.dat"
     save_profile(path, w)
-    back = load_profile(path)
-    assert isinstance(back, LineProfile)
+    lines = path.read_text().splitlines()
+    assert lines[:4] == ["# kind=line", "# n=5", "# alpha=0", "# q=3"]
     # 17-significant-digit emission round-trips doubles exactly
-    np.testing.assert_array_equal(back.values, w.values)
-    assert back.params.n == 5 and float(back.params.q) == 3.0
+    cols = np.array([[float(x) for x in line.split()] for line in lines[4:]])
+    np.testing.assert_array_equal(cols[:, 0], grid.s)
+    np.testing.assert_array_equal(cols[:, 1], w.values)
+    # line profiles are written for inspection; ckn reads only radial ones
+    with pytest.raises(GridError, match="kind='line'"):
+        load_profile(path)
 
 
 def test_radial_profile_roundtrip(tmp_path):

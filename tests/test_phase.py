@@ -119,22 +119,22 @@ def test_spectral_distance_spot():
 
 
 def test_positivity_phase_consistent_and_noted():
-    rep = positivity_phase(5, 0.0, full_sphere(5))
+    rep = positivity_phase(full_sphere(5), 0.0)
     assert not rep.break_pos
-    far = positivity_phase(5, 14.0, full_sphere(5))
+    far = positivity_phase(full_sphere(5), 14.0)
     assert far.break_pos == far.sphere_threshold_exceeded
 
 
 def test_positivity_phase_half_sphere_runs():
-    rep = positivity_phase(5, 9.0, half_sphere(5))
+    rep = positivity_phase(half_sphere(5), 9.0)
     assert rep.lambda1 >= 0.0 and rep.lambda2 > rep.lambda1
 
 
 @pytest.mark.parametrize("alpha,q", [(14.0, 10.0), (0.0, 3.0), (9.0, None)])
 def test_phase_row_collects_the_reports(alpha, q):
     model = half_sphere(5)
-    rep = positivity_phase(5, alpha, model)
-    assert phase_row(5, alpha, q, model) == PhaseRow(
+    rep = positivity_phase(model, alpha)
+    assert phase_row(model, alpha, q) == PhaseRow(
         alpha=alpha, gamma_alpha=float(gamma_alpha(5, alpha)),
         break_pos=rep.break_pos,
         sphere_threshold_exceeded=rep.sphere_threshold_exceeded,

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ckn.critical import strictness_sign_check
-from ckn.errors import ParameterDomainError
 from ckn.params import radial_closed_forms
 from ckn.phase import positivity_phase
 from ckn.spectrum import (full_sphere, half_sphere, positivity_predicates,
@@ -17,31 +16,31 @@ from ckn.spectrum import (full_sphere, half_sphere, positivity_predicates,
 
 def test_full_sphere_rellich_spot():
     # -gamma = -5/4 sits closest to the k=0 eigenvalue 0
-    assert float(rellich_constant(full_sphere(5), 5, 0.0)) == 1.5625
+    assert float(rellich_constant(full_sphere(5), 0.0)) == 1.5625
 
 
 def test_half_sphere_rellich_spot():
     # |-gamma - level| = |-1.25 - 4| at k = 1
-    assert rellich_constant(half_sphere(5), 5, 0.0) == 27.5625
+    assert rellich_constant(half_sphere(5), 0.0) == 27.5625
 
 
 @given(st.integers(5, 10), st.floats(-25, 25, allow_nan=False))
 def test_rellich_bounded_by_radial_closed_form(n, alpha):
     """Squared distance to a set containing 0 never beats the k=0 distance;
     both are exact values rounded once, so the bound holds in floats."""
-    assert rellich_constant(full_sphere(n), n, alpha) <= radial_closed_forms(n, alpha).s2_rad
+    assert rellich_constant(full_sphere(n), alpha) <= radial_closed_forms(n, alpha).s2_rad
 
 
 @given(st.integers(5, 10),
        st.floats(-25, 25, allow_nan=False) | st.floats(-1e12, 1e12, allow_nan=False))
 def test_positivity_predicates_consistent(n, alpha):
     model = full_sphere(n)
-    preds = positivity_predicates(model, n, alpha)
+    preds = positivity_predicates(model, alpha)
     assert preds.lambda1 <= preds.lambda2
     # sq_positive is exactly "the exact constant is positive"
     assert preds.sq_positive == (_exact_nearest(model, alpha)[1] > 0)
     if preds.sq_positive:
-        assert rellich_constant(model, n, alpha) > 0.0
+        assert rellich_constant(model, alpha) > 0.0
 
 
 def test_spectrum_eigenvalues_monotone():
@@ -110,7 +109,7 @@ def test_spectral_distance_at_alpha_1e12(n, make):
     model = make(n)
     level, dist = _exact_nearest(model, 1e12)
     assert spectral_distance(model, 1e12) == (float(dist), level)
-    assert rellich_constant(model, n, 1e12) == float(dist * dist)
+    assert rellich_constant(model, 1e12) == float(dist * dist)
 
 
 def _decision_alphas(n):
@@ -148,12 +147,12 @@ def test_exact_decisions_match_a_fraction_reference(n, make):
         g = _exact_gamma(n, alpha)
         shift2 = (Fraction(alpha) - 2) ** 2
         _, dist = _exact_nearest(model, alpha)
-        assert rellich_constant(model, n, alpha) == _exact(alpha, dist * dist), alpha
-        preds = positivity_predicates(model, n, alpha)
+        assert rellich_constant(model, alpha) == _exact(alpha, dist * dist), alpha
+        preds = positivity_predicates(model, alpha)
         assert preds.sq_positive == (dist * dist > 0), alpha
         assert preds.break_pos == (-g > Fraction(lam1 + lam2, 2)), alpha
         if isinstance(alpha, float):
-            rep = positivity_phase(n, alpha, model)
+            rep = positivity_phase(model, alpha)
             assert rep.sphere_threshold_exceeded == (shift2 > (n - 1) ** 2 + 1), alpha
         if j is not None:
             a = -Fraction(alpha) / 2
@@ -161,8 +160,3 @@ def test_exact_decisions_match_a_fraction_reference(n, make):
             rep = strictness_sign_check(n, alpha)
             assert rep["predicate"] == (4 < shift2 < 4 + 4 * j), alpha
             assert rep["coefficient"] == float(x * (x - j)), alpha
-
-
-def test_predicates_refuse_a_model_of_another_dimension():
-    with pytest.raises(ParameterDomainError):
-        rellich_constant(full_sphere(5), 6, 0.0)

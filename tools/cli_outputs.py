@@ -17,9 +17,10 @@ them):
   on a wide fine grid and on a coarse grid with a mirror pair alpha,
   4 - alpha; `shifted-weight` also reads a profile that `bn`
   saves (geometric nodes) and a 4-node one (the cubic spline);
-- the command lines that refuse a bad (n, q), a non-finite real, an alpha
-  whose alpha^4 overflows, a grid spacing h whose h^4 or h^-4 is not a
-  finite positive float or on which the line form overflows, an input
+- the command lines that refuse a bad (n, q) (`phase` over an alpha range
+  too), a non-finite real, an alpha whose alpha^4 overflows, a grid
+  spacing h whose h^4 or h^-4 is not a finite positive float or on which
+  the line form overflows, an input
   whose integrands overflow, a bad sample list, an epsilon below the
   quadrature's floor, a missing --alpha, a flag that no subcommand has, or
   a profile too short for its spline or with a non-finite node or value.
@@ -103,6 +104,7 @@ REFUSALS = (
     ("constants", "--n", "5", "--alpha", "0", "--q", "nan"),
     ("phase", "--n", "5", "--alpha", "1", "--q", "nan"),
     ("phase", "--n", "5", "--alpha", "1", "--q", "1"),
+    ("phase", "--n", "5", "--q", "1", "--alpha-range=-2,6,2", "--jobs", "1"),
     ("ueps", "--n", "5", "--epsilons", "0.2,nan"),
     ("ueps", "--n", "5", "--lambda", "nan"),
     ("shifted-weight", "--n", "6", "--a", "nan"),
