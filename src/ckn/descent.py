@@ -45,21 +45,17 @@ def inverse_iteration(
     weights: np.ndarray,
     p: float,
     max_iters: int,
-    project: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     phi=None,
 ) -> IterationResult:
     """Step along -solve(r), solve ~ A^{-1} and r = A x - value * Phi^T
     (weights |Phi x|^(p-2) Phi x), halving the step until the value
     decreases or the residual drops below 0.999 of its old size (near the
     fixed point the value change is below rounding); if no halving is
-    accepted the status is `stalled`.  `project` maps every iterate into a
-    subspace before normalization; `phi` (None: the identity) maps an
+    accepted the status is `stalled`.  `phi` (None: the identity) maps an
     iterate to the values the constraint weighs.  A residual that is not
     finite raises ValueError before it reaches `solve`."""
 
     def normalize(v: np.ndarray) -> Optional[np.ndarray]:
-        if project is not None:
-            v = project(v)
         y = v if phi is None else phi @ v
         m = float(weights @ np.abs(y) ** p)
         return v / m ** (1.0 / p) if m > 0.0 and np.isfinite(m) else None

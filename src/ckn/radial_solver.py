@@ -73,34 +73,73 @@ def _form_parts(grid: LineGrid):
     return bands, D1.diagonal(1)[0]
 
 
-def _assemble_form(grid: LineGrid, gbar: float, gam: float):
-    """Pentadiagonal SPD matrix h (D2^T D2 + 2 gbar D1^T D1 + gam^2 I) of
-    the discrete quadratic form on the interior unknowns, as a DIA array,
-    with its upper bands in the layout of `descent.upper_bands`.
+def _assemble_form(grid: LineGrid, gbar: float, gam: float) -> np.ndarray:
+    """The upper bands, in the layout of `descent.upper_bands`, of the
+    pentadiagonal SPD matrix h (D2^T D2 + 2 gbar D1^T D1 + gam^2 I) of the
+    discrete quadratic form on the interior unknowns.
 
     Built band by band with the floating-point operations of that sparse
     expression, so both match it bit for bit: with tau = ((2 gbar) a) a,
     D1^T D1 is 2 tau on the diagonal (tau at its two ends) and -tau on the
     second off-diagonal, and each band is h ((P2 + C1) + gam^2), P2 and C1
-    the bands of D2^T D2 and 2 gbar D1^T D1.  A DIA product sums each row
-    in ascending column order, as the CSR product of the formula does."""
+    the bands of D2^T D2 and 2 gbar D1^T D1."""
     (p0, p1, p2), a = _form_parts(grid)
     h, M = grid.h, grid.N - 2
     tau = ((2.0 * gbar) * a) * a
     diag = p0 + 2.0 * tau
     diag[[0, -1]] = p0[[0, -1]] + tau
+    ab = np.zeros((3, M))
+    ab[2] = h * (diag + gam**2)
+    ab[1, 1:] = h * p1
+    ab[0, 2:] = h * (p2 - tau)
+    # LineGrid bounds D2^T D2; the terms in gbar and gam^2 depend on alpha
+    return _finite_form(ab, grid)
+
+
+def _finite_form(ab: np.ndarray, grid: LineGrid) -> np.ndarray:
+    """The bands `ab` of a line form on `grid`, refused if one overflowed."""
+    if not np.all(np.isfinite(ab)):
+        raise GridError(f"the line form overflows on the grid with spacing "
+                        f"h={grid.h!r} (L={grid.L}, N={grid.N})")
+    return ab
+
+
+def _fold_even(ab: np.ndarray, grid: LineGrid) -> np.ndarray:
+    """The upper bands of P^T A P, A the form of the upper bands `ab` on
+    the M = 2c + 1 interior unknowns and P the map x_full[c +- k] = x[k] of
+    the K = c + 1 unknowns on s >= 0 to the even vectors: x.(P^T A P)x is
+    the form at the even vector P x.  Entry (k, k + j) is the sum of the
+    mirrored entries A[c + k, c + k + j] + A[c - k, c - k - j] (A[c, c]
+    alone at (0, 0)), and the pair A[c - 1, c + 1], A[c + 1, c - 1], which
+    both fold onto (1, 1), adds 2 A[c - 1, c + 1] there.  On K = 2 the
+    second band is empty, on K = 3 it has one entry."""
+    d, e1, e2 = ab[2], ab[1, 1:], ab[0, 2:]
+    c = d.size // 2
+    folded = np.zeros((3, c + 1))
+    folded[2, 0] = d[c]
+    # a sum of two finite entries can overflow: refused below
+    with np.errstate(over="ignore"):
+        folded[2, 1:] = d[c + 1:] + d[:c][::-1]
+        folded[2, 1] += 2.0 * e2[c - 1]
+        folded[1, 1:] = e1[c:] + e1[:c][::-1]
+        folded[0, 2:] = e2[c:] + e2[:c - 1][::-1]
+    return _finite_form(folded, grid)
+
+
+def _band_matrix(ab: np.ndarray):
+    """The symmetric matrix of the upper bands `ab` (two superdiagonals) as
+    a DIA array.  A DIA product sums each row in ascending column order, as
+    the CSR product of the sparse formula does, so the line form's
+    products match it bit for bit."""
+    M = ab.shape[1]
     # DIA row d holds the band of offset d - 2 by column, so rows 4, 3, 2
     # are the upper bands and rows 0, 1 the same bands from their third
     # and second entry on
     data = np.zeros((5, M))
-    data[2] = h * (diag + gam**2)
-    data[3, 1:] = data[1, :-1] = h * p1
-    data[4, 2:] = data[0, :-2] = h * (p2 - tau)
-    # LineGrid bounds D2^T D2; the terms in gbar and gam^2 depend on alpha
-    if not np.all(np.isfinite(data)):
-        raise GridError(f"the line form overflows on the grid with spacing "
-                        f"h={grid.h!r} (L={grid.L}, N={grid.N})")
-    return sp.dia_array((data, [-2, -1, 0, 1, 2]), shape=(M, M)), data[:1:-1]
+    data[2:] = ab[::-1]
+    data[1, :-1] = ab[1, 1:]
+    data[0, :-2] = ab[0, 2:]
+    return sp.dia_array((data, [-2, -1, 0, 1, 2]), shape=(M, M))
 
 
 def line_data(n: int, alpha: float) -> Tuple[bool, float, float]:
@@ -115,8 +154,12 @@ def line_data(n: int, alpha: float) -> Tuple[bool, float, float]:
 
 def minimize_mu_q(n: int, alpha: float, q: float, cfg: MinimizationConfig) -> MinimizationResult:
     """Inverse iteration (`descent.inverse_iteration`) on the even vectors
-    with h*sum|w|^q = 1, started from the sech^2 bump and preconditioned by
-    the banded Cholesky factor of the form.  The returned value is the
+    with h*sum|w|^q = 1, run on their K = (N - 1)/2 unknowns on s >= 0: the
+    form folded about s = 0 (`_fold_even`), the weights (h, 2h, ..., 2h),
+    the sech^2 bump as start, and the banded Cholesky factor of the folded
+    form as preconditioner.  The profile is the iterate unfolded to the
+    whole grid, exactly even.  The residual rule reads the folded residual
+    P^T r, which is 2 r off the centre node.  The returned value is the
     kernel's x.(Ax): the profile's quotient, an upper bound on the discrete
     infimum, up to rounding that cancels terms of size 1/h^4 (3.9e-8 of the
     value at (5, 0, 3) on the default grid, 2.3e-6 at N = 8001)."""
@@ -129,20 +172,24 @@ def minimize_mu_q(n: int, alpha: float, q: float, cfg: MinimizationConfig) -> Mi
             mu_q=0.0, s_q_rad=0.0, profile=zero,
             iterations=0, el_residual=0.0, converged=True, degenerate=True,
         )
-    A, ab = _assemble_form(grid, gbar, gam)
+    ab = _fold_even(_assemble_form(grid, gbar, gam), grid)
     cb = sla.cholesky_banded(ab, lower=False)
+    K = ab.shape[1]
+    weights = np.full(K, 2.0 * grid.h)
+    weights[0] = grid.h
     q = float(q)
     # the form is finite, and inverse_iteration refuses a non-finite residual
     run = inverse_iteration(
-        A, lambda r: sla.cho_solve_banded((cb, False), r, check_finite=False),
-        1.0 / np.cosh(grid.s[1:-1]) ** 2, np.full(grid.N - 2, grid.h), q,
-        MAX_ITERS, project=lambda v: 0.5 * (v + v[::-1]),
+        _band_matrix(ab),
+        lambda r: sla.cho_solve_banded((cb, False), r, check_finite=False),
+        1.0 / np.cosh(grid.s[K:-1]) ** 2, weights, q, MAX_ITERS,
     )
 
     return MinimizationResult(
         mu_q=run.value,
         s_q_rad=sphere_area(n) ** ((q - 2.0) / q) * run.value,
-        profile=LineProfile(grid=grid, values=np.pad(run.x, 1), params=params),
+        profile=LineProfile(grid=grid, values=np.pad(
+            np.concatenate((run.x[:0:-1], run.x)), 1), params=params),
         iterations=run.iterations,
         el_residual=run.residual,
         converged=run.status == "residual",
@@ -184,8 +231,7 @@ def brute_force_oracle(n: int, alpha: float, q: float, coarse_grid: LineGrid) ->
     gbar = float(params.gbar)
     h = coarse_grid.h
     q = float(q)
-    A, _ = _assemble_form(coarse_grid, gbar, gam)
-    Ad = A.toarray()
+    Ad = _band_matrix(_assemble_form(coarse_grid, gbar, gam)).toarray()
     M = coarse_grid.N - 2
     s = coarse_grid.s[1:-1]
 

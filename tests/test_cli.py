@@ -393,8 +393,14 @@ def test_scan_at_q2_reports_converged_rows(capsys):
     assert code == EXIT_OK
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert [r[-1] for r in rows] == ["true", "true"]
-    assert rows[0][1] == "1.6740561902333677"  # radial-min's mu_q at alpha = 0
+    # 2e-8 above the form's lowest eigenvalue 1.67405615674 (the kernel's rounding)
+    assert rows[0][1] == "1.674056190400232"
     assert [r[-2] for r in rows] == ["false", "false"]
+    code, out, _ = run(capsys, "radial-min", "--n", "5", "--alpha", "0", "--q", "2",
+                       "--format", "csv")
+    assert code == EXIT_OK
+    header, row = (line.split(",") for line in out.splitlines())
+    assert dict(zip(header, row))["mu_q"] == rows[0][1]
 
 
 def test_bn_csv_writes_missing_residual_as_nan(capsys):
@@ -632,6 +638,8 @@ def test_bn_probe_refuses_empty_lambdas(capsys):
     "radial-min --n 5 --alpha 1 --q 3 --grid 1e-100,5",
     "radial-min --n 5 --alpha 1 --q 3 --grid 1e300,5",
     "radial-min --n 5 --alpha 1 --q 3 --grid 2.5e-77,5",
+    # the form is finite, but its fold about s = 0 doubles h gamma^2 ~ 1.2e308
+    "radial-min --n 5 --alpha 1e70 --q 3 --grid 3.84e29,5",
     "scan --n 5 --q 3 --alpha-range 0,1,1 --grid 1e-200,5 --jobs 1",
     "scan --n 5 --q 3 --alpha-range 0,1,1 --grid 1e300,5 --jobs 1",
     "scan --n 5 --q 3 --alpha-range 0,1,1 --grid 2.5e-77,5 --jobs 1",

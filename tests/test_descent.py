@@ -65,17 +65,6 @@ def test_useless_direction_stalls():
     assert run.iterations == 1
 
 
-def test_projection_keeps_iterates_even():
-    A, weights = small_problem(41)
-    Ad = A.toarray()
-    x0 = np.linspace(0.0, 1.0, 41) ** 2
-    run = inverse_iteration(A, lambda r: np.linalg.solve(Ad, r), x0,
-                            np.ones(41), 3.0, 400,
-                            project=lambda v: 0.5 * (v + v[::-1]))
-    assert run.status == "residual"
-    np.testing.assert_array_equal(run.x, run.x[::-1])
-
-
 def test_non_finite_residual_raises_before_the_solve():
     # A x overflows, so the residual is NaN; the callers' banded solves skip
     # their own scan for non-finite entries and rely on this refusal

@@ -10,9 +10,10 @@ import scipy.sparse as sp
 from ckn.descent import upper_bands
 from ckn.grids import LineGrid, alpha_grid
 from ckn.params import bubble_curve, conjugate_exponent, derive_params, scaling_relation
-from ckn.radial_solver import (MinimizationConfig, _assemble_form, _line_operators,
-                               _scaled_grid, brute_force_oracle, consistency_suite,
-                               minimize_mu_q, scan_row)
+from ckn.radial_solver import (MinimizationConfig, _assemble_form, _band_matrix,
+                               _fold_even, _line_operators, _scaled_grid,
+                               brute_force_oracle, consistency_suite, minimize_mu_q,
+                               scan_row)
 
 COARSE = LineGrid(12.0, 41)
 
@@ -69,7 +70,7 @@ def test_solver_profile_is_the_bubble(n, alpha):
 def test_brute_force_oracle_at_q2_is_the_lowest_eigenvalue(n, alpha):
     # at q = 2 the quotient is the Rayleigh quotient of A / h
     params = derive_params(n, alpha, 2.0)
-    A, _ = _assemble_form(COARSE, float(params.gbar), float(params.gamma))
+    A = _band_matrix(_assemble_form(COARSE, float(params.gbar), float(params.gamma)))
     lowest = sla.eigvalsh(A.toarray())[0] / COARSE.h
     oracle = brute_force_oracle(n, alpha, 2.0, COARSE)
     assert abs(oracle - lowest) / lowest <= 1e-6
@@ -84,7 +85,7 @@ def test_alpha_reflection_bitwise():
 
 def test_assembled_form_is_built_from_the_line_operators():
     D2, D1 = _line_operators(COARSE)
-    A, _ = _assemble_form(COARSE, 2.5, -1.5)
+    A = _band_matrix(_assemble_form(COARSE, 2.5, -1.5))
     B = COARSE.h * (D2.T @ D2 + 5.0 * D1.T @ D1 + 2.25 * np.eye(COARSE.N - 2))
     assert np.array_equal(A.toarray(), B)
 
@@ -117,7 +118,8 @@ def test_assembled_form_matches_the_sparse_formula_bit_for_bit(grid, n):
         gbar, gam = float(params.gbar), float(params.gamma)
         ref = (grid.h * (P2 + 2.0 * gbar * D1.T @ D1
                          + gam**2 * sp.identity(grid.N - 2))).tocsr()
-        A, ab = _assemble_form(grid, gbar, gam)
+        ab = _assemble_form(grid, gbar, gam)
+        A = _band_matrix(ab)
         assert np.array_equal(ab, upper_bands(ref, 2))
         assert np.array_equal(A @ x, ref @ x)
         for k in range(-2, 3):
@@ -128,6 +130,60 @@ def test_assembled_form_matches_the_sparse_formula_bit_for_bit(grid, n):
     for alpha in FORM_ALPHAS:
         if 4.0 - alpha in bands:
             assert np.array_equal(bands[alpha], bands[4.0 - alpha])
+
+
+def _even_map(grid):
+    """P: x_full[c +- k] = x[k], from the unknowns on s >= 0 to the even
+    vectors on the M = 2c + 1 interior nodes."""
+    c = (grid.N - 3) // 2
+    k = np.arange(c + 1)
+    rows = np.concatenate((c + k, c - k[1:]))
+    cols = np.concatenate((k, k[1:]))
+    return sp.csr_array((np.ones(rows.size), (rows, cols)), shape=(2 * c + 1, c + 1))
+
+
+@pytest.mark.parametrize("grid", [COARSE, MinimizationConfig().grid],
+                         ids=lambda g: f"{g.L:g},{g.N}")
+@pytest.mark.parametrize("n", [2, 5, 7])
+def test_folded_form_is_the_form_on_even_vectors(grid, n):
+    # entry (k, k + j) sums two mirrored entries, so it is exact; (1, 1)
+    # adds the cross pair A[c - 1, c + 1] as well, within 1 ulp
+    P = _even_map(grid)
+    folds = {}
+    for alpha in FORM_ALPHAS:
+        params = derive_params(n, alpha, 3.0)
+        ab = _assemble_form(grid, float(params.gbar), float(params.gamma))
+        ref = upper_bands((P.T @ _band_matrix(ab) @ P).toarray(), 2)
+        folded = _fold_even(ab, grid)
+        assert abs(folded[2, 1] - ref[2, 1]) <= np.spacing(abs(ref[2, 1]))
+        ref[2, 1] = folded[2, 1]
+        assert np.array_equal(folded, ref)
+        folds[alpha] = folded
+    for alpha in FORM_ALPHAS:
+        if 4.0 - alpha in folds:
+            assert np.array_equal(folds[alpha], folds[4.0 - alpha])
+
+
+def test_minimizer_profile_is_exactly_even():
+    for n, alpha, q, grid in [(5, 0.0, 3.0, MinimizationConfig().grid),
+                              (7, -1.0, 2.5, COARSE), (5, 1.0, 3.0, LineGrid(12.0, 7))]:
+        values = minimize_mu_q(n, alpha, q, MinimizationConfig(grid=grid)).profile.values
+        assert np.array_equal(values, values[::-1])
+        assert values[0] == values[-1] == 0.0
+
+
+# N = 5 and 7 leave the folded second band empty and with one entry
+@pytest.mark.parametrize("N", [5, 7, 41])
+def test_q2_value_is_the_lowest_eigenvalue_of_the_full_form(N):
+    # the lowest eigenvector of the full form is even, so the solve on the
+    # even half reaches its eigenvalue
+    grid = LineGrid(12.0, N)
+    params = derive_params(5, 0.0, 2.0)
+    A = _band_matrix(_assemble_form(grid, float(params.gbar), float(params.gamma)))
+    lowest = sla.eigvalsh(A.toarray())[0] / grid.h
+    res = minimize_mu_q(5, 0.0, 2.0, MinimizationConfig(grid=grid))
+    assert res.converged
+    assert abs(res.mu_q - lowest) <= 1e-8 * lowest
 
 
 def test_reported_value_within_rounding_of_its_sums_of_squares():

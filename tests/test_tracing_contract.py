@@ -78,3 +78,24 @@ def test_traced_scan_counts_a_nan_row_per_mirror_alpha(capsys, monkeypatch):
     assert code == 0
     assert counts["cli.nan_rows"] == 2
     assert capsys.readouterr().err.count("scan: NaN row at alpha=") == 2
+
+
+def test_traced_line_solve_counts_one_banded_solve_per_step():
+    """The benchmark counts `radial_solver.banded_solves` through
+    `radial_solver.sla.cho_solve_banded`: a converged solve makes one per
+    residual check but the last."""
+    from ckn import radial_solver
+
+    tracing = _load_tracing()
+    inst = tracing.Instrumentation()
+    inst.install()
+    try:
+        inst.tracer = tracing.Tracer()
+        res = radial_solver.minimize_mu_q(5, 0.0, 3.0, radial_solver.MinimizationConfig())
+        counts = inst.tracer.counts
+    finally:
+        inst.tracer = None
+        inst.uninstall()
+    assert res.converged
+    assert counts["radial_solver.iterations"] == res.iterations
+    assert counts["radial_solver.banded_solves"] == res.iterations - 1

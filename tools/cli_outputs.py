@@ -14,13 +14,14 @@ them):
   refused empty alpha range, a NaN sweep row, library warnings, alpha
   near 4e9 (sphere levels 4e9 apart, -gamma off them), alpha = 2e14 + 5
   (-gamma on a level) and 3e76, and line solves
-  on a wide fine grid and on a coarse grid with a mirror pair alpha,
-  4 - alpha; `shifted-weight` also reads a profile that `bn`
-  saves (geometric nodes) and a 4-node one (the cubic spline);
+  on a wide fine grid, on a coarse grid with a mirror pair alpha,
+  4 - alpha, and on the smallest grids (N = 5 and 7); `shifted-weight`
+  also reads a profile that `bn` saves (geometric nodes) and a 4-node one
+  (the cubic spline);
 - the command lines that refuse a bad (n, q) (`phase` over an alpha range
   too), a non-finite real, an alpha whose alpha^4 overflows, a grid
   spacing h whose h^4 or h^-4 is not a finite positive float or on which
-  the line form overflows, an input
+  the line form or its fold about s = 0 overflows, an input
   whose integrands overflow, a bad sample list, an epsilon below the
   quadrature's floor, a missing --alpha, a flag that no subcommand has, or
   a profile too short for its spline or with a non-finite node or value.
@@ -65,6 +66,9 @@ SUBCOMMANDS = (
     ("radial-min", "--n", "5", "--alpha", "1", "--q", "3", "--grid", "8,401"),
     ("radial-min", "--n", "5", "--alpha", "-1", "--q", "3"),
     ("radial-min", "--n", "5", "--alpha", "0.5", "--q", "3", "--grid", "24,8001"),
+    # the smallest grids: the folded form's second band is empty, then one entry
+    ("radial-min", "--n", "5", "--alpha", "0", "--q", "3", "--grid", "12,5"),
+    ("radial-min", "--n", "5", "--alpha", "0", "--q", "3", "--grid", "12,7"),
     ("scan", "--n", "5", "--q", "3", "--alpha-range", "0,1,0.5",
      "--grid", "8,401", "--jobs", "1"),
     ("scan", "--n", "5", "--q", "3", "--alpha-range", "1,0,1", "--jobs", "1"),
@@ -134,6 +138,7 @@ REFUSALS = (
     ("talenti-verify", "--n", "5", "--a-values", "1e70"),
     ("shifted-weight", "--n", "6", "--a", "1e100"),
     ("radial-min", "--n", "5", "--alpha", "1", "--q", "3", "--grid", "2.5e-77,5"),
+    ("radial-min", "--n", "5", "--alpha", "1e70", "--q", "3", "--grid", "3.84e29,5"),
     ("scan", "--n", "5", "--q", "3", "--alpha-range", "0,1,1", "--grid", "2.5e-77,5",
      "--jobs", "1"),
     ("phase", "--n", "5"),
