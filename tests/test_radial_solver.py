@@ -29,13 +29,22 @@ def test_solver_matches_brute_force_oracle(n, alpha, q):
 
 
 @pytest.mark.parametrize("n, alpha, q", [(7, -1.0, 2.5), (6, 1.0, 2.5)])
-def test_brute_force_oracle_does_not_depend_on_the_newton_cap(monkeypatch, n, alpha, q):
-    # each line search stops once converged, so a higher cap changes nothing
+def test_brute_force_oracle_does_not_depend_on_the_step_cap(monkeypatch, n, alpha, q):
+    # the run stops on its best-value rule well before the cap
     import ckn.radial_solver
 
     capped = brute_force_oracle(n, alpha, q, COARSE)
-    monkeypatch.setattr(ckn.radial_solver, "_ORACLE_NEWTON_STEPS", 16)
-    assert abs(brute_force_oracle(n, alpha, q, COARSE) - capped) <= 1e-12 * capped
+    monkeypatch.setattr(ckn.radial_solver, "_ORACLE_MAX_STEPS",
+                        2 * ckn.radial_solver._ORACLE_MAX_STEPS)
+    assert brute_force_oracle(n, alpha, q, COARSE) == capped
+
+
+def test_brute_force_oracle_converges_at_the_criterion_04_point():
+    # measured: -5.8e-13
+    res = minimize_mu_q(5, 0.0, 3.0, MinimizationConfig(grid=COARSE))
+    oracle = brute_force_oracle(5, 0.0, 3.0, COARSE)
+    assert res.converged
+    assert abs(res.mu_q - oracle) / oracle <= 1e-9
 
 
 # points with q* <= 2** where the window L = 12 does not truncate the profile
@@ -73,7 +82,7 @@ def test_brute_force_oracle_at_q2_is_the_lowest_eigenvalue(n, alpha):
     A = _band_matrix(_assemble_form(COARSE, float(params.gbar), float(params.gamma)))
     lowest = sla.eigvalsh(A.toarray())[0] / COARSE.h
     oracle = brute_force_oracle(n, alpha, 2.0, COARSE)
-    assert abs(oracle - lowest) / lowest <= 1e-6
+    assert abs(oracle - lowest) / lowest <= 1e-12  # at most 1.6e-15 measured
 
 
 def test_alpha_reflection_bitwise():
