@@ -267,6 +267,8 @@ def brute_force_oracle(n: int, alpha: float, q: float, coarse_grid: LineGrid) ->
         for c in range(0, K, _ORACLE_CHUNK):
             k = slice(c, c + _ORACLE_CHUNK)
             z, r = Z[k], h / mass[k]
+            # the Hessian of f on |z| = 1 plus z z^T, built in place; v v^T
+            # is its term (2 q h^2 / m^2) (U^T g)(U^T g)^T
             v = Ug[k] * (math.sqrt(2.0 * q) * r)[:, None]
             hess = U.T @ (a[k][:, :, None] * U)
             hess *= (-2.0 * (q - 1.0) * r)[:, None, None]
