@@ -279,13 +279,13 @@ def brute_force_oracle(n: int, alpha: float, q: float, coarse_grid: LineGrid) ->
         slope = np.einsum("ij,ij->i", step, grad)
         step = np.where((slope < 0.0)[:, None], step, -grad)
         prev_best = float(np.min(vals))
-        moved = np.zeros(K, dtype=bool)
+        rest = np.arange(K)  # the starts whose value has not dropped yet
         for t in 0.5 ** np.arange(_ORACLE_HALVINGS):
-            trial = Z + t * step
-            take = ~moved & (quotient(trial)[0] < vals)
-            Z[take] = trial[take]
-            moved |= take
-            if moved.all():
+            trial = Z[rest] + t * step[rest]
+            take = quotient(trial)[0] < vals[rest]
+            Z[rest[take]] = trial[take]
+            rest = rest[~take]
+            if rest.size == 0:
                 break
         Z /= np.linalg.norm(Z, axis=1)[:, None]
         vals, W, mass = quotient(Z)

@@ -1,7 +1,9 @@
 """The summary arithmetic of `tools/bench_record.py`: quartiles per side and
-the pairs won against the parent, on runs made up here."""
+the pairs won against the parent, on runs made up here; and the export of a
+parent revision."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -50,3 +52,18 @@ def test_bad_arguments_exit_before_any_run(argv):
     with pytest.raises(SystemExit) as exc:
         bench_record.main(argv)
     assert exc.value.code == 2
+
+
+def test_export_writes_the_files_of_the_revision(tmp_path):
+    root = bench_record.ROOT
+    ls = subprocess.run(["git", "ls-tree", "-r", "--name-only", "HEAD"], cwd=root,
+                        capture_output=True, text=True)
+    if ls.returncode != 0:
+        pytest.skip("not a git checkout")
+    listed = ls.stdout.splitlines()
+    bench_record._export("HEAD", tmp_path)
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")
+                  if p.is_file()) == sorted(listed)
+    assert ((tmp_path / "BENCHMARK.json").read_bytes()
+            == subprocess.run(["git", "show", "HEAD:BENCHMARK.json"], cwd=root, check=True,
+                              capture_output=True).stdout)

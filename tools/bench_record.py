@@ -1,14 +1,14 @@
 """Record benchmark runs of this checkout, paired with a parent revision, as
 `BENCH_<workload>.json` files that later changes can be compared against.
 
-    python3 tools/bench_record.py --workload oracle --runs 10 --seconds 20 \
-        --parent HEAD~1 [--seed0 1] [--out DIR]
+    python3 tools/bench_record.py --workload oracle --runs 10 --parent HEAD~1 \
+        [--seed0 1] [--out DIR]
 
 For each workload and each seed seed0 … seed0 + runs − 1, the script runs
-`perfbench/run.py --workload W --seed S --seconds T --trace 0` once in this
-checkout and, with `--parent`, once in a copy of that revision made by
-`git archive` in a temporary directory. The two runs of a pair alternate
-which goes first. Each file holds the commit, the Python, numpy and scipy
+`perfbench/run.py --workload W --seed S --seconds T --trace 0`, with T the
+`run_seconds` of `BENCHMARK.json`, once in this checkout and, with
+`--parent`, once in a copy of that revision made by `git archive` in a
+temporary directory. The two runs of a pair alternate which goes first. Each file holds the commit, the Python, numpy and scipy
 versions, `nproc` and the CPU model; every run's seed, side, order, failed
 share and end-to-end metrics; per side the median and quartiles of each
 metric; and, per metric, the number of pairs in which this checkout did
@@ -106,7 +106,11 @@ def _export(rev: str, dest: Path) -> None:
     archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
                              capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest, filter="data")
+        # extraction filters exist from Python 3.10.12 and 3.11.4 on
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(dest, filter="data")
+        else:
+            tar.extractall(dest)
 
 
 def record(workload, seeds, seconds, parent_rev, parent_dir, metrics) -> dict:
@@ -146,7 +150,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", action="append", required=True,
                     help="a workload of BENCHMARK.json; repeat for several")
     ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--seed0", type=int, default=1)
     ap.add_argument("--parent", metavar="REV", help="git revision to pair each run with")
     ap.add_argument("--out", type=Path, default=ROOT)
@@ -166,7 +169,7 @@ def main(argv=None) -> int:
             parent_dir = Path(tmp)
             _export(args.parent, parent_dir)
         for w in args.workload:
-            doc = record(w, seeds, args.seconds, args.parent, parent_dir, metrics)
+            doc = record(w, seeds, bench["run_seconds"], args.parent, parent_dir, metrics)
             path = args.out / f"BENCH_{w}.json"
             path.write_text(json.dumps(doc, indent=1) + "\n")
             print(f"wrote {path}", file=sys.stderr)
