@@ -8,11 +8,12 @@ For each workload and each seed seed0 … seed0 + runs − 1, the script runs
 `perfbench/run.py --workload W --seed S --seconds T --trace 0`, with T the
 `run_seconds` of `BENCHMARK.json`, once in this checkout and, with
 `--parent`, once in a copy of that revision made by `git archive` in a
-temporary directory. The two runs of a pair alternate which goes first. Each file holds the commit, the Python, numpy and scipy
-versions, `nproc` and the CPU model; every run's seed, side, order, failed
-share and end-to-end metrics; per side the median and quartiles of each
-metric; and, per metric, the number of pairs in which this checkout did
-better than the parent (the direction comes from `BENCHMARK.json`).
+temporary directory. The two runs of a pair alternate which goes first.
+Each file holds the commit, the Python, numpy and scipy versions, `nproc`
+and the CPU model; every run's seed, side, order, failed share and
+end-to-end metrics; per side the median and quartiles of each metric; and,
+per metric, the number of pairs in which this checkout did better than the
+parent (the direction comes from `BENCHMARK.json`).
 """
 from __future__ import annotations
 
