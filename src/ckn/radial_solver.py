@@ -7,7 +7,6 @@ an independent multistart damped-Newton oracle on all profiles and the
 scaling/concavity laws as cross-checks."""
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
@@ -54,92 +53,63 @@ def _line_operators(grid: LineGrid):
     return D2, D1
 
 
-# line grids whose alpha-free form parts `_form_parts` keeps; a consistency
-# suite solves on up to four (its grid, the |tau|-scaled window and two
-# `_scaled_grid` windows)
-_FORM_CACHE_SIZE = 8
+def _stencil(grid: LineGrid, gbar: float, gam: float):
+    """The four numbers of the line form h (D2^T D2 + 2 gbar D1^T D1 +
+    gam^2 I) on the interior unknowns, which is Toeplitz but for its end
+    rows: the diagonal, the end rows' diagonal, and the first and second
+    off-diagonals.  Each is computed with the floating-point operations of
+    that sparse expression, so the form matches it bit for bit: D2 is a =
+    1/h^2 off its diagonal and b = -2a on it, and with tau = ((2 gbar) t) t,
+    t = 1/(2h), 2 gbar D1^T D1 is 2 tau on the diagonal (tau on the end
+    rows) and -tau on the second off-diagonal."""
+    h = grid.h
+    a = 1.0 / h**2
+    b = -2.0 * a
+    t = 1.0 / (2.0 * h)
+    tau = ((2.0 * gbar) * t) * t
+    return (h * (a * a + b * b + a * a + 2.0 * tau + gam**2),
+            h * (b * b + a * a + tau + gam**2), h * (b * a + a * b), h * (a * a - tau))
 
 
-@functools.lru_cache(maxsize=_FORM_CACHE_SIZE)
-def _form_parts(grid: LineGrid):
-    """The parts of the line form that do not depend on alpha: the three
-    upper bands of D2^T D2 and the D1 entry a = 1/(2h).  Read-only: every
-    form on the grid shares them."""
-    D2, D1 = _line_operators(grid)
-    P = D2.T @ D2
-    bands = tuple(P.diagonal(k) for k in range(3))
-    for arr in bands:
-        arr.setflags(write=False)
-    return bands, D1.diagonal(1)[0]
-
-
-def _assemble_form(grid: LineGrid, gbar: float, gam: float) -> np.ndarray:
-    """The upper bands, in the layout of `descent.upper_bands`, of the
-    pentadiagonal SPD matrix h (D2^T D2 + 2 gbar D1^T D1 + gam^2 I) of the
-    discrete quadratic form on the interior unknowns.
-
-    Built band by band with the floating-point operations of that sparse
-    expression, so both match it bit for bit: with tau = ((2 gbar) a) a,
-    D1^T D1 is 2 tau on the diagonal (tau at its two ends) and -tau on the
-    second off-diagonal, and each band is h ((P2 + C1) + gam^2), P2 and C1
-    the bands of D2^T D2 and 2 gbar D1^T D1."""
-    (p0, p1, p2), a = _form_parts(grid)
-    h, M = grid.h, grid.N - 2
-    tau = ((2.0 * gbar) * a) * a
-    diag = p0 + 2.0 * tau
-    diag[[0, -1]] = p0[[0, -1]] + tau
-    ab = np.zeros((3, M))
-    ab[2] = h * (diag + gam**2)
-    ab[1, 1:] = h * p1
-    ab[0, 2:] = h * (p2 - tau)
-    # LineGrid bounds D2^T D2; the terms in gbar and gam^2 depend on alpha
-    return _finite_form(ab, grid)
-
-
-def _finite_form(ab: np.ndarray, grid: LineGrid) -> np.ndarray:
-    """The bands `ab` of a line form on `grid`, refused if one overflowed."""
-    if not np.all(np.isfinite(ab)):
+def _pentadiagonal(diag: np.ndarray, e1: float, e2: float, grid: LineGrid):
+    """The symmetric DIA array with main diagonal `diag` and the constant
+    bands e1 and e2 beside it, refused if an entry overflowed on `grid`.
+    A DIA product sums each row in ascending column order, as the CSR
+    product of the sparse formula does."""
+    data = np.empty((5, diag.size))
+    data[[0, 4]], data[[1, 3]], data[2] = e2, e1, diag
+    if not np.all(np.isfinite(data)):
         raise GridError(f"the line form overflows on the grid with spacing "
                         f"h={grid.h!r} (L={grid.L}, N={grid.N})")
-    return ab
+    return sp.dia_array((data, [-2, -1, 0, 1, 2]), shape=(diag.size, diag.size))
 
 
-def _fold_even(ab: np.ndarray, grid: LineGrid) -> np.ndarray:
-    """The upper bands of P^T A P, A the form of the upper bands `ab` on
-    the M = 2c + 1 interior unknowns and P the map x_full[c +- k] = x[k] of
-    the K = c + 1 unknowns on s >= 0 to the even vectors: x.(P^T A P)x is
-    the form at the even vector P x.  Entry (k, k + j) is the sum of the
-    mirrored entries A[c + k, c + k + j] + A[c - k, c - k - j] (A[c, c]
-    alone at (0, 0)), and the pair A[c - 1, c + 1], A[c + 1, c - 1], which
-    both fold onto (1, 1), adds 2 A[c - 1, c + 1] there.  On K = 2 the
-    second band is empty, on K = 3 it has one entry."""
-    d, e1, e2 = ab[2], ab[1, 1:], ab[0, 2:]
-    c = d.size // 2
-    folded = np.zeros((3, c + 1))
-    folded[2, 0] = d[c]
-    # a sum of two finite entries can overflow: refused below
+def _full_form(grid: LineGrid, gbar: float, gam: float):
+    """The line form on the N - 2 interior unknowns, as a DIA array."""
+    d, d_end, e1, e2 = _stencil(grid, gbar, gam)
+    diag = np.full(grid.N - 2, d)
+    diag[[0, -1]] = d_end
+    return _pentadiagonal(diag, e1, e2, grid)
+
+
+def _even_form(grid: LineGrid, gbar: float, gam: float):
+    """The line form on the even vectors, P^T A P with P the map
+    x_full[c +- k] = x[k] of the K = (N - 1)/2 unknowns on s >= 0 to the
+    M = 2c + 1 interior ones, as a DIA array, and the solve by its banded
+    Cholesky factor.  Each entry is twice the entry of A (A[c, c] alone at
+    (0, 0)), and the pair A[c - 1, c + 1], A[c + 1, c - 1], which both fold
+    onto (1, 1), adds 2 e2 there; on K = 2 that is the end row's entry."""
+    d, d_end, e1, e2 = _stencil(grid, gbar, gam)
+    diag = np.full((grid.N - 1) // 2, 2.0 * d)
+    diag[-1] = 2.0 * d_end
+    # a sum of two finite entries can overflow: refused with the rest
     with np.errstate(over="ignore"):
-        folded[2, 1:] = d[c + 1:] + d[:c][::-1]
-        folded[2, 1] += 2.0 * e2[c - 1]
-        folded[1, 1:] = e1[c:] + e1[:c][::-1]
-        folded[0, 2:] = e2[c:] + e2[:c - 1][::-1]
-    return _finite_form(folded, grid)
-
-
-def _band_matrix(ab: np.ndarray):
-    """The symmetric matrix of the upper bands `ab` (two superdiagonals) as
-    a DIA array.  A DIA product sums each row in ascending column order, as
-    the CSR product of the sparse formula does, so the line form's
-    products match it bit for bit."""
-    M = ab.shape[1]
-    # DIA row d holds the band of offset d - 2 by column, so rows 4, 3, 2
-    # are the upper bands and rows 0, 1 the same bands from their third
-    # and second entry on
-    data = np.zeros((5, M))
-    data[2:] = ab[::-1]
-    data[1, :-1] = ab[1, 1:]
-    data[0, :-2] = ab[0, 2:]
-    return sp.dia_array((data, [-2, -1, 0, 1, 2]), shape=(M, M))
+        diag[1] += 2.0 * e2
+    diag[0] = d
+    A = _pentadiagonal(diag, 2.0 * e1, 2.0 * e2, grid)
+    # DIA rows 4, 3, 2 are the upper bands in LAPACK's layout
+    cb = sla.cholesky_banded(A.data[:1:-1], lower=False)
+    return A, lambda r: sla.cho_solve_banded((cb, False), r, check_finite=False)
 
 
 def line_data(n: int, alpha: float) -> Tuple[bool, float, float]:
@@ -155,9 +125,9 @@ def line_data(n: int, alpha: float) -> Tuple[bool, float, float]:
 def minimize_mu_q(n: int, alpha: float, q: float, cfg: MinimizationConfig) -> MinimizationResult:
     """Inverse iteration (`descent.inverse_iteration`) on the even vectors
     with h*sum|w|^q = 1, run on their K = (N - 1)/2 unknowns on s >= 0: the
-    form folded about s = 0 (`_fold_even`), the weights (h, 2h, ..., 2h),
-    the sech^2 bump as start, and the banded Cholesky factor of the folded
-    form as preconditioner.  The profile is the iterate unfolded to the
+    form folded about s = 0 and the solve by its banded Cholesky factor
+    (`_even_form`) as preconditioner, the weights (h, 2h, ..., 2h), and the
+    sech^2 bump as start.  The profile is the iterate unfolded to the
     whole grid, exactly even.  The residual rule reads the folded residual
     P^T r, which is 2 r off the centre node.  The returned value is the
     kernel's x.(Ax): the profile's quotient, an upper bound on the discrete
@@ -172,18 +142,14 @@ def minimize_mu_q(n: int, alpha: float, q: float, cfg: MinimizationConfig) -> Mi
             mu_q=0.0, s_q_rad=0.0, profile=zero,
             iterations=0, el_residual=0.0, converged=True, degenerate=True,
         )
-    ab = _fold_even(_assemble_form(grid, gbar, gam), grid)
-    cb = sla.cholesky_banded(ab, lower=False)
-    K = ab.shape[1]
+    A, solve = _even_form(grid, gbar, gam)
+    K = A.shape[0]
     weights = np.full(K, 2.0 * grid.h)
     weights[0] = grid.h
     q = float(q)
     # the form is finite, and inverse_iteration refuses a non-finite residual
-    run = inverse_iteration(
-        _band_matrix(ab),
-        lambda r: sla.cho_solve_banded((cb, False), r, check_finite=False),
-        1.0 / np.cosh(grid.s[K:-1]) ** 2, weights, q, MAX_ITERS,
-    )
+    run = inverse_iteration(A, solve, 1.0 / np.cosh(grid.s[K:-1]) ** 2,
+                            weights, q, MAX_ITERS)
 
     return MinimizationResult(
         mu_q=run.value,
@@ -235,7 +201,7 @@ def brute_force_oracle(n: int, alpha: float, q: float, coarse_grid: LineGrid) ->
     gbar = float(params.gbar)
     h = coarse_grid.h
     q = float(q)
-    Ad = _band_matrix(_assemble_form(coarse_grid, gbar, gam)).toarray()
+    Ad = _full_form(coarse_grid, gbar, gam).toarray()
     M = coarse_grid.N - 2
     s = coarse_grid.s[1:-1]
 

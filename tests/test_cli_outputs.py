@@ -1,0 +1,42 @@
+"""Smoke test of `tools/cli_outputs.py`, the dump that compares the CLI
+outputs of two checkouts: its command list, one captured command, and its
+usage exit."""
+import importlib.util
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, ROOT / path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # the dataclasses of a module look it up there
+    spec.loader.exec_module(module)
+    return module
+
+
+cli_outputs = _load("cli_outputs", "tools/cli_outputs.py")
+
+
+def test_command_lines_hold_every_subcommand_in_both_formats_and_every_refusal():
+    lines = cli_outputs.command_lines(_load("perfbench_workloads", "perfbench/workloads.py"))
+    for cmd in cli_outputs.SUBCOMMANDS:
+        for fmt in ("json", "csv"):
+            assert cmd + ("--format", fmt) in lines
+    for cmd in cli_outputs.REFUSALS:
+        assert cmd in lines
+
+
+def test_run_captures_a_command(tmp_path):
+    from ckn.cli import dispatch
+
+    argv = ("constants", "--n", "5", "--alpha", "0", "--q", "3", "--format", "json")
+    rc, out, err = cli_outputs.run(dispatch, argv, str(tmp_path))
+    assert (rc, err) == (0, "")
+    assert out.startswith("{") and "1.5625" in out
+
+
+def test_main_refuses_a_wrong_argument_count(capsys):
+    assert cli_outputs.main(["only-one"]) == 2
+    assert "ROOT OUT.json" in capsys.readouterr().err

@@ -8,12 +8,12 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from ckn.descent import upper_bands
+from ckn.errors import GridError
 from ckn.grids import LineGrid, alpha_grid
 from ckn.params import bubble_curve, conjugate_exponent, derive_params, scaling_relation
-from ckn.radial_solver import (MinimizationConfig, _assemble_form, _band_matrix,
-                               _fold_even, _line_operators, _scaled_grid,
-                               brute_force_oracle, consistency_suite, minimize_mu_q,
-                               scan_row)
+from ckn.radial_solver import (MinimizationConfig, _even_form, _full_form,
+                               _line_operators, _scaled_grid, brute_force_oracle,
+                               consistency_suite, minimize_mu_q, scan_row)
 
 COARSE = LineGrid(12.0, 41)
 
@@ -72,7 +72,7 @@ def test_solver_profile_is_the_bubble(n, alpha):
 def test_brute_force_oracle_at_q2_is_the_lowest_eigenvalue(n, alpha):
     # at q = 2 the quotient is the Rayleigh quotient of A / h
     params = derive_params(n, alpha, 2.0)
-    A = _band_matrix(_assemble_form(COARSE, float(params.gbar), float(params.gamma)))
+    A = _full_form(COARSE, float(params.gbar), float(params.gamma))
     lowest = sla.eigvalsh(A.toarray())[0] / COARSE.h
     oracle = brute_force_oracle(n, alpha, 2.0, COARSE)
     assert abs(oracle - lowest) / lowest <= 1e-12  # at most 1.6e-15 measured
@@ -87,7 +87,7 @@ def test_alpha_reflection_bitwise():
 
 def test_assembled_form_is_built_from_the_line_operators():
     D2, D1 = _line_operators(COARSE)
-    A = _band_matrix(_assemble_form(COARSE, 2.5, -1.5))
+    A = _full_form(COARSE, 2.5, -1.5)
     B = COARSE.h * (D2.T @ D2 + 5.0 * D1.T @ D1 + 2.25 * np.eye(COARSE.N - 2))
     assert np.array_equal(A.toarray(), B)
 
@@ -120,15 +120,13 @@ def test_assembled_form_matches_the_sparse_formula_bit_for_bit(grid, n):
         gbar, gam = float(params.gbar), float(params.gamma)
         ref = (grid.h * (P2 + 2.0 * gbar * D1.T @ D1
                          + gam**2 * sp.identity(grid.N - 2))).tocsr()
-        ab = _assemble_form(grid, gbar, gam)
-        A = _band_matrix(ab)
-        assert np.array_equal(ab, upper_bands(ref, 2))
+        A = _full_form(grid, gbar, gam)
         assert np.array_equal(A @ x, ref @ x)
         for k in range(-2, 3):
             assert np.array_equal(A.diagonal(k), ref.diagonal(k))
         if grid.N <= 41:
             assert np.array_equal(A.toarray(), ref.toarray())
-        bands[alpha] = ab
+        bands[alpha] = upper_bands(A, 2)
     for alpha in FORM_ALPHAS:
         if 4.0 - alpha in bands:
             assert np.array_equal(bands[alpha], bands[4.0 - alpha])
@@ -144,7 +142,10 @@ def _even_map(grid):
     return sp.csr_array((np.ones(rows.size), (rows, cols)), shape=(2 * c + 1, c + 1))
 
 
-@pytest.mark.parametrize("grid", [COARSE, MinimizationConfig().grid],
+# N = 5 and 7 (K = 2 and 3) are the corners where (1, 1) is the last
+# diagonal entry and where the second band has one entry
+@pytest.mark.parametrize("grid", [LineGrid(12.0, 5), LineGrid(12.0, 7), COARSE,
+                                  MinimizationConfig().grid],
                          ids=lambda g: f"{g.L:g},{g.N}")
 @pytest.mark.parametrize("n", [2, 5, 7])
 def test_folded_form_is_the_form_on_even_vectors(grid, n):
@@ -154,9 +155,9 @@ def test_folded_form_is_the_form_on_even_vectors(grid, n):
     folds = {}
     for alpha in FORM_ALPHAS:
         params = derive_params(n, alpha, 3.0)
-        ab = _assemble_form(grid, float(params.gbar), float(params.gamma))
-        ref = upper_bands((P.T @ _band_matrix(ab) @ P).toarray(), 2)
-        folded = _fold_even(ab, grid)
+        gbar, gam = float(params.gbar), float(params.gamma)
+        ref = upper_bands((P.T @ _full_form(grid, gbar, gam) @ P).toarray(), 2)
+        folded = upper_bands(_even_form(grid, gbar, gam)[0], 2)
         assert abs(folded[2, 1] - ref[2, 1]) <= np.spacing(abs(ref[2, 1]))
         ref[2, 1] = folded[2, 1]
         assert np.array_equal(folded, ref)
@@ -164,6 +165,15 @@ def test_folded_form_is_the_form_on_even_vectors(grid, n):
     for alpha in FORM_ALPHAS:
         if 4.0 - alpha in folds:
             assert np.array_equal(folds[alpha], folds[4.0 - alpha])
+
+
+def test_oracle_refuses_an_overflowing_form_as_the_solver_does():
+    grid = LineGrid(3.84e29, 5)
+    with pytest.raises(GridError, match="the line form overflows") as solver:
+        minimize_mu_q(5, 3e70, 3.0, MinimizationConfig(grid=grid))
+    with pytest.raises(GridError) as oracle:
+        brute_force_oracle(5, 3e70, 3.0, grid)
+    assert str(oracle.value) == str(solver.value)
 
 
 def test_minimizer_profile_is_exactly_even():
@@ -181,7 +191,7 @@ def test_q2_value_is_the_lowest_eigenvalue_of_the_full_form(N):
     # even half reaches its eigenvalue
     grid = LineGrid(12.0, N)
     params = derive_params(5, 0.0, 2.0)
-    A = _band_matrix(_assemble_form(grid, float(params.gbar), float(params.gamma)))
+    A = _full_form(grid, float(params.gbar), float(params.gamma))
     lowest = sla.eigvalsh(A.toarray())[0] / grid.h
     res = minimize_mu_q(5, 0.0, 2.0, MinimizationConfig(grid=grid))
     assert res.converged
