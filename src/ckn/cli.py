@@ -282,7 +282,7 @@ def _scan_rows(n: int, q: float, alphas: List[float], cfg) -> List:
     rows = []
     for a in alphas:
         try:
-            rows.append(radial_solver.scan_row(n, q, a, cfg, res))
+            rows.append(radial_solver.scan_row(n, q, a, res))
         except Exception as exc:
             rows.append(exc)
     return rows

@@ -6,13 +6,23 @@ import warnings
 from typing import Dict
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import SupportWarning
-from .grids import LineProfile, RadialProfile, log_uniform_radial_nodes
+from .grids import LineGrid, LineProfile, RadialProfile, log_uniform_radial_nodes
 from .params import DerivedParams
 from .quadrature import gauss_panels, sphere_area, weighted_radial_integral
-from .radial_solver import _line_operators
 from .splines import NaturalCubic
+
+
+def _line_operators(grid: LineGrid):
+    """Central differences (D2, D1) for w'' and w' on the interior unknowns
+    (hard zeros at both ends): the FD rule of the line solver's form."""
+    h = grid.h
+    one = np.ones(grid.N - 2)
+    D2 = sp.diags([one[:-1], -2.0 * one, one[:-1]], [-1, 0, 1]) / h**2
+    D1 = sp.diags([-one[:-1], one[:-1]], [-1, 1]) / (2.0 * h)
+    return D2, D1
 
 
 def _transform_power(params: DerivedParams) -> float:

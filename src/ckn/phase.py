@@ -60,8 +60,8 @@ def symmetry_certificate(result: MinimizationResult) -> SymmetryCertificate:
     if q <= 2:
         raise ParameterDomainError("the second-variation test needs q > 2")
 
-    # the converged value mu_q is w.A w of the line form at the profile
-    w = result.profile.values[1:-1]
+    # mu_q is w.A w of the line form at the profile; its hard zeros add 0
+    w = result.profile.values
     xi = math.sqrt(result.mu_q / (result.profile.grid.h * float(np.sum(w**2))))
     Q = (q - 2.0) * xi**2 - 2.0 * (n - 1) * xi - (n - 1) ** 2
     return SymmetryCertificate(

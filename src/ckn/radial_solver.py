@@ -43,16 +43,6 @@ class MinimizationResult:
     status: str = "residual"  # residual | stalled | max_iters
 
 
-def _line_operators(grid: LineGrid):
-    """Central differences (D2, D1) for w'' and w' on the interior unknowns
-    (hard zeros at both end nodes): the only line stencils in ckn."""
-    h = grid.h
-    one = np.ones(grid.N - 2)
-    D2 = sp.diags([one[:-1], -2.0 * one, one[:-1]], [-1, 0, 1]) / h**2
-    D1 = sp.diags([-one[:-1], one[:-1]], [-1, 1]) / (2.0 * h)
-    return D2, D1
-
-
 def _stencil(grid: LineGrid, gbar: float, gam: float):
     """The four numbers of the line form h (D2^T D2 + 2 gbar D1^T D1 +
     gam^2 I) on the interior unknowns, which is Toeplitz but for its end
@@ -85,22 +75,26 @@ def _pentadiagonal(diag: np.ndarray, e1: float, e2: float, grid: LineGrid):
 
 
 def _full_form(grid: LineGrid, gbar: float, gam: float):
-    """The line form on the N - 2 interior unknowns, as a DIA array."""
+    """The line form on the N - 2 interior unknowns, between the hard zeros
+    at s = -L and L, as a DIA array, and their nodes."""
     d, d_end, e1, e2 = _stencil(grid, gbar, gam)
     diag = np.full(grid.N - 2, d)
     diag[[0, -1]] = d_end
-    return _pentadiagonal(diag, e1, e2, grid)
+    return _pentadiagonal(diag, e1, e2, grid), grid.s[1:-1]
 
 
 def _even_form(grid: LineGrid, gbar: float, gam: float):
     """The line form on the even vectors, P^T A P with P the map
     x_full[c +- k] = x[k] of the K = (N - 1)/2 unknowns on s >= 0 to the
-    M = 2c + 1 interior ones, as a DIA array, and the solve by its banded
-    Cholesky factor.  Each entry is twice the entry of A (A[c, c] alone at
-    (0, 0)), and the pair A[c - 1, c + 1], A[c + 1, c - 1], which both fold
-    onto (1, 1), adds 2 e2 there; on K = 2 that is the end row's entry."""
+    M = 2c + 1 interior ones, as a DIA array; its banded Cholesky solve;
+    the weights (h, 2h, ..., 2h) of the mass h sum |P x|^q; the nodes; and
+    the unfold, P x between the hard zeros, exactly even.  Each entry is
+    twice the entry of A (A[c, c] alone at (0, 0)), and the pair
+    A[c - 1, c + 1], A[c + 1, c - 1], which both fold onto (1, 1), adds
+    2 e2 there; on K = 2 that is the end row's entry."""
     d, d_end, e1, e2 = _stencil(grid, gbar, gam)
-    diag = np.full((grid.N - 1) // 2, 2.0 * d)
+    K = (grid.N - 1) // 2
+    diag = np.full(K, 2.0 * d)
     diag[-1] = 2.0 * d_end
     # a sum of two finite entries can overflow: refused with the rest
     with np.errstate(over="ignore"):
@@ -109,7 +103,10 @@ def _even_form(grid: LineGrid, gbar: float, gam: float):
     A = _pentadiagonal(diag, 2.0 * e1, 2.0 * e2, grid)
     # DIA rows 4, 3, 2 are the upper bands in LAPACK's layout
     cb = sla.cholesky_banded(A.data[:1:-1], lower=False)
-    return A, lambda r: sla.cho_solve_banded((cb, False), r, check_finite=False)
+    weights = np.full(K, 2.0 * grid.h)
+    weights[0] = grid.h
+    return (A, lambda r: sla.cho_solve_banded((cb, False), r, check_finite=False),
+            weights, grid.s[K:-1], lambda x: np.pad(np.concatenate((x[:0:-1], x)), 1))
 
 
 def line_data(n: int, alpha: float) -> Tuple[bool, float, float]:
@@ -124,12 +121,10 @@ def line_data(n: int, alpha: float) -> Tuple[bool, float, float]:
 
 def minimize_mu_q(n: int, alpha: float, q: float, cfg: MinimizationConfig) -> MinimizationResult:
     """Inverse iteration (`descent.inverse_iteration`) on the even vectors
-    with h*sum|w|^q = 1, run on their K = (N - 1)/2 unknowns on s >= 0: the
-    form folded about s = 0 and the solve by its banded Cholesky factor
-    (`_even_form`) as preconditioner, the weights (h, 2h, ..., 2h), and the
-    sech^2 bump as start.  The profile is the iterate unfolded to the
-    whole grid, exactly even.  The residual rule reads the folded residual
-    P^T r, which is 2 r off the centre node.  The returned value is the
+    with h*sum|w|^q = 1, on `_even_form`'s folded form, its solve as
+    preconditioner, its mass weights, and the sech^2 bump on its nodes as
+    start; the profile is the iterate's unfold.  The residual rule reads
+    the folded residual P^T r, 2 r off the centre node.  The value is the
     kernel's x.(Ax): the profile's quotient, an upper bound on the discrete
     infimum, up to rounding that cancels terms of size 1/h^4 (3.9e-8 of the
     value at (5, 0, 3) on the default grid, 2.3e-6 at N = 8001)."""
@@ -142,20 +137,15 @@ def minimize_mu_q(n: int, alpha: float, q: float, cfg: MinimizationConfig) -> Mi
             mu_q=0.0, s_q_rad=0.0, profile=zero,
             iterations=0, el_residual=0.0, converged=True, degenerate=True,
         )
-    A, solve = _even_form(grid, gbar, gam)
-    K = A.shape[0]
-    weights = np.full(K, 2.0 * grid.h)
-    weights[0] = grid.h
+    A, solve, weights, nodes, unfold = _even_form(grid, gbar, gam)
     q = float(q)
     # the form is finite, and inverse_iteration refuses a non-finite residual
-    run = inverse_iteration(A, solve, 1.0 / np.cosh(grid.s[K:-1]) ** 2,
-                            weights, q, MAX_ITERS)
+    run = inverse_iteration(A, solve, 1.0 / np.cosh(nodes) ** 2, weights, q, MAX_ITERS)
 
     return MinimizationResult(
         mu_q=run.value,
         s_q_rad=sphere_area(n) ** ((q - 2.0) / q) * run.value,
-        profile=LineProfile(grid=grid, values=np.pad(
-            np.concatenate((run.x[:0:-1], run.x)), 1), params=params),
+        profile=LineProfile(grid=grid, values=unfold(run.x), params=params),
         iterations=run.iterations,
         el_residual=run.residual,
         converged=run.status == "residual",
@@ -188,7 +178,7 @@ def brute_force_oracle(n: int, alpha: float, q: float, coarse_grid: LineGrid) ->
     100 steps (Nocedal and Wright, Numerical Optimization, 2nd ed., ch. 3
     and 6).  The rule reads the best value only, so a start still
     descending toward a lower state ends with the rest.  Deterministic:
-    fixed internal seeds, best value wins.
+    fixed internal seeds, best value wins.  Overflow is a `GridError`.
 
     Its domain is the points whose minimizer the N <= 41 grid resolves, as
     criterion 04's.  At (n, alpha, q) = (6, 1, 4) and (8, -2, 3.5) it finds
@@ -201,11 +191,10 @@ def brute_force_oracle(n: int, alpha: float, q: float, coarse_grid: LineGrid) ->
     gbar = float(params.gbar)
     h = coarse_grid.h
     q = float(q)
-    Ad = _full_form(coarse_grid, gbar, gam).toarray()
-    M = coarse_grid.N - 2
-    s = coarse_grid.s[1:-1]
+    A, s = _full_form(coarse_grid, gbar, gam)
+    M = s.size
 
-    C = np.linalg.cholesky(Ad)  # A = C C^T, z = C^T w
+    C = np.linalg.cholesky(A.toarray())  # A = C C^T, z = C^T w
     U = sla.solve_triangular(C, np.eye(M), lower=True, trans="T")  # w = U z
 
     K = _ORACLE_STARTS
@@ -216,7 +205,8 @@ def brute_force_oracle(n: int, alpha: float, q: float, coarse_grid: LineGrid) ->
     rng = np.random.default_rng(0)
     W0[3:] = rng.standard_normal((K - 3, M))
     Z = W0 @ C
-    Z /= np.linalg.norm(Z, axis=1)[:, None]
+    norms = np.linalg.norm(Z, axis=1)
+    Z /= norms[:, None]
 
     def quotient(Z):
         W = Z @ U.T
@@ -224,6 +214,9 @@ def brute_force_oracle(n: int, alpha: float, q: float, coarse_grid: LineGrid) ->
         return np.einsum("ij,ij->i", Z, Z) / mass ** (2.0 / q), W, mass
 
     vals, W, mass = quotient(Z)
+    if not np.all(np.isfinite(norms) & np.isfinite(mass) & np.isfinite(vals)):
+        raise GridError(f"the line quotient overflows on the grid with spacing "
+                        f"h={h!r} (L={coarse_grid.L}, N={coarse_grid.N})")
     eye = np.eye(M)
     for _ in range(_ORACLE_MAX_STEPS):
         a = np.abs(W) ** (q - 2.0)
@@ -386,23 +379,20 @@ class ScanRow:
     converged: bool
 
 
-def scan_row(n: int, q: float, alpha: float, cfg: MinimizationConfig,
-             res: Optional[MinimizationResult | Exception] = None) -> ScanRow:
-    """The `scan` row of alpha.  Its line solve `res` is
-    `minimize_mu_q(n, alpha, q, cfg)`, made here by default; `scan` passes
-    the solve of an alpha with the same `line_data` instead (the profile's
-    alpha is not read), or the exception that solve raised, which is
-    raised again where the solve would run.  The closed forms, the Rellich
-    constant and the predicates come from alpha itself."""
+def scan_row(n: int, q: float, alpha: float,
+             res: MinimizationResult | Exception) -> ScanRow:
+    """The `scan` row of alpha from `res`, the line solve of an alpha with
+    the same `line_data` (the profile's alpha is not read), or the
+    exception that solve raised, which is raised again after the row's
+    closed forms.  The closed forms, the Rellich constant and the
+    predicates come from alpha itself."""
     from .phase import closed_form_breaking, symmetry_certificate
     from .spectrum import full_sphere, positivity_predicates, rellich_constant
 
     model = full_sphere(n)
     forms = radial_closed_forms(n, alpha)
     preds = positivity_predicates(model, alpha)
-    if res is None:
-        res = minimize_mu_q(n, alpha, q, cfg)
-    elif isinstance(res, Exception):
+    if isinstance(res, Exception):
         raise res
     bs_cf = closed_form_breaking(n, alpha, q)
     bs_cert = False

@@ -468,7 +468,8 @@ def test_scan_solves_each_line_problem_once(capsys, monkeypatch, tmp_path, jobs)
     alphas = [-1.0 + 0.5 * k for k in range(13)]
     cfg = MinimizationConfig(grid=LineGrid(8.0, 401))
     expected = _csv(SCAN_HEADER.split(","),
-                    [list(_fields(scan_row(5, 3.0, a, cfg)).values()) for a in alphas])
+                    [list(_fields(scan_row(5, 3.0, a, minimize_mu_q(5, a, 3.0, cfg))).values())
+                     for a in alphas])
     calls = _logging_solver(monkeypatch, tmp_path / "calls.txt", minimize_mu_q)
     argv = ("scan", "--n", "5", "--q", "3", "--alpha-range=-1,5,0.5",
             "--grid", "8,401", "--jobs", jobs)

@@ -10,9 +10,10 @@ import scipy.sparse as sp
 from ckn.descent import upper_bands
 from ckn.errors import GridError
 from ckn.grids import LineGrid, alpha_grid
+from ckn.operators import _line_operators
 from ckn.params import bubble_curve, conjugate_exponent, derive_params, scaling_relation
 from ckn.radial_solver import (MinimizationConfig, _even_form, _full_form,
-                               _line_operators, _scaled_grid, brute_force_oracle,
+                               _scaled_grid, brute_force_oracle,
                                consistency_suite, minimize_mu_q, scan_row)
 
 COARSE = LineGrid(12.0, 41)
@@ -72,7 +73,7 @@ def test_solver_profile_is_the_bubble(n, alpha):
 def test_brute_force_oracle_at_q2_is_the_lowest_eigenvalue(n, alpha):
     # at q = 2 the quotient is the Rayleigh quotient of A / h
     params = derive_params(n, alpha, 2.0)
-    A = _full_form(COARSE, float(params.gbar), float(params.gamma))
+    A = _full_form(COARSE, float(params.gbar), float(params.gamma))[0]
     lowest = sla.eigvalsh(A.toarray())[0] / COARSE.h
     oracle = brute_force_oracle(n, alpha, 2.0, COARSE)
     assert abs(oracle - lowest) / lowest <= 1e-12  # at most 1.6e-15 measured
@@ -87,7 +88,7 @@ def test_alpha_reflection_bitwise():
 
 def test_assembled_form_is_built_from_the_line_operators():
     D2, D1 = _line_operators(COARSE)
-    A = _full_form(COARSE, 2.5, -1.5)
+    A = _full_form(COARSE, 2.5, -1.5)[0]
     B = COARSE.h * (D2.T @ D2 + 5.0 * D1.T @ D1 + 2.25 * np.eye(COARSE.N - 2))
     assert np.array_equal(A.toarray(), B)
 
@@ -120,7 +121,7 @@ def test_assembled_form_matches_the_sparse_formula_bit_for_bit(grid, n):
         gbar, gam = float(params.gbar), float(params.gamma)
         ref = (grid.h * (P2 + 2.0 * gbar * D1.T @ D1
                          + gam**2 * sp.identity(grid.N - 2))).tocsr()
-        A = _full_form(grid, gbar, gam)
+        A = _full_form(grid, gbar, gam)[0]
         assert np.array_equal(A @ x, ref @ x)
         for k in range(-2, 3):
             assert np.array_equal(A.diagonal(k), ref.diagonal(k))
@@ -156,7 +157,7 @@ def test_folded_form_is_the_form_on_even_vectors(grid, n):
     for alpha in FORM_ALPHAS:
         params = derive_params(n, alpha, 3.0)
         gbar, gam = float(params.gbar), float(params.gamma)
-        ref = upper_bands((P.T @ _full_form(grid, gbar, gam) @ P).toarray(), 2)
+        ref = upper_bands((P.T @ _full_form(grid, gbar, gam)[0] @ P).toarray(), 2)
         folded = upper_bands(_even_form(grid, gbar, gam)[0], 2)
         assert abs(folded[2, 1] - ref[2, 1]) <= np.spacing(abs(ref[2, 1]))
         ref[2, 1] = folded[2, 1]
@@ -176,6 +177,39 @@ def test_oracle_refuses_an_overflowing_form_as_the_solver_does():
     assert str(oracle.value) == str(solver.value)
 
 
+def test_oracle_refuses_a_finite_form_whose_quotient_overflows():
+    # the full form is finite (largest entry 1.2e308) where the folded one
+    # is not, but the whitened starts' norms |C^T w| overflow
+    grid = LineGrid(3.84e29, 5)
+    with pytest.raises(GridError, match="the line form overflows"):
+        minimize_mu_q(5, 1e70, 3.0, MinimizationConfig(grid=grid))
+    with np.errstate(over="ignore"), pytest.raises(
+            GridError, match="the line quotient overflows"):
+        brute_force_oracle(5, 1e70, 3.0, grid)
+    # gamma = 0: the norms are finite (3e-30), but h sum |w|^10 overflows
+    with np.errstate(over="ignore"), pytest.raises(
+            GridError, match="the line quotient overflows"):
+        brute_force_oracle(5, -1.0, 10.0, LineGrid(1e60, 5))
+
+
+# K = 2 and 3 unknowns, and the default grid
+@pytest.mark.parametrize("grid", [LineGrid(12.0, 5), LineGrid(12.0, 7),
+                                  MinimizationConfig().grid],
+                         ids=lambda g: f"{g.L:g},{g.N}")
+def test_folded_mass_is_the_mass_of_the_unfolded_profile(grid):
+    _, _, weights, nodes, unfold = _even_form(grid, 2.5, -1.5)
+    x = np.random.default_rng(grid.N).standard_normal(nodes.size)
+    w = unfold(x)
+    assert w.size == grid.N
+    assert np.array_equal(w, w[::-1]) and w[0] == w[-1] == 0.0
+    for q in (2.0, 3.0, 4.5):
+        assert weights @ np.abs(x) ** q == pytest.approx(
+            grid.h * np.sum(np.abs(w) ** q), rel=1e-14, abs=0.0)
+    # the unfold puts each unknown at its node and at the mirror node
+    np.testing.assert_allclose(unfold(nodes)[1:-1], np.abs(grid.s[1:-1]),
+                               rtol=0.0, atol=1e-14 * grid.L)
+
+
 def test_minimizer_profile_is_exactly_even():
     for n, alpha, q, grid in [(5, 0.0, 3.0, MinimizationConfig().grid),
                               (7, -1.0, 2.5, COARSE), (5, 1.0, 3.0, LineGrid(12.0, 7))]:
@@ -191,7 +225,7 @@ def test_q2_value_is_the_lowest_eigenvalue_of_the_full_form(N):
     # even half reaches its eigenvalue
     grid = LineGrid(12.0, N)
     params = derive_params(5, 0.0, 2.0)
-    A = _full_form(grid, float(params.gbar), float(params.gamma))
+    A = _full_form(grid, float(params.gbar), float(params.gamma))[0]
     lowest = sla.eigvalsh(A.toarray())[0] / grid.h
     res = minimize_mu_q(5, 0.0, 2.0, MinimizationConfig(grid=grid))
     assert res.converged
@@ -239,7 +273,7 @@ def test_minimize_mu_q_deterministic():
 
 
 def test_scan_row_fields_consistent():
-    row = scan_row(5, 3.0, 0.0, MinimizationConfig())
+    row = scan_row(5, 3.0, 0.0, minimize_mu_q(5, 0.0, 3.0, MinimizationConfig()))
     assert row.converged
     assert row.s2_rad == 1.5625
     assert row.rellich == 1.5625
@@ -254,7 +288,8 @@ def test_scan_row_fields_consistent():
 
 def test_scan_rows_handle_degenerate_alpha():
     cfg = MinimizationConfig()
-    rows = [scan_row(5, 3.0, a, cfg) for a in alpha_grid(-1.0, 1.0, 1.0)]
+    rows = [scan_row(5, 3.0, a, minimize_mu_q(5, a, 3.0, cfg))
+            for a in alpha_grid(-1.0, 1.0, 1.0)]
     assert len(rows) == 3
     assert [r.alpha for r in rows] == [-1.0, 0.0, 1.0]
     assert rows[0].mu_q == 0.0  # boundary case, degenerate but well-defined

@@ -24,12 +24,18 @@ them):
   the line form or its fold about s = 0 overflows, an input
   whose integrands overflow, a bad sample list, an epsilon below the
   quadrature's floor, a missing --alpha, a flag that no subcommand has, or
-  a profile too short for its spline or with a non-finite node or value.
+  a profile too short for its spline or with a non-finite node or value;
+- the library calls of one round (seed 1) of the benchmark, which no
+  subcommand reaches: each `oracle` operation's oracle value and its
+  solve's `mu_q`, `iterations`, `el_residual`, `status` and the SHA-256 of
+  its profile's bytes, and each `consistency` operation's
+  `ConsistencyReport` fields, every float as `float.hex`.
 
 Profile files are written to a temporary directory; the command lines
 name it by the placeholder TMP, as they are recorded.
 
-OUT.json maps each command line to `[exit code, stdout, stderr]`, one entry
+OUT.json maps each command line to `[exit code, stdout, stderr]`, and each
+library call, keyed by its name and parameters, to its fields; one entry
 per line of the file, so `diff A.json B.json` lists the commands whose
 output differs; an exception that escapes `dispatch` is recorded in
 place of the exit code. Python's default warning filter shows a warning once per
@@ -38,6 +44,8 @@ a warning shows only in the first command that raises it."""
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -169,6 +177,39 @@ def run(dispatch, argv, tmp):
     return [rc, out.getvalue(), err.getvalue()]
 
 
+def _hex(value):
+    """A float as `float.hex`, a tuple as a list of the same, the rest as is."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return [_hex(v) for v in value]
+    return value
+
+
+def library_calls(workloads):
+    """The fields of each library call of the benchmark, keyed by its call
+    and parameters; a call that raises is recorded by its exception."""
+    dump = {}
+    for op in (op for name in workloads.WORKLOADS
+               for op in workloads.build(name, SEED) if op.call):
+        key = f"{op.call} {op.params}"
+        try:
+            out = workloads.execute(op)
+        except Exception as exc:
+            dump[key] = f"uncaught {type(exc).__name__}: {exc}"
+            continue
+        if op.call == "oracle":
+            oracle, res = out
+            digest = hashlib.sha256(res.profile.values.tobytes()).hexdigest()
+            fields = {"oracle": oracle, "mu_q": res.mu_q, "iterations": res.iterations,
+                      "el_residual": res.el_residual, "status": res.status,
+                      "profile_sha256": digest}
+        else:
+            fields = dataclasses.asdict(out)
+        dump[key] = {k: _hex(v) for k, v in fields.items()}
+    return dump
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -184,6 +225,7 @@ def main(argv=None) -> int:
             with open(os.path.join(tmp, name), "w") as fh:
                 fh.write(text)
         dump = {" ".join(a): run(dispatch, a, tmp) for a in command_lines(workloads)}
+    dump.update(library_calls(workloads))
     with open(out_path, "w") as fh:
         fh.write("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}"
                                     for k, v in dump.items()) + "\n}\n")
