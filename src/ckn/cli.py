@@ -225,13 +225,16 @@ def _write_sweep(args, row_type, values: Sequence[float], results: List) -> None
 # subcommands
 #
 # Each subcommand imports the ckn modules it needs when it runs, not at the
-# top of this module, since a command needs only some of them.  Medians of
-# 9 cold imports without bytecode writes, two passes on a shared 2-vCPU
-# machine: `ckn.cli` alone 0.20-0.27 s; with the modules of `bn-probe`
-# 0.49-0.68 s, with those of `scan` and `phase` 0.56-0.67 s, with those of
+# top of this module, since a command needs only some of them.  Every
+# command loads numpy.  `scipy.linalg` and `scipy.sparse` are loaded by the
+# solvers of `radial-min`, `scan`, `bn` and `bn-probe`, and `scipy.linalg`
+# alone by the spline of `shifted-weight --profile`; no other command, and
+# no other part of scipy.  Medians of 9 cold imports without bytecode
+# writes, two passes on a shared 2-vCPU machine: `ckn.cli` alone
+# 0.080-0.082 s; with the modules of `phase` 0.091-0.096 s, with those of
 # `verify`, `talenti-verify`, `ueps`, `critical-check` and `shifted-weight`
-# 0.59-0.69 s, with every ckn module 0.48-0.70 s.  ckn loads numpy,
-# `scipy.linalg` and `scipy.sparse`, and no other part of scipy.
+# 0.099-0.102 s, with those of `scan` 0.260-0.264 s, with those of
+# `bn-probe` 0.259-0.270 s, with every ckn module 0.278-0.310 s.
 
 
 def _cmd_constants(args) -> int:
@@ -378,13 +381,9 @@ def _cmd_talenti_verify(args) -> int:
 
 def _cmd_shifted_weight(args) -> int:
     from .critical import shifted_weight_lemma_check
-    from .grids import RadialProfile, load_profile
+    from .grids import load_profile
 
-    if args.profile:
-        u = load_profile(args.profile)
-    else:
-        r = np.linspace(0.0, 1.0, 2001)
-        u = RadialProfile(nodes=r, values=(1.0 - r**2) ** 3, n=args.n)
+    u = load_profile(args.profile) if args.profile else None
     rep = shifted_weight_lemma_check(args.n, args.a, u,
                                      t_values=_float_list(args.t_values))
     _write(args, _fields(rep), ("t", "f"), list(zip(rep.t_values, rep.f_values)))
@@ -440,14 +439,12 @@ def _suite_talenti(args) -> Tuple[bool, dict]:
 
 
 def _suite_identity(args) -> Tuple[bool, dict]:
-    from .grids import LineGrid, LineProfile
+    from .grids import LineGrid
     from .operators import norm_identity_check
     from .params import derive_params
 
-    grid = LineGrid(12.0, 4001)
-    params = derive_params(args.n, 0.0, 3.0)
-    w = LineProfile(grid=grid, values=np.exp(-grid.s**2), params=params)
-    rel_errors = norm_identity_check(w)
+    rel_errors = norm_identity_check(derive_params(args.n, 0.0, 3.0),
+                                     LineGrid(12.0, 4001))
     worst = max(rel_errors["q"], rel_errors["quad"])
     return worst <= 1e-6, {"rel_errors": rel_errors, "tol": 1e-6}
 

@@ -17,7 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .params import (Real, bubble_energy, bubble_mass, check_alpha,
                      phase_thresholds, require_n5, shift_ratio, sstar)
 from .quadrature import (GRADING_LEVELS, gauss_panels, sphere_area,
                          weighted_radial_integral)
-from .splines import not_a_knot
 
 # ---------------------------------------------------------------------------
 # Talenti bubble and its analytic derivatives
@@ -211,12 +210,21 @@ class ShiftedWeightReport:
     grad_sq: float
 
 
+def _ball_bump(r: np.ndarray):
+    """(1 - r^2)^3 and its first two derivatives at r."""
+    c = 1.0 - r**2
+    return c**3, -6.0 * r * c**2, -6.0 * c**2 + 24.0 * r**2 * c
+
+
 def _profile_splines(u: RadialProfile):
-    """The profile's not-a-knot spline (quintic from 6 nodes, cubic on 4 or
-    5) and its first two derivatives."""
+    """The map from r to the value and first two derivatives at r of the
+    profile's not-a-knot spline (quintic from 6 nodes, cubic on 4 or 5)."""
+    from .splines import not_a_knot
+
     spl = not_a_knot(u.nodes, u.values, 5 if u.nodes.size >= 6 else 3)
     s1 = spl.derivative()
-    return spl, s1, s1.derivative()
+    s2 = s1.derivative()
+    return lambda r: (spl(r), s1(r), s2(r))
 
 
 def _check_ball_support(u: RadialProfile) -> float:
@@ -240,31 +248,35 @@ def _check_ball_support(u: RadialProfile) -> float:
 def shifted_weight_lemma_check(
     n: int,
     a: float,
-    u: RadialProfile,
+    u: Optional[RadialProfile],
     t_values: Sequence[float],
 ) -> ShiftedWeightReport:
     """Evaluate f(t) = int |tx+e|^(-2a) |Delta(|tx+e|^a u)|^2 on the ball.
 
+    u = None is the bump (1 - r^2)^3 on the unit ball, with its exact
+    derivatives; a given profile is read through its not-a-knot spline.
     The weight never vanishes for t <= 1/4, so a tensor Gauss rule in
     (r, theta) with measure omega_(n-1) r^(n-1) sin^(n-2)(theta) suffices;
     f(0) and int |grad u|^2 come from its radial part.  The canonical axis
     e is the first coordinate direction; by rotational invariance of the
     radial profile the choice is immaterial."""
-    if not isinstance(u, RadialProfile):
-        raise ParameterDomainError(f"need a radial profile, got a {type(u).__name__}")
-    if u.n != n:
-        raise ParameterDomainError(f"profile dimension {u.n} != {n}")
+    if u is None:
+        r_max, profile = 1.0, _ball_bump
+    else:
+        if not isinstance(u, RadialProfile):
+            raise ParameterDomainError(f"need a radial profile, got a {type(u).__name__}")
+        if u.n != n:
+            raise ParameterDomainError(f"profile dimension {u.n} != {n}")
+        r_max, profile = _check_ball_support(u), _profile_splines(u)
     a = float(a)
     if not math.isfinite(a):
         raise ParameterDomainError(f"a={a!r} must be finite")
     t_values = [float(t) for t in t_values]
     if not all(0.0 <= t <= 0.25 for t in t_values):
         raise ParameterDomainError("t values must lie in [0, 1/4]")
-    r_max = _check_ball_support(u)
     if len({t for t in t_values if t > 0.0}) < 2:
         raise ParameterDomainError(
             "the t, t^2 fit needs at least two distinct t values > 0")
-    spl, s1, s2 = _profile_splines(u)
 
     c_a = a * (a + 2.0) * (n - 2) / float(n)
     omega_sec = sphere_area(n - 1)
@@ -277,9 +289,8 @@ def shifted_weight_lemma_check(
     mr = wr * r ** (n - 1)
     mth = wth * np.sin(th) ** (n - 2)
 
-    u_vals = np.asarray(spl(r), dtype=float)
-    ur = np.asarray(s1(r), dtype=float)
-    lap_u = np.asarray(s2(r), dtype=float) + (n - 1) / r * ur
+    u_vals, ur, urr = profile(r)
+    lap_u = urr + (n - 1) / r * ur
 
     R = r[:, None]
     UR = ur[:, None]

@@ -75,10 +75,6 @@ class LineProfile:
             raise GridError(f"values shape {v.shape} does not match N={self.grid.N}")
         object.__setattr__(self, "values", v)
 
-    def boundary_magnitude(self) -> float:
-        peak = float(np.max(np.abs(self.values))) or 1.0
-        return max(abs(self.values[0]), abs(self.values[-1])) / peak
-
 
 @dataclass(frozen=True)
 class RadialProfile:

@@ -2,27 +2,16 @@
 the integral-identity cross-checks built on top of it."""
 from __future__ import annotations
 
+import math
 import warnings
 from typing import Dict
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import SupportWarning
 from .grids import LineGrid, LineProfile, RadialProfile, log_uniform_radial_nodes
 from .params import DerivedParams
-from .quadrature import gauss_panels, sphere_area, weighted_radial_integral
-from .splines import NaturalCubic
-
-
-def _line_operators(grid: LineGrid):
-    """Central differences (D2, D1) for w'' and w' on the interior unknowns
-    (hard zeros at both ends): the FD rule of the line solver's form."""
-    h = grid.h
-    one = np.ones(grid.N - 2)
-    D2 = sp.diags([one[:-1], -2.0 * one, one[:-1]], [-1, 0, 1]) / h**2
-    D1 = sp.diags([-one[:-1], one[:-1]], [-1, 1]) / (2.0 * h)
-    return D2, D1
+from .quadrature import sphere_area, weighted_radial_integral
 
 
 def _transform_power(params: DerivedParams) -> float:
@@ -38,56 +27,36 @@ def emden_fowler_inverse(w: LineProfile) -> RadialProfile:
     return RadialProfile(nodes=log_uniform_radial_nodes(w.grid), values=u, n=w.params.n)
 
 
-def _spline_eval(spline: NaturalCubic, t: np.ndarray, nu: int, L: float) -> np.ndarray:
-    """Evaluate a derivative of the spline, zero outside [-L, L]."""
-    out = np.zeros_like(t)
-    inside = (t >= -L) & (t <= L)
-    out[inside] = spline(t[inside], nu=nu)
-    return out
-
-
-def _spline_quadratic_form(
-    spline: NaturalCubic, gbar: float, gam: float
-) -> float:
-    """Exact integral of S''^2 + 2 gbar S'^2 + gam^2 S^2 over the knot span
-    (4-point Gauss per interval is exact up to degree 7)."""
-    pts, wts = gauss_panels(spline.x, 4)
-    s0 = spline(pts)
-    s1 = spline(pts, nu=1)
-    s2 = spline(pts, nu=2)
-    vals = s2**2 + 2.0 * gbar * s1**2 + gam**2 * s0**2
-    return float(np.sum(wts * vals))
-
-
 def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(abs(b), 1e-300)
 
 
-def norm_identity_check(w: LineProfile) -> Dict[str, float]:
-    """Check the two change-of-variables integral identities on a line profile.
+def norm_identity_check(params: DerivedParams, grid: LineGrid) -> Dict[str, float]:
+    """Check the two change-of-variables integral identities on the line
+    profile w(s) = exp(-s^2).
 
-    Left sides are weighted radial integrals of the transformed u built from a
-    cubic-spline representation of w; right sides are line quadratures of the
-    |w|^q mass and of the quadratic form |w''|^2 + 2 gbar |w'|^2 + gam^2 |w|^2.
+    Left sides are weighted radial integrals of u(r) = r^m w(-log r), from
+    the exact w, w' = -2s w and w'' = (4s^2 - 2) w; right sides are the
+    closed forms of the |w|^q mass, sqrt(pi/q), and of the quadratic form
+    int |w''|^2 + 2 gbar |w'|^2 + gam^2 |w|^2 = sqrt(pi/2)(3 + 2 gbar + gam^2).
 
-    Returns four relative errors: 'q' and 'quad' compare the high-accuracy
-    evaluations of the two sides (the identity defect proper), while
-    'q_discrete' and 'quad_discrete' compare against the plain second-order
-    discrete rules (trapezoid on the radial samples, the line solver's
-    finite-difference form on the interior line samples), whose defect
-    shrinks at O(h^2).
+    Returns four relative errors: 'q' and 'quad' compare the quadratures
+    with the closed forms (the identity defect proper), while 'q_discrete'
+    and 'quad_discrete' compare against the plain second-order discrete
+    rules on the samples of w on `grid` (trapezoid on the radial samples,
+    the line solver's finite-difference form on the interior line samples),
+    whose defect shrinks at O(h^2).
     """
-    p = w.params
-    n = p.n
-    alpha = float(p.alpha)
-    q = float(p.q)
-    beta = float(p.beta)
-    gam = float(p.gamma)
-    gbar = float(p.gbar)
-    m = _transform_power(p)
-    L, h = w.grid.L, w.grid.h
+    n = params.n
+    alpha = float(params.alpha)
+    q = float(params.q)
+    beta = float(params.beta)
+    gam = float(params.gamma)
+    gbar = float(params.gbar)
+    m = _transform_power(params)
+    L, h = grid.L, grid.h
 
-    if w.boundary_magnitude() > 1e-12:
+    if math.exp(-L * L) > 1e-12:
         warnings.warn(
             "profile is not negligible at the truncation boundary; the "
             "compact-support identities may not hold",
@@ -95,47 +64,39 @@ def norm_identity_check(w: LineProfile) -> Dict[str, float]:
             stacklevel=2,
         )
 
-    if not np.any(w.values):
-        return {"q": 0.0, "quad": 0.0, "q_discrete": 0.0, "quad_discrete": 0.0}
-
-    spline = NaturalCubic(w.grid.s, w.values)
-
+    # |u|^q and |Delta u|^2 are assembled in log space, where |w| = exp(-t^2),
+    # to dodge overflow in the separate factors
     def u_abs_q(r: np.ndarray) -> np.ndarray:
         t = -np.log(r)
-        sv = _spline_eval(spline, t, 0, L)
-        out = np.zeros_like(r)
-        mask = sv != 0.0
-        # |u|^q = exp(-m q t) |w(t)|^q, assembled in log space to dodge
-        # overflow in the separate factors
-        out[mask] = np.exp(-m * q * t[mask] + q * np.log(np.abs(sv[mask])))
-        return out
+        return np.exp(-q * (m * t + t * t))
 
     def lap_u_sq(r: np.ndarray) -> np.ndarray:
         t = -np.log(r)
-        s0 = _spline_eval(spline, t, 0, L)
-        s1 = _spline_eval(spline, t, 1, L)
-        s2 = _spline_eval(spline, t, 2, L)
-        bracket = s2 + (alpha - 2.0) * s1 - gam * s0
+        # (w'' + (alpha - 2) w' - gam w) / w
+        poly = 4.0 * t * t - 2.0 - 2.0 * (alpha - 2.0) * t - gam
         out = np.zeros_like(r)
-        mask = bracket != 0.0
-        out[mask] = np.exp(
-            -2.0 * (m - 2.0) * t[mask] + 2.0 * np.log(np.abs(bracket[mask]))
-        )
+        mask = poly != 0.0
+        tm = t[mask]
+        out[mask] = np.exp(-2.0 * ((m - 2.0) * tm + tm * tm)
+                           + 2.0 * np.log(np.abs(poly[mask])))
         return out
 
     mass_radial = weighted_radial_integral(u_abs_q, n, -beta)
     energy_radial = weighted_radial_integral(lap_u_sq, n, alpha)
 
     omega = sphere_area(n)
-    mass_line = omega * h * float(np.sum(np.abs(w.values) ** q))
-    energy_line = omega * _spline_quadratic_form(spline, gbar, gam)
+    mass_line = omega * math.sqrt(math.pi / q)
+    energy_line = omega * math.sqrt(0.5 * math.pi) * (3.0 + 2.0 * gbar + gam**2)
 
     # plain second-order rules for the rate diagnostics; the energy is the
-    # line solver's form as sums of squares (x.(Ax) cancels terms ~ 1/h^4)
-    x = w.values[1:-1]
-    D2, D1 = _line_operators(w.grid)
+    # line solver's form, between hard zeros at s = -L and L, as sums of
+    # squares (x.(Ax) cancels terms ~ 1/h^4)
+    w = LineProfile(grid=grid, values=np.exp(-grid.s**2), params=params)
+    x = np.pad(w.values[1:-1], 1)
+    d2 = np.diff(x, 2) / h**2
+    d1 = (x[2:] - x[:-2]) / (2.0 * h)
     energy_fd = omega * h * float(
-        np.sum((D2 @ x) ** 2 + 2.0 * gbar * (D1 @ x) ** 2 + gam**2 * x**2)
+        np.sum(d2**2 + 2.0 * gbar * d1**2 + gam**2 * x[1:-1] ** 2)
     )
     u = emden_fowler_inverse(w)
     mass_trap = omega * float(np.trapezoid(

@@ -15,15 +15,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .errors import (ConsistencyError, ParameterDomainError,
                      UnconvergedResultError)
-from .radial_solver import MinimizationResult
 from .spectrum import FULL_SPHERE, SpectrumModel, positivity_predicates
 from .params import gamma_alpha, phase_thresholds, shift_ratio
+
+if TYPE_CHECKING:
+    from .radial_solver import MinimizationResult
 
 CERTIFICATE_MARGIN = 1e-6
 

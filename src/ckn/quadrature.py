@@ -25,12 +25,7 @@ PANEL_COUNT = 64
 GRADING_LEVELS = 80
 
 
-# Gauss-Legendre orders whose rule `_legendre_rule` keeps: ckn uses 12
-# (`PANEL_ORDER` and the shifted-weight rule) and 4 (the spline energy)
-_RULE_CACHE_SIZE = 4
-
-
-@functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
+@functools.cache
 def _legendre_rule(order: int) -> Tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the `order`-point rule on [-1, 1], read-only:
     every caller shares them."""

@@ -183,9 +183,13 @@ def brute_force_oracle(n: int, alpha: float, q: float, coarse_grid: LineGrid) ->
     Its domain is the points whose minimizer the N <= 41 grid resolves, as
     criterion 04's.  At (n, alpha, q) = (6, 1, 4) and (8, -2, 3.5) it finds
     states at the hard zero s = -L, below the even solver's value, that
-    grid refinement does not keep."""
+    grid refinement does not keep.  It refuses alpha = 4 - n and n, where
+    `minimize_mu_q` answers its zero result."""
     if coarse_grid.N > 41:
         raise ParameterDomainError("oracle grids are capped at N = 41")
+    if line_data(n, alpha)[0]:
+        raise ParameterDomainError(f"alpha={alpha!r} is 4 - n or n, the degenerate "
+                                   "line problem that minimize_mu_q answers with 0")
     params = derive_params(n, float(alpha), float(q))
     gam = float(params.gamma)
     gbar = float(params.gbar)

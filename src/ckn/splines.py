@@ -1,16 +1,13 @@
-"""The two interpolating splines of ckn: a natural cubic spline in
-piecewise-polynomial form (the line profile of `operators`) and a
-not-a-knot B-spline of odd degree (the radial profile of `critical`).
+"""The interpolating spline of ckn: a not-a-knot B-spline of odd degree
+(a radial profile that `critical` reads from a file).
 
-Both follow de Boor (A Practical Guide to Splines, 1978) in the
-floating-point steps of scipy.interpolate's `CubicSpline(bc_type="natural")`
-and `make_interp_spline`, so they return the same bits."""
+It follows de Boor (A Practical Guide to Splines, 1978) in the
+floating-point steps of scipy.interpolate's `make_interp_spline`, so it
+returns the same bits."""
 from __future__ import annotations
 
-import math
-
 import numpy as np
-from scipy.linalg import get_lapack_funcs, solve_banded
+from scipy.linalg import get_lapack_funcs
 
 
 def _data(x, y, min_nodes: int):
@@ -25,42 +22,6 @@ def _data(x, y, min_nodes: int):
     if np.any(x[1:] <= x[:-1]):
         raise ValueError("spline nodes must be strictly increasing")
     return x, y
-
-
-class NaturalCubic:
-    """The C^2 cubic through (x, y) with zero second derivative at both ends:
-    a tridiagonal solve for the first derivatives, then Hermite pieces
-    c[0] s^3 + c[1] s^2 + c[2] s + c[3] in s = v - x[i]."""
-
-    def __init__(self, x, y):
-        x, y = _data(x, y, 2)
-        n, dx = x.size, np.diff(x)
-        slope = np.diff(y) / dx
-        A, b = np.zeros((3, n)), np.empty(n)
-        A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-        A[0, 2:] = dx[:-1]
-        A[-1, :-2] = dx[1:]
-        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-        A[1, 0], A[0, 1] = 2 * dx[0], dx[0]
-        b[0] = -0.5 * 0.0 * dx[0] ** 2 + 3 * (y[1] - y[0])
-        A[1, -1], A[-1, -2] = 2 * dx[-1], dx[-1]
-        b[-1] = 0.5 * 0.0 * dx[-1] ** 2 + 3 * (y[-1] - y[-2])
-        s = solve_banded((1, 1), A, b.reshape(n, -1), overwrite_ab=True,
-                         overwrite_b=True, check_finite=False).reshape(n)
-        t = (s[:-1] + s[1:] - 2 * slope) / dx
-        self.x = x
-        self.c = np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
-
-    def __call__(self, v, nu: int = 0) -> np.ndarray:
-        """The nu-th derivative at v; the end pieces extend past the nodes."""
-        v = np.asarray(v, dtype=float)
-        i = np.clip(np.searchsorted(self.x, v, "right") - 1, 0, self.x.size - 2)
-        s, z, res = v - self.x[i], 1.0, np.zeros(v.shape)
-        for kp in range(nu, 4):
-            res = res + self.c[3 - kp, i] * z * float(math.perm(kp, nu))
-            if kp < 3:
-                z = z * s
-        return res
 
 
 def _basis(t: np.ndarray, k: int, v: np.ndarray):

@@ -57,7 +57,7 @@ def test_criterion_01_closed_form_regression():
 
 def test_criterion_02_change_of_variables_identities():
     """Integral identities <= 1e-6 at (L=12, N=4001); discrete slope ~ 2."""
-    from ckn.grids import LineGrid, LineProfile
+    from ckn.grids import LineGrid
     from ckn.operators import norm_identity_check
     from ckn.params import derive_params
 
@@ -65,9 +65,7 @@ def test_criterion_02_change_of_variables_identities():
     params = derive_params(5, 0.0, 3.0)
 
     def errors(N):
-        grid = LineGrid(12.0, N)
-        w = LineProfile(grid=grid, values=np.exp(-grid.s**2), params=params)
-        return norm_identity_check(w)
+        return norm_identity_check(params, LineGrid(12.0, N))
 
     fine = errors(4001)
     ok = fine["q"] <= 1e-6 and fine["quad"] <= 1e-6

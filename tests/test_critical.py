@@ -170,6 +170,19 @@ def test_shifted_weight_inequality_and_cancellation():
     assert rep.fitted_t2_coeff <= -rep.C_a * rep.grad_sq * (1.0 - 1e-6)
 
 
+@pytest.mark.parametrize("n, a", [(5, 1.0), (6, -3.0), (7, -3.0)])
+def test_shifted_weight_default_bump_matches_its_sampled_profile(n, a):
+    # u = None is the bump with exact derivatives; the samples go through
+    # their quintic spline
+    t_values = (0.02, 0.04, 0.06, 0.08, 0.10)
+    exact = shifted_weight_lemma_check(n, a, None, t_values)
+    sampled = shifted_weight_lemma_check(n, a, ball_bump(n), t_values)
+    assert exact.f_values == pytest.approx(sampled.f_values, rel=1e-10)
+    assert exact.f0 == pytest.approx(sampled.f0, rel=1e-10)
+    assert exact.grad_sq == pytest.approx(sampled.grad_sq, rel=1e-10)
+    assert exact.inequality_ok == sampled.inequality_ok
+
+
 @pytest.mark.parametrize("a", [math.nan, math.inf])
 def test_shifted_weight_refuses_a_non_finite_a(a):
     with pytest.raises(ParameterDomainError):

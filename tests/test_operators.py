@@ -10,32 +10,29 @@ from ckn.operators import emden_fowler_inverse, norm_identity_check
 from ckn.params import derive_params
 
 
-def gaussian_line_profile(n=5, alpha=0.0, q=3.0, L=12.0, N=2001):
-    grid = LineGrid(L, N)
-    params = derive_params(n, alpha, q)
-    return LineProfile(grid=grid, values=np.exp(-grid.s**2), params=params)
+def identity_errors(n=5, L=12.0, N=2001):
+    return norm_identity_check(derive_params(n, 0.0, 3.0), LineGrid(L, N))
 
 
 def test_norm_identity_accurate_routes():
-    rel_errors = norm_identity_check(gaussian_line_profile(N=4001))
-    assert rel_errors["q"] <= 1e-6
-    assert rel_errors["quad"] <= 1e-6
+    """Quadratures of the exact profile against the closed forms."""
+    for n in (5, 6, 7, 8):
+        rel_errors = identity_errors(n=n, N=4001)
+        assert rel_errors["q"] <= 1e-13, n
+        assert rel_errors["quad"] <= 1e-13, n
 
 
 def test_norm_identity_discrete_routes_second_order():
-    e1 = norm_identity_check(gaussian_line_profile(N=1001))
-    e2 = norm_identity_check(gaussian_line_profile(N=2001))
+    e1 = identity_errors(N=1001)
+    e2 = identity_errors(N=2001)
     for key in ("q_discrete", "quad_discrete"):
         slope = math.log2(e1[key] / e2[key])
         assert 1.8 <= slope <= 2.2, (key, slope)
 
 
 def test_norm_identity_warns_on_fat_boundary():
-    grid = LineGrid(3.0, 301)
-    params = derive_params(5, 0.0, 3.0)
-    w = LineProfile(grid=grid, values=np.exp(-grid.s**2), params=params)
     with pytest.warns(SupportWarning):
-        norm_identity_check(w)
+        identity_errors(L=3.0, N=301)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 3.0, -2.5])

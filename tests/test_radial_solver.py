@@ -8,15 +8,24 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from ckn.descent import upper_bands
-from ckn.errors import GridError
+from ckn.errors import GridError, ParameterDomainError
 from ckn.grids import LineGrid, alpha_grid
-from ckn.operators import _line_operators
 from ckn.params import bubble_curve, conjugate_exponent, derive_params, scaling_relation
 from ckn.radial_solver import (MinimizationConfig, _even_form, _full_form,
                                _scaled_grid, brute_force_oracle,
                                consistency_suite, minimize_mu_q, scan_row)
 
 COARSE = LineGrid(12.0, 41)
+
+
+def _line_operators(grid: LineGrid):
+    """Central differences (D2, D1) for w'' and w' on the interior unknowns
+    (hard zeros at both ends): the FD rule of the line solver's form."""
+    h = grid.h
+    one = np.ones(grid.N - 2)
+    D2 = sp.diags([one[:-1], -2.0 * one, one[:-1]], [-1, 0, 1]) / h**2
+    D1 = sp.diags([-one[:-1], one[:-1]], [-1, 1]) / (2.0 * h)
+    return D2, D1
 
 
 # (5, 0, 3) is criterion 04's point, where that check allows 1e-4
@@ -186,10 +195,20 @@ def test_oracle_refuses_a_finite_form_whose_quotient_overflows():
     with np.errstate(over="ignore"), pytest.raises(
             GridError, match="the line quotient overflows"):
         brute_force_oracle(5, 1e70, 3.0, grid)
-    # gamma = 0: the norms are finite (3e-30), but h sum |w|^10 overflows
+    # gamma rounds to 0 next to alpha = 4 - n: the norms are finite
+    # (3e-30), but h sum |w|^10 overflows
     with np.errstate(over="ignore"), pytest.raises(
             GridError, match="the line quotient overflows"):
-        brute_force_oracle(5, -1.0, 10.0, LineGrid(1e60, 5))
+        brute_force_oracle(5, float(np.nextafter(-1.0, 0.0)), 10.0, LineGrid(1e60, 5))
+
+
+@pytest.mark.parametrize("grid", [LineGrid(1e70, 5), COARSE], ids=["1e70,5", "12,41"])
+@pytest.mark.parametrize("alpha", [-1.0, 5.0])
+def test_oracle_refuses_the_degenerate_alpha(grid, alpha):
+    # minimize_mu_q answers alpha = 4 - n and n with its zero result
+    assert minimize_mu_q(5, alpha, 3.0, MinimizationConfig(grid=grid)).degenerate
+    with pytest.raises(ParameterDomainError, match="4 - n or n"):
+        brute_force_oracle(5, alpha, 3.0, grid)
 
 
 # K = 2 and 3 unknowns, and the default grid

@@ -1,6 +1,6 @@
-"""The splines of `ckn.splines` against scipy.interpolate, bit for bit, on
-the grids and evaluation points ckn uses; their refusals; and that no
-certify command loads scipy.interpolate or what it pulls in."""
+"""The spline of `ckn.splines` against scipy.interpolate, bit for bit, on
+the profiles and evaluation points ckn uses; its refusals; and that the
+commands that read no profile file load no scipy."""
 import math
 import re
 import subprocess
@@ -9,23 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline, make_interp_spline
+from scipy.interpolate import make_interp_spline
 
 from ckn.bn_ball import _bn_nodes
-from ckn.grids import LineGrid
-from ckn.quadrature import GRADING_LEVELS, PANEL_COUNT, PANEL_ORDER, gauss_panels
-from ckn.splines import NaturalCubic, not_a_knot
+from ckn.grids import RadialProfile, save_profile
+from ckn.quadrature import gauss_panels
+from ckn.splines import not_a_knot
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def radial_quadrature_nodes():
-    """The r nodes of `weighted_radial_integral` on (0, inf): graded panels
-    on (0, 1], then r = 1 + tan(theta) on the tail."""
-    graded = np.append(0.0, 0.5 ** np.arange(GRADING_LEVELS, -1, -1))
-    theta = np.linspace(0.0, 0.5 * math.pi, PANEL_COUNT + 1)
-    return np.r_[gauss_panels(graded, PANEL_ORDER)[0],
-                 1.0 + np.tan(gauss_panels(theta, PANEL_ORDER)[0])]
 
 
 def points(x, rng, extra):
@@ -33,21 +24,6 @@ def points(x, rng, extra):
     span = x[-1] - x[0]
     return np.r_[x, x[0], x[-1], x[0] - 0.01 * span, x[-1] + 0.01 * span,
                  rng.uniform(x[0], x[-1], 20000), extra]
-
-
-@pytest.mark.parametrize("L, N, bump", [(12.0, 4001, 0.0), (12.0, 2001, 0.3),
-                                        (3.0, 301, 0.0), (1.0, 5, 0.5)])
-def test_natural_cubic_matches_scipy(L, N, bump):
-    grid = LineGrid(L, N)
-    x = grid.s
-    y = np.exp(-x**2) * (1.0 + bump * np.sin(3.0 * x))
-    ref, spl = CubicSpline(x, y, bc_type="natural"), NaturalCubic(x, y)
-    assert np.array_equal(ref.c, spl.c)
-    # the identity check's points t = -log r and the spline energy's rule
-    v = points(x, np.random.default_rng(N), np.r_[-np.log(radial_quadrature_nodes()),
-                                                  gauss_panels(x, 4)[0]])
-    for nu in (0, 1, 2):
-        assert np.array_equal(ref(v, nu=nu), spl(v, nu)), nu
 
 
 def radial_profiles():
@@ -77,8 +53,7 @@ def test_not_a_knot_matches_scipy(x, y, k):
         spl = spl.derivative()
 
 
-@pytest.mark.parametrize("build, size", [(NaturalCubic, 2),
-                                         (lambda x, y: not_a_knot(x, y, 3), 4),
+@pytest.mark.parametrize("build, size", [(lambda x, y: not_a_knot(x, y, 3), 4),
                                          (lambda x, y: not_a_knot(x, y, 5), 6)])
 def test_splines_refuse_short_non_finite_or_unsorted_data(build, size):
     x = np.linspace(0.0, 1.0, size)
@@ -93,21 +68,33 @@ def test_splines_refuse_short_non_finite_or_unsorted_data(build, size):
         build(x[::-1], x)
 
 
-def test_certify_commands_load_no_interpolate():
-    """Every command line of the `certify` benchmark workload, through
-    `cli.dispatch` in a fresh interpreter, leaves scipy.interpolate and the
-    subpackages it loads out of sys.modules."""
+def test_certify_commands_load_no_interpolate(tmp_path):
+    """Every command line of the `certify` benchmark workload, `phase` over
+    an alpha range and `constants`, through `cli.dispatch` in a fresh
+    interpreter, leave every scipy module out of sys.modules; a
+    `shifted-weight --profile` run then loads scipy.linalg (its spline)."""
+    profile = tmp_path / "bump.txt"
+    r = np.linspace(0.0, 1.0, 201)
+    save_profile(profile, RadialProfile(nodes=r, values=(1.0 - r**2) ** 3, n=6))
     script = f"""
 import contextlib, io, sys
 sys.path[:0] = [{str(ROOT / "src")!r}, {str(ROOT / "perfbench")!r}]
 import workloads
 from ckn.cli import dispatch
-for op in workloads.build("certify", 1):
+argvs = [op.argv for op in workloads.build("certify", 1)]
+argvs += [("phase", "--n", "5", "--q", "3", "--alpha-range=-2,6,0.5", "--jobs", "1"),
+          ("constants", "--n", "5", "--alpha", "1")]
+def run(argv):
     with contextlib.redirect_stdout(io.StringIO()):
-        assert dispatch(list(op.argv)) == 0, op.argv
-print(",".join(m for m in ("scipy.interpolate", "scipy.special", "scipy.optimize",
-                           "scipy.spatial") if m in sys.modules))
+        assert dispatch(list(argv)) == 0, argv
+def scipy_modules():
+    return ",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+for argv in argvs:
+    run(argv)
+print(scipy_modules())
+run(("shifted-weight", "--n", "6", "--a=-3", "--profile", {str(profile)!r}))
+print("scipy.linalg" in sys.modules)
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, check=True)
-    assert proc.stdout == "\n", proc.stdout
+    assert proc.stdout == "\nTrue\n", proc.stdout
