@@ -227,14 +227,9 @@ def _write_sweep(args, row_type, values: Sequence[float], results: List) -> None
 # Each subcommand imports the ckn modules it needs when it runs, not at the
 # top of this module, since a command needs only some of them.  Every
 # command loads numpy.  `scipy.linalg` and `scipy.sparse` are loaded by the
-# solvers of `radial-min`, `scan`, `bn` and `bn-probe`, and `scipy.linalg`
-# alone by the spline of `shifted-weight --profile`; no other command, and
-# no other part of scipy.  Medians of 9 cold imports without bytecode
-# writes, two passes on a shared 2-vCPU machine: `ckn.cli` alone
-# 0.080-0.082 s; with the modules of `phase` 0.091-0.096 s, with those of
-# `verify`, `talenti-verify`, `ueps`, `critical-check` and `shifted-weight`
-# 0.099-0.102 s, with those of `scan` 0.260-0.264 s, with those of
-# `bn-probe` 0.259-0.270 s, with every ckn module 0.278-0.310 s.
+# solvers of `radial-min`, `scan`, `bn` and `bn-probe`, and
+# `scipy.interpolate` by the spline of `shifted-weight --profile`; no other
+# command loads any part of scipy.
 
 
 def _cmd_constants(args) -> int:

@@ -30,26 +30,22 @@ from .quadrature import (GRADING_LEVELS, gauss_panels, sphere_area,
                          weighted_radial_integral)
 
 # ---------------------------------------------------------------------------
-# Talenti bubble and its analytic derivatives
+# Talenti bubble and its analytic derivatives; every radial function below
+# is a map from r to its value and first two derivatives at r
 
 
-def talenti(r: np.ndarray, n: int) -> np.ndarray:
-    return np.power(1.0 + r**2, 0.5 * (4 - n))
-
-
-def talenti_d1(r: np.ndarray, n: int) -> np.ndarray:
-    return (4 - n) * r * np.power(1.0 + r**2, 0.5 * (2 - n))
-
-
-def talenti_d2(r: np.ndarray, n: int) -> np.ndarray:
+def talenti(r: np.ndarray, n: int):
+    """U, U' and U'' at r."""
     phi = 1.0 + r**2
-    return (4 - n) * np.power(phi, 0.5 * (2 - n)) + (4 - n) * (2 - n) * r**2 * np.power(
-        phi, -0.5 * n
-    )
+    d = np.power(phi, 0.5 * (2 - n))
+    return (np.power(phi, 0.5 * (4 - n)), (4 - n) * r * d,
+            (4 - n) * d + (4 - n) * (2 - n) * r**2 * np.power(phi, -0.5 * n))
 
 
-def talenti_laplacian(r: np.ndarray, n: int) -> np.ndarray:
-    return talenti_d2(r, n) + (n - 1) / r * talenti_d1(r, n)
+def _laplacian(n: int, r: np.ndarray, u) -> np.ndarray:
+    """Delta u = u'' + (n - 1) u'/r of the radial function with u = (u, u', u'')
+    at r."""
+    return u[2] + (n - 1) / r * u[1]
 
 
 def expansion_coefficient(n: int, a: Real) -> Real:
@@ -102,37 +98,39 @@ def talenti_identity_suite(
             raise ParameterDomainError(
                 f"a={a!r} must be finite with a^4 below the float maximum")
 
-    U = lambda r: talenti(r, n)
-    Up = lambda r: talenti_d1(r, n)
-    lap = lambda r: talenti_laplacian(r, n)
-    quad = lambda g, p: weighted_radial_integral(g, n, p, doubled=doubled)
+    def quad(g, p: float) -> float:
+        # the integral of g(r, U, U', Delta U) against r^p
+        def integrand(r: np.ndarray) -> np.ndarray:
+            u = talenti(r, n)
+            return g(r, u[0], u[1], _laplacian(n, r, u))
+        return weighted_radial_integral(integrand, n, p, doubled=doubled)
 
-    I = quad(lambda r: U(r) ** 2, -4.0)
-    J = quad(lambda r: Up(r) ** 2, -2.0)
+    I = quad(lambda r, U, Up, lap: U**2, -4.0)
+    J = quad(lambda r, U, Up, lap: Up**2, -2.0)
     ratio = (n - 2) * (n - 4) ** 2 / (4.0 * (n - 3))
     ratio_relerr = _relerr(J / I, ratio)
 
     identity_relerrs = {
         # int |x|^-4 U (x . grad U) = -(n-4)/2 I
         "radial-1": _relerr(
-            quad(lambda r: U(r) * r * Up(r), -4.0),
+            quad(lambda r, U, Up, lap: U * r * Up, -4.0),
             -0.5 * (n - 4) * I,
         ),
         # int |x|^-2 (x . grad U) Delta U = (n/2) J
         "radial-2": _relerr(
-            quad(lambda r: r * Up(r) * lap(r), -2.0),
+            quad(lambda r, U, Up, lap: r * Up * lap, -2.0),
             0.5 * n * J,
         ),
         # int |x|^-2 U Delta U = -J - (n-4) I
         "radial-3": _relerr(
-            quad(lambda r: U(r) * lap(r), -2.0),
+            quad(lambda r, U, Up, lap: U * lap, -2.0),
             -J - (n - 4) * I,
         ),
     }
 
-    energy = quad(lambda r: lap(r) ** 2, 0.0)
+    energy = quad(lambda r, U, Up, lap: lap**2, 0.0)
     two_ss = 2.0 * n / (n - 4)
-    mass = quad(lambda r: U(r) ** two_ss, 0.0)
+    mass = quad(lambda r, U, Up, lap: U**two_ss, 0.0)
     sstar_num = sstar(n)
     identity_relerrs["sstar"] = _relerr(energy / mass ** (2.0 / two_ss), sstar_num)
 
@@ -142,9 +140,9 @@ def talenti_identity_suite(
         c = expansion_coefficient(n, a)
         coefficients[a] = c
 
-        def modified(r: np.ndarray, a: float = a) -> np.ndarray:
+        def modified(r, U, Up, lap, a: float = a) -> np.ndarray:
             # |x|^-a Delta(|x|^a U), so the weight cancels in the square
-            return (lap(r) + (2.0 * a * Up(r) / r) + a * (n - 2 + a) * U(r) / r**2) ** 2
+            return (lap + (2.0 * a * Up / r) + a * (n - 2 + a) * U / r**2) ** 2
 
         try:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -219,9 +217,13 @@ def _ball_bump(r: np.ndarray):
 def _profile_splines(u: RadialProfile):
     """The map from r to the value and first two derivatives at r of the
     profile's not-a-knot spline (quintic from 6 nodes, cubic on 4 or 5)."""
-    from .splines import not_a_knot
+    from scipy.interpolate import make_interp_spline
 
-    spl = not_a_knot(u.nodes, u.values, 5 if u.nodes.size >= 6 else 3)
+    N = u.nodes.size
+    k = 5 if N >= 6 else 3
+    if N < k + 1:
+        raise ValueError(f"the spline needs at least {k + 1} nodes, got {N}")
+    spl = make_interp_spline(u.nodes, u.values, k)
     s1 = spl.derivative()
     s2 = s1.derivative()
     return lambda r: (spl(r), s1(r), s2(r))
@@ -289,8 +291,9 @@ def shifted_weight_lemma_check(
     mr = wr * r ** (n - 1)
     mth = wth * np.sin(th) ** (n - 2)
 
-    u_vals, ur, urr = profile(r)
-    lap_u = urr + (n - 1) / r * ur
+    u_r = profile(r)
+    u_vals, ur, urr = u_r
+    lap_u = _laplacian(n, r, u_r)
 
     R = r[:, None]
     UR = ur[:, None]
@@ -349,21 +352,13 @@ def shifted_weight_lemma_check(
 # Concentration family
 
 
-def smoothstep_cutoff(r: np.ndarray) -> np.ndarray:
-    """Quintic smoothstep: 1 for r <= 1/2, 0 for r >= 3/4."""
+def smoothstep_cutoff(r: np.ndarray):
+    """Quintic smoothstep, 1 for r <= 1/2 and 0 for r >= 3/4, and its first
+    two derivatives at r."""
     s = np.clip((np.asarray(r, dtype=float) - 0.5) / 0.25, 0.0, 1.0)
-    return 1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
-
-
-def _smoothstep_derivs(r: np.ndarray):
-    """First and second derivatives of `smoothstep_cutoff`."""
-    s = (np.asarray(r, dtype=float) - 0.5) / 0.25
-    inside = (s > 0.0) & (s < 1.0)
-    d1, d2 = np.zeros_like(s), np.zeros_like(s)
-    ss = s[inside]
-    d1[inside] = -(30.0 * ss**2 - 60.0 * ss**3 + 30.0 * ss**4) / 0.25
-    d2[inside] = -(60.0 * ss - 180.0 * ss**2 + 120.0 * ss**3) / 0.25**2
-    return d1, d2
+    return (1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s**2),
+            -(30.0 * s**2 - 60.0 * s**3 + 30.0 * s**4) / 0.25,
+            -(60.0 * s - 180.0 * s**2 + 120.0 * s**3) / 0.25**2)
 
 
 @dataclass(frozen=True)
@@ -380,14 +375,14 @@ class UepsReport:
     mass_deficits: List[float] = field(default_factory=list)
 
 
-def _ueps_derivs(n: int, eps: float, r: np.ndarray):
+def _ueps(n: int, eps: float, r: np.ndarray):
+    """u_eps and its first two derivatives at r."""
     scale = eps ** (0.5 * (4 - n))
-    chi, (chi1, chi2) = smoothstep_cutoff(r), _smoothstep_derivs(r)
-    s = r / eps
-    U, U1, U2 = talenti(s, n), talenti_d1(s, n) / eps, talenti_d2(s, n) / eps**2
-    v1 = scale * (chi1 * U + chi * U1)
-    v2 = scale * (chi2 * U + 2.0 * chi1 * U1 + chi * U2)
-    return v1, v2
+    chi, chi1, chi2 = smoothstep_cutoff(r)
+    U, U1, U2 = talenti(r / eps, n)
+    U1, U2 = U1 / eps, U2 / eps**2
+    return (scale * (chi * U), scale * (chi1 * U + chi * U1),
+            scale * (chi2 * U + 2.0 * chi1 * U1 + chi * U2))
 
 
 # the graded quadrature resolves u_eps while its core r < eps spans ten of
@@ -434,19 +429,17 @@ def ueps_family(n: int, lam: float, epsilons: Sequence[float]) -> UepsReport:
 
     for eps in epsilons:
         def lap_sq(r: np.ndarray, eps: float = eps) -> np.ndarray:
-            v1, v2 = _ueps_derivs(n, eps, r)
-            return (v2 + (n - 1) / r * v1) ** 2
+            return _laplacian(n, r, _ueps(n, eps, r)) ** 2
 
         def grad_sq(r: np.ndarray, eps: float = eps) -> np.ndarray:
-            v1, _ = _ueps_derivs(n, eps, r)
-            return v1**2
+            return _ueps(n, eps, r)[1] ** 2
 
         def bubble_density(r: np.ndarray, eps: float = eps) -> np.ndarray:
             # U_eps^(2**) without the cutoff
-            return (eps ** (0.5 * (4 - n)) * talenti(r / eps, n)) ** two_ss
+            return (eps ** (0.5 * (4 - n)) * talenti(r / eps, n)[0]) ** two_ss
 
         def cut_density(r: np.ndarray) -> np.ndarray:
-            return bubble_density(r) * (1.0 - smoothstep_cutoff(r) ** two_ss)
+            return bubble_density(r) * (1.0 - smoothstep_cutoff(r)[0] ** two_ss)
 
         # the cutoff is only C^2 at r = 1/2, so |Delta u_eps|^2 has a corner
         # there: integrate on each side of it

@@ -5,8 +5,9 @@ ball's lambda_21:
 
 with Phi the identity unless the caller gives a map.  At p = 2 it is
 inverse power iteration for the smallest eigenvalue of the pencil
-(A, Phi^T diag(weights) Phi).  Every caller hands its forms to the banded
-Cholesky factorization in the layout of `upper_bands`."""
+(A, Phi^T diag(weights) Phi).  Every caller hands in the solve with A from
+a banded Cholesky factorization: the ball's forms in the layout of
+`upper_bands`, the line's folded form from its DIA rows directly."""
 from __future__ import annotations
 
 import math

@@ -98,10 +98,10 @@ def norm_identity_check(params: DerivedParams, grid: LineGrid) -> Dict[str, floa
     energy_fd = omega * h * float(
         np.sum(d2**2 + 2.0 * gbar * d1**2 + gam**2 * x[1:-1] ** 2)
     )
-    u = emden_fowler_inverse(w)
-    mass_trap = omega * float(np.trapezoid(
-        u.nodes ** (n - 1 - beta) * np.abs(u.values) ** q, u.nodes
-    ))
+    # m q = beta - n, so r^(n-1-beta) |u|^q = |w(-log r)|^q / r: no factor
+    # overflows
+    r = log_uniform_radial_nodes(grid)
+    mass_trap = omega * float(np.trapezoid(np.abs(w.values[::-1]) ** q / r, r))
 
     return {
         "q": _rel(mass_radial, mass_line),

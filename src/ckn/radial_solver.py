@@ -208,19 +208,22 @@ def brute_force_oracle(n: int, alpha: float, q: float, coarse_grid: LineGrid) ->
     W0[2] = 1.0 - (s / coarse_grid.L) ** 2
     rng = np.random.default_rng(0)
     W0[3:] = rng.standard_normal((K - 3, M))
-    Z = W0 @ C
-    norms = np.linalg.norm(Z, axis=1)
-    Z /= norms[:, None]
 
     def quotient(Z):
         W = Z @ U.T
         mass = np.maximum(h * np.sum(np.abs(W) ** q, axis=1), 1e-300)
         return np.einsum("ij,ij->i", Z, Z) / mass ** (2.0 / q), W, mass
 
-    vals, W, mass = quotient(Z)
-    if not np.all(np.isfinite(norms) & np.isfinite(mass) & np.isfinite(vals)):
-        raise GridError(f"the line quotient overflows on the grid with spacing "
-                        f"h={h!r} (L={coarse_grid.L}, N={coarse_grid.N})")
+    def normalized(Z):
+        norms = np.linalg.norm(Z, axis=1)
+        Z = Z / norms[:, None]
+        vals, W, mass = quotient(Z)
+        if not np.all(np.isfinite(norms) & np.isfinite(mass) & np.isfinite(vals)):
+            raise GridError(f"the line quotient overflows on the grid with spacing "
+                            f"h={h!r} (L={coarse_grid.L}, N={coarse_grid.N})")
+        return Z, vals, W, mass
+
+    Z, vals, W, mass = normalized(W0 @ C)
     eye = np.eye(M)
     for _ in range(_ORACLE_MAX_STEPS):
         a = np.abs(W) ** (q - 2.0)
@@ -250,8 +253,7 @@ def brute_force_oracle(n: int, alpha: float, q: float, coarse_grid: LineGrid) ->
             rest = rest[~take]
             if rest.size == 0:
                 break
-        Z /= np.linalg.norm(Z, axis=1)[:, None]
-        vals, W, mass = quotient(Z)
+        Z, vals, W, mass = normalized(Z)
         if prev_best - float(np.min(vals)) <= _ORACLE_STEP_TOL * abs(prev_best):
             break
 

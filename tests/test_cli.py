@@ -539,6 +539,8 @@ def test_shifted_weight_refuses_a_line_profile(capsys, tmp_path):
      "be finite, got u=nan at r=0.3 (1 non-finite node(s))"),
     ("0 1\nnan 0.7\n0.6 0.5\n1 0\n", "radial profile nodes and values must "
      "be finite, got u=0.7 at r=nan (1 non-finite node(s))"),
+    ("0 1\n0.6 0.262144\n0.3 0.753571\n1 0\n", "radial nodes must be strictly "
+     "increasing"),
 ])
 def test_shifted_weight_refuses_a_short_or_non_finite_profile(capsys, tmp_path,
                                                               rows, message):

@@ -13,7 +13,7 @@ from scipy.special import beta as beta_fn
 import ckn.critical
 from ckn.critical import (strictness_sign_check, expansion_coefficient,
                           shifted_weight_lemma_check, smoothstep_cutoff,
-                          talenti, talenti_identity_suite, talenti_laplacian,
+                          talenti, talenti_identity_suite,
                           ueps_family)
 from ckn.errors import (ConsistencyError, ParameterDomainError,
                         SupportViolationError, SupportWarning)
@@ -202,11 +202,11 @@ def test_shifted_weight_rejects_boundary_supported_profile():
 
 def test_smoothstep_plateau_and_support():
     r = np.array([0.0, 0.3, 0.5, 0.625, 0.75, 0.9])
-    chi = smoothstep_cutoff(r)
+    chi = smoothstep_cutoff(r)[0]
     assert chi[0] == 1.0 and chi[2] == 1.0
     assert chi[4] == 0.0 and chi[5] == 0.0
     assert 0.0 < chi[3] < 1.0
-    fine = smoothstep_cutoff(np.linspace(0.5, 0.75, 200))
+    fine = smoothstep_cutoff(np.linspace(0.5, 0.75, 200))[0]
     assert np.all(np.diff(fine) <= 1e-12)
 
 

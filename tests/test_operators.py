@@ -30,6 +30,16 @@ def test_norm_identity_discrete_routes_second_order():
         assert 1.8 <= slope <= 2.2, (key, slope)
 
 
+@pytest.mark.filterwarnings("ignore:q=3.0 exceeds the critical exponent")
+def test_norm_identity_trapezoid_is_finite_in_high_dimension():
+    # r^(n-1-beta) overflows at n = 60 where |w(-log r)|^q / r does not; the
+    # trapezoid error is that of int |w|^q ds, the same in every dimension
+    rel_errors = identity_errors(n=60, N=4001)
+    assert all(math.isfinite(v) for v in rel_errors.values()), rel_errors
+    assert rel_errors["q_discrete"] == pytest.approx(
+        identity_errors(n=5, N=4001)["q_discrete"], rel=1e-9)
+
+
 def test_norm_identity_warns_on_fat_boundary():
     with pytest.warns(SupportWarning):
         identity_errors(L=3.0, N=301)

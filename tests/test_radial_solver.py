@@ -2,6 +2,8 @@
 brute-force oracle and the closed-form bubble curve, symmetry, degeneracies,
 and the sweep machinery."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -200,6 +202,13 @@ def test_oracle_refuses_a_finite_form_whose_quotient_overflows():
     with np.errstate(over="ignore"), pytest.raises(
             GridError, match="the line quotient overflows"):
         brute_force_oracle(5, float(np.nextafter(-1.0, 0.0)), 10.0, LineGrid(1e60, 5))
+    # the starts are finite, but at q = 1000 a damped step leaves a norm,
+    # mass or quotient that is not
+    for n, alpha, grid in ((3, 1.5, LineGrid(400, 5)), (5, 0.0, LineGrid(100, 5))):
+        with warnings.catch_warnings(), np.errstate(invalid="ignore"), pytest.raises(
+                GridError, match="the line quotient overflows"):
+            warnings.simplefilter("ignore", UserWarning)  # q above 2n/(n-4)
+            brute_force_oracle(n, alpha, 1000.0, grid)
 
 
 @pytest.mark.parametrize("grid", [LineGrid(1e70, 5), COARSE], ids=["1e70,5", "12,41"])
