@@ -110,13 +110,16 @@ def _even_form(grid: LineGrid, gbar: float, gam: float):
 
 
 def line_data(n: int, alpha: float) -> Tuple[bool, float, float]:
-    """All that `minimize_mu_q` reads of alpha: whether alpha is 4 - n or n
-    (a zero form), and the floats gbar and gamma.  Both depend on alpha
-    only through (alpha - 2)^2, so alpha and 4 - alpha share them when
-    their floats round alike, and with them one solve."""
+    """All that `minimize_mu_q` reads of alpha: whether the problem is
+    degenerate, and the floats gbar and gamma.  Both depend on alpha only
+    through (alpha - 2)^2, so alpha and 4 - alpha share them when their
+    floats round alike, and with them one solve.  It is degenerate (a zero
+    infimum) iff the float gamma is 0.0: at alpha = 4 - n and n, and at
+    the alphas next to them whose (alpha - 2)^2 rounds to (n - 2)^2, which
+    share their gbar and gamma."""
     a = float(alpha)
-    return (a in (float(4 - n), float(n)), float(gbar_alpha(n, a)),
-            float(gamma_alpha(n, a)))
+    gam = float(gamma_alpha(n, a))
+    return gam == 0.0, float(gbar_alpha(n, a)), gam
 
 
 def minimize_mu_q(n: int, alpha: float, q: float, cfg: MinimizationConfig) -> MinimizationResult:
@@ -183,13 +186,15 @@ def brute_force_oracle(n: int, alpha: float, q: float, coarse_grid: LineGrid) ->
     Its domain is the points whose minimizer the N <= 41 grid resolves, as
     criterion 04's.  At (n, alpha, q) = (6, 1, 4) and (8, -2, 3.5) it finds
     states at the hard zero s = -L, below the even solver's value, that
-    grid refinement does not keep.  It refuses alpha = 4 - n and n, where
-    `minimize_mu_q` answers its zero result."""
+    grid refinement does not keep.  It refuses the degenerate alphas of
+    `line_data` (gamma rounds to 0: 4 - n, n and the alphas next to them),
+    where `minimize_mu_q` answers its zero result."""
     if coarse_grid.N > 41:
         raise ParameterDomainError("oracle grids are capped at N = 41")
     if line_data(n, alpha)[0]:
-        raise ParameterDomainError(f"alpha={alpha!r} is 4 - n or n, the degenerate "
-                                   "line problem that minimize_mu_q answers with 0")
+        raise ParameterDomainError(f"gamma rounds to 0 at alpha={alpha!r} (4 - n or n, "
+                                   "or next to one): the degenerate line problem "
+                                   "that minimize_mu_q answers with 0")
     params = derive_params(n, float(alpha), float(q))
     gam = float(params.gamma)
     gbar = float(params.gbar)

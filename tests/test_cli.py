@@ -1,13 +1,14 @@
 """CLI dispatch: exit codes, output formats, refusals, and byte-stable
 parallel sweeps."""
+import argparse
 import dataclasses
 import json
 import math
 
 import pytest
 
-from ckn.cli import (EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_UNCONVERGED,
-                     dispatch)
+from ckn.cli import (_COMMANDS, EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_UNCONVERGED,
+                     build_parser, dispatch)
 
 SCAN_HEADER = ("alpha,mu_q,s_q_rad,s2_rad,rellich,sq_positive,"
                "bs_closed_form,bs_certificate,converged")
@@ -38,10 +39,51 @@ def test_radial_min_degenerate_boundary(capsys):
     assert payload["mu_q"] == 0.0
 
 
+def test_radial_min_next_to_the_degenerate_boundary(capsys):
+    # gamma rounds to 0 at alpha = nextafter(-1, 0), even on a grid whose
+    # folded form the banded Cholesky cannot factor
+    code, out, err = run(capsys, "radial-min", "--n", "5",
+                         "--alpha=-0.9999999999999999", "--q", "3",
+                         "--grid", "1e70,5")
+    assert (code, err) == (EXIT_OK, "")
+    payload = json.loads(out)
+    assert payload["degenerate"] is True
+    assert payload["mu_q"] == 0.0
+
+
 def test_unknown_subcommand_exits_1(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == EXIT_DOMAIN
     assert "usage" in err
+
+
+def _subparsers(parser):
+    """The subcommand name -> parser map of `parser`."""
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("name", list(_COMMANDS))
+def test_a_named_command_builds_only_its_own_subparser(name):
+    full, narrow = build_parser(), build_parser(name)
+    assert list(_subparsers(full)) == list(_COMMANDS)
+    assert list(_subparsers(narrow)) == [name]
+    mine, theirs = _subparsers(narrow)[name], _subparsers(full)[name]
+    assert mine.format_help() == theirs.format_help()
+    assert mine.format_usage() == theirs.format_usage()
+    # the usage of "unrecognized arguments" lists every command
+    assert narrow.format_usage() == full.format_usage()
+    assert "{" + ",".join(_COMMANDS) + "}" in narrow.format_usage()
+
+
+@pytest.mark.parametrize("argv", [["frobnicate"], ["cons"], ["--n", "5", "constants"]])
+def test_an_unknown_command_prints_the_usage_of_every_command(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err.startswith(build_parser().format_usage())
+    assert "{" + ",".join(_COMMANDS) + "}" in err
+    assert "argument command: invalid choice" in err
 
 
 def test_unknown_flag_exits_1(capsys):

@@ -29,6 +29,16 @@ def test_command_lines_hold_every_subcommand_in_both_formats_and_every_refusal()
         assert cmd in lines
 
 
+def test_command_lines_hold_the_top_level_paths_of_the_parser():
+    lines = cli_outputs.command_lines(workloads)
+    assert cli_outputs.USAGE == (
+        (), ("--help",), ("-h", "scan"), ("frobnicate",), ("cons",),
+        ("--format", "csv", "constants", "--n", "5", "--alpha", "0"),
+        ("scan", "--help"), ("verify", "--help"), ("bn-probe", "--help"))
+    for argv in cli_outputs.USAGE:
+        assert argv in lines
+
+
 def test_run_captures_a_command(tmp_path):
     from ckn.cli import dispatch
 

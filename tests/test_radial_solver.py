@@ -197,11 +197,6 @@ def test_oracle_refuses_a_finite_form_whose_quotient_overflows():
     with np.errstate(over="ignore"), pytest.raises(
             GridError, match="the line quotient overflows"):
         brute_force_oracle(5, 1e70, 3.0, grid)
-    # gamma rounds to 0 next to alpha = 4 - n: the norms are finite
-    # (3e-30), but h sum |w|^10 overflows
-    with np.errstate(over="ignore"), pytest.raises(
-            GridError, match="the line quotient overflows"):
-        brute_force_oracle(5, float(np.nextafter(-1.0, 0.0)), 10.0, LineGrid(1e60, 5))
     # the starts are finite, but at q = 1000 a damped step leaves a norm,
     # mass or quotient that is not
     for n, alpha, grid in ((3, 1.5, LineGrid(400, 5)), (5, 0.0, LineGrid(100, 5))):
@@ -212,12 +207,18 @@ def test_oracle_refuses_a_finite_form_whose_quotient_overflows():
 
 
 @pytest.mark.parametrize("grid", [LineGrid(1e70, 5), COARSE], ids=["1e70,5", "12,41"])
-@pytest.mark.parametrize("alpha", [-1.0, 5.0])
+@pytest.mark.parametrize("alpha", [-1.0, 5.0, float(np.nextafter(-1.0, 0.0))])
 def test_oracle_refuses_the_degenerate_alpha(grid, alpha):
-    # minimize_mu_q answers alpha = 4 - n and n with its zero result
-    assert minimize_mu_q(5, alpha, 3.0, MinimizationConfig(grid=grid)).degenerate
-    with pytest.raises(ParameterDomainError, match="4 - n or n"):
+    # minimize_mu_q answers alpha = 4 - n and n, and the alphas next to
+    # them where gamma rounds to 0, with its zero result
+    res = minimize_mu_q(5, alpha, 3.0, MinimizationConfig(grid=grid))
+    assert res.degenerate and res.mu_q == 0.0
+    with pytest.raises(ParameterDomainError, match="gamma rounds to 0"):
         brute_force_oracle(5, alpha, 3.0, grid)
+    # at q = 10 on a wide grid it would overflow h sum |w|^10: the
+    # refusal comes first
+    with pytest.raises(ParameterDomainError, match="4 - n or n"):
+        brute_force_oracle(5, alpha, 10.0, LineGrid(1e60, 5))
 
 
 # K = 2 and 3 unknowns, and the default grid

@@ -15,7 +15,8 @@ them):
   near 4e9 (sphere levels 4e9 apart, -gamma off them), alpha = 2e14 + 5
   (-gamma on a level) and 3e76, and line solves
   on a wide fine grid, on a coarse grid with a mirror pair alpha,
-  4 - alpha, and on the smallest grids (N = 5 and 7); `shifted-weight`
+  4 - alpha, and on the smallest grids (N = 5 and 7), and a degenerate
+  line solve next to alpha = 4 - n; `shifted-weight`
   also reads a profile that `bn` saves (geometric nodes) and a 4-node one
   (the cubic spline);
 - the command lines that refuse a bad (n, q) (`phase` over an alpha range
@@ -25,6 +26,10 @@ them):
   whose integrands overflow, a bad sample list, an epsilon below the
   quadrature's floor, a missing --alpha, a flag that no subcommand has, or
   a profile too short for its spline or with a non-finite node or value;
+- the top-level paths of the parser: no command, the top-level help, an
+  unknown or abbreviated command, a flag before the command, and the help
+  of three subcommands (help text wraps at the terminal width, so compare
+  dumps made in the same terminal);
 - the library calls of one round (seed 1) of the benchmark, which no
   subcommand reaches: each `oracle` operation's oracle value and its
   solve's `mu_q`, `iterations`, `el_residual`, `status` and the SHA-256 of
@@ -77,6 +82,9 @@ SUBCOMMANDS = (
     # the smallest grids: the folded form's second band is empty, then one entry
     ("radial-min", "--n", "5", "--alpha", "0", "--q", "3", "--grid", "12,5"),
     ("radial-min", "--n", "5", "--alpha", "0", "--q", "3", "--grid", "12,7"),
+    # gamma rounds to 0 next to alpha = 4 - n: the degenerate zero result
+    ("radial-min", "--n", "5", "--alpha=-0.9999999999999999", "--q", "3",
+     "--grid", "1e70,5"),
     ("scan", "--n", "5", "--q", "3", "--alpha-range", "0,1,0.5",
      "--grid", "8,401", "--jobs", "1"),
     ("scan", "--n", "5", "--q", "3", "--alpha-range", "1,0,1", "--jobs", "1"),
@@ -155,6 +163,19 @@ REFUSALS = (
     ("shifted-weight", "--n", "6", "--a", "-3", "--profile", f"{TMP}/nan.txt"),
 )
 
+# the parser's own paths: usage and help, exit 0 or 1
+USAGE = (
+    (),
+    ("--help",),
+    ("-h", "scan"),
+    ("frobnicate",),
+    ("cons",),
+    ("--format", "csv", "constants", "--n", "5", "--alpha", "0"),
+    ("scan", "--help"),
+    ("verify", "--help"),
+    ("bn-probe", "--help"),
+)
+
 
 def command_lines(workloads):
     """The argv of every operation to run, in order."""
@@ -163,6 +184,7 @@ def command_lines(workloads):
     argvs += [cmd + ("--format", fmt) for cmd in SUBCOMMANDS
               for fmt in ("json", "csv")]
     argvs += list(REFUSALS)
+    argvs += list(USAGE)
     return argvs
 
 
