@@ -122,6 +122,14 @@ def line_data(n: int, alpha: float) -> Tuple[bool, float, float]:
     return gam == 0.0, float(gbar_alpha(n, a)), gam
 
 
+def _refuse_degenerate(n: int, alpha: float) -> None:
+    """Refuse the degenerate alphas of `line_data`, which have no minimizer."""
+    if line_data(n, alpha)[0]:
+        raise ParameterDomainError(f"gamma rounds to 0 at alpha={alpha!r} (4 - n or n, "
+                                   "or next to one): the degenerate line problem "
+                                   "that minimize_mu_q answers with 0")
+
+
 def minimize_mu_q(n: int, alpha: float, q: float, cfg: MinimizationConfig) -> MinimizationResult:
     """Inverse iteration (`descent.inverse_iteration`) on the even vectors
     with h*sum|w|^q = 1, on `_even_form`'s folded form, its solve as
@@ -191,10 +199,7 @@ def brute_force_oracle(n: int, alpha: float, q: float, coarse_grid: LineGrid) ->
     where `minimize_mu_q` answers its zero result."""
     if coarse_grid.N > 41:
         raise ParameterDomainError("oracle grids are capped at N = 41")
-    if line_data(n, alpha)[0]:
-        raise ParameterDomainError(f"gamma rounds to 0 at alpha={alpha!r} (4 - n or n, "
-                                   "or next to one): the degenerate line problem "
-                                   "that minimize_mu_q answers with 0")
+    _refuse_degenerate(n, alpha)
     params = derive_params(n, float(alpha), float(q))
     gam = float(params.gamma)
     gbar = float(params.gbar)
@@ -288,8 +293,11 @@ def _scaled_grid(n: int, alpha: float, base: LineGrid) -> LineGrid:
 
 
 def consistency_suite(n: int, alpha: float, q: float, cfg: MinimizationConfig) -> ConsistencyReport:
+    """The scaling, sandwich, concavity and asymptotic laws at (n, alpha, q);
+    the degenerate alphas of `line_data` are refused."""
     q = float(q)
     alpha = float(alpha)
+    _refuse_degenerate(n, alpha)
     # one converged solve per line problem, exponent and grid: the one at
     # (n, alpha, q) serves the conjugacy and sandwich laws, a concavity
     # point p = q and, at alpha = 2, the asymptotic reference

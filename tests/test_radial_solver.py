@@ -361,6 +361,13 @@ def test_consistency_suite_solves_each_point_once(monkeypatch):
     assert calls.count((5, 2.0, 3.0)) == 1
 
 
+@pytest.mark.parametrize("alpha", [-1.0, 5.0, float(np.nextafter(-1.0, 0.0))])
+def test_consistency_suite_refuses_the_degenerate_alpha(alpha):
+    # its laws would take the log of, or divide by, the zero result
+    with pytest.raises(ParameterDomainError, match="gamma rounds to 0"):
+        consistency_suite(5, alpha, 3.0, MinimizationConfig(grid=COARSE))
+
+
 def test_consistency_suite_n2_ratio_constancy():
     rep = consistency_suite(2, 0.0, 3.0, MinimizationConfig())
     assert rep.n2_ratio_const_err is not None
