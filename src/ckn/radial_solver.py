@@ -116,7 +116,7 @@ def line_data(n: int, alpha: float) -> Tuple[bool, float, float]:
     floats round alike, and with them one solve.  It is degenerate (a zero
     infimum) iff the float gamma is 0.0: at alpha = 4 - n and n, and at
     the alphas next to them whose (alpha - 2)^2 rounds to (n - 2)^2, which
-    share their gbar and gamma."""
+    read the same gbar and gamma as 4 - n or n."""
     a = float(alpha)
     gam = float(gamma_alpha(n, a))
     return gam == 0.0, float(gbar_alpha(n, a)), gam
