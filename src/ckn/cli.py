@@ -653,8 +653,8 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _run(argv: Sequence[str]) -> int:
-    # the named command's parser alone builds in about 0.25 ms, all of
-    # them in 2 ms: most of an in-process dispatch of a quick command
+    # the named command's parser alone: building every subcommand's costs
+    # most of an in-process dispatch of a quick command
     parser = build_parser(argv[0] if argv else None)
     try:
         if os.environ.get("CKN_CONFIG"):

@@ -31,24 +31,15 @@ def test_constants_json(capsys):
 
 
 def test_radial_min_degenerate_boundary(capsys):
-    code, out, _ = run(capsys, "radial-min", "--n", "5", "--alpha", "-1",
-                       "--q", "3")
-    assert code == EXIT_OK
-    payload = json.loads(out)
-    assert payload["degenerate"] is True
-    assert payload["mu_q"] == 0.0
-
-
-def test_radial_min_next_to_the_degenerate_boundary(capsys):
-    # gamma rounds to 0 at alpha = nextafter(-1, 0), even on a grid whose
-    # folded form the banded Cholesky cannot factor
-    code, out, err = run(capsys, "radial-min", "--n", "5",
-                         "--alpha=-0.9999999999999999", "--q", "3",
-                         "--grid", "1e70,5")
-    assert (code, err) == (EXIT_OK, "")
-    payload = json.loads(out)
-    assert payload["degenerate"] is True
-    assert payload["mu_q"] == 0.0
+    # alpha = 4 - n, and alpha = nextafter(-1, 0), where gamma rounds to 0,
+    # even on a grid whose folded form the banded Cholesky cannot factor
+    for argv in (("--alpha", "-1"),
+                 ("--alpha=-0.9999999999999999", "--grid", "1e70,5")):
+        code, out, err = run(capsys, "radial-min", "--n", "5", "--q", "3", *argv)
+        assert (code, err) == (EXIT_OK, "")
+        payload = json.loads(out)
+        assert payload["degenerate"] is True
+        assert payload["mu_q"] == 0.0
 
 
 def test_unknown_subcommand_exits_1(capsys):
