@@ -179,10 +179,35 @@ def _lambda21(B: sp.csr_matrix, C: sp.csr_matrix, w: np.ndarray) -> float:
     return run.value
 
 
+@dataclass(frozen=True)
+class BallForms:
+    """What a minimization on the ball reads that does not depend on
+    lambda: the nodes `_bn_nodes(N_r)`, the energy and gradient forms B and
+    G and the cell weights w of `_quadratic_forms` on them at dimension n,
+    and lambda_21."""
+    n: int
+    r: np.ndarray
+    B: sp.csr_matrix
+    G: sp.csr_matrix
+    w: np.ndarray
+    lambda21: float
+
+
+def ball_forms(n: int, N_r: int = 2001) -> BallForms:
+    """The lambda-independent data of the ball problem at (n, N_r), built
+    once for every lambda it serves.  A lambda_21 below its floor n^2/4
+    means the discretization is wrong, whatever lambda is asked for."""
+    r = _bn_nodes(N_r)
+    B, G, C, w = _quadratic_forms(n, r)
+    lambda21 = _lambda21(B, C, w)
+    if not lambda21 >= 0.25 * n**2 * (1.0 - 1e-6):
+        raise ConsistencyError(f"lambda21={lambda21} below n^2/4={0.25 * n**2}")
+    return BallForms(n, r, B, G, w, lambda21)
+
+
 def bn_lambda21(n: int, N_r: int = 2001) -> float:
     """lambda_21 on the grid `_bn_nodes(N_r)`."""
-    B, _, C, w = _quadratic_forms(n, _bn_nodes(N_r))
-    return _lambda21(B, C, w)
+    return ball_forms(n, N_r).lambda21
 
 
 def _bn_inits(n: int, r: np.ndarray) -> List[np.ndarray]:
@@ -204,22 +229,25 @@ TOURNAMENT_ITERS = 20
 MAX_ITERS = 600
 
 
-def minimize_bn(cfg: BNConfig) -> BNReport:
-    n, lam = cfg.n, float(cfg.lam)
-    r = _bn_nodes(cfg.N_r)
-    B, G, C, w = _quadratic_forms(n, r)
-    lambda21 = _lambda21(B, C, w)
-    if not lambda21 >= 0.25 * n**2 * (1.0 - 1e-6):
-        raise ConsistencyError(f"lambda21={lambda21} below n^2/4={0.25 * n**2}")
+def minimize_bn(cfg: BNConfig, forms: Optional[BallForms] = None) -> BNReport:
+    """The minimization at cfg, on `forms` = `ball_forms(cfg.n, cfg.N_r)`,
+    which a lambda sweep builds once and passes to each of its rows; by
+    default they are built here."""
+    if forms is None:
+        forms = ball_forms(cfg.n, cfg.N_r)
+    elif (forms.n, forms.r.size) != (cfg.n, cfg.N_r):
+        raise ValueError(f"forms of (n, N_r) = ({forms.n}, {forms.r.size}) "
+                         f"given for ({cfg.n}, {cfg.N_r})")
+    n, lam, r, lambda21 = cfg.n, float(cfg.lam), forms.r, forms.lambda21
     if lam >= lambda21:
         raise ParameterDomainError(
             f"lambda={lam} >= lambda21={lambda21:.6f}: quotient not coercive"
         )
 
-    A = (B - lam * G).tocsr()
+    A = (forms.B - lam * forms.G).tocsr()
     solve = _make_spd_solver(A)
     # the clamped node u_M = 0 carries no mass
-    weights, p = w[:-1], 2.0 * n / (n - 4)
+    weights, p = forms.w[:-1], 2.0 * n / (n - 4)
     k = TOURNAMENT_ITERS
     best = min((inverse_iteration(A, solve, u0, weights, p, k)
                 for u0 in _bn_inits(n, r)),
@@ -326,9 +354,10 @@ class ProbeRow:
     converged: bool
 
 
-def dimension_probe(cfg: BNConfig) -> ProbeRow:
-    """The probe row of one minimization at (cfg.n, cfg.lam)."""
-    rep = minimize_bn(cfg)
+def dimension_probe(cfg: BNConfig, forms: Optional[BallForms] = None) -> ProbeRow:
+    """The probe row of one minimization at (cfg.n, cfg.lam), on `forms`
+    as `minimize_bn` takes them."""
+    rep = minimize_bn(cfg, forms)
     return ProbeRow(
         lam=float(cfg.lam),
         s_lambda=rep.s_lambda,

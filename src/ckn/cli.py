@@ -112,8 +112,15 @@ def _parse_grid(text: str) -> Tuple[float, int]:
 
 
 def _float_list(text: str) -> List[float]:
+    """The floats of a comma-separated list; a blank list is empty, and a
+    blank entry in a non-blank one is refused."""
+    if text.strip() == "":
+        return []
+    toks = text.split(",")
+    if any(tok.strip() == "" for tok in toks):
+        raise ParameterDomainError(f"empty entry in the float list {text!r}")
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [float(tok) for tok in toks]
     except ValueError as exc:
         raise ParameterDomainError(f"bad float list {text!r}") from exc
 
@@ -414,14 +421,18 @@ def _cmd_bn(args) -> int:
 
 
 def _cmd_bn_probe(args) -> int:
-    from .bn_ball import ProbeRow, dimension_probe
+    from .bn_ball import ProbeRow, ball_forms, dimension_probe
 
     cfg = _bn_config(args)
     lams = _float_list(args.lambdas)
     if not lams:
         raise ParameterDomainError("the list of lambda values is empty")
-    rows = _fan_out(dimension_probe,
-                    [(dataclasses.replace(cfg, lam=lam),) for lam in lams], _jobs(args))
+    cfgs = [dataclasses.replace(cfg, lam=lam) for lam in lams]
+    jobs = _jobs(args)
+    # the forms and lambda_21 depend on (n, N_r) alone: built once for every
+    # row, and a failure of theirs would fail every row alike
+    forms = ball_forms(cfg.n, cfg.N_r)
+    rows = _fan_out(dimension_probe, [(c, forms) for c in cfgs], jobs)
     _write_sweep(args, ProbeRow, lams, rows)
     return EXIT_OK
 

@@ -115,6 +115,14 @@ def test_lambda21_cap_raises(monkeypatch):
         bn_lambda21(6, N_r=201)
 
 
+def test_minimize_refuses_forms_of_another_grid():
+    forms = bn_ball.ball_forms(6, 201)
+    with pytest.raises(ValueError, match="given for"):
+        minimize_bn(BNConfig(n=6, lam=1.0, N_r=401), forms)
+    with pytest.raises(ValueError, match="given for"):
+        minimize_bn(BNConfig(n=7, lam=1.0, N_r=201), forms)
+
+
 def test_minimize_assembles_the_forms_once(monkeypatch):
     calls = []
     assemble = bn_ball._quadratic_forms

@@ -680,6 +680,13 @@ def test_bn_probe_refuses_empty_lambdas(capsys):
     "scan --n 5 --q 3 --alpha-range 0,1,1 --grid 1e300,5 --jobs 1",
     "scan --n 5 --q 3 --alpha-range 0,1,1 --grid 2.5e-77,5 --jobs 1",
     "scan --n 5 --q 3 --alpha-range 0,1e150,1e150 --jobs 1",
+    # an empty entry in a list that has others
+    "phase --n 5 --q 3 --alpha-range=0,,1,0.5 --jobs 1",
+    "scan --n 5 --q 3 --alpha-range=0,1,0.5, --jobs 1",
+    "ueps --n 5 --epsilons 0.2,,0.1",
+    "bn-probe --n 6 --lambdas 0,,1 --nr 201 --jobs 1",
+    "talenti-verify --n 5 --a-values=,-3",
+    "shifted-weight --n 6 --a -3 --t-values 0.02,,0.05",
 ])
 def test_bad_parameters_are_refused_once(capsys, argv):
     # refused before any row or solve: no NaN rows, no traceback, no output
@@ -696,6 +703,60 @@ def test_bn_probe_byte_identical_across_jobs(tmp_path):
     assert dispatch(args + ["--jobs", "2", "--out", str(out2)]) == EXIT_OK
     assert len(out1.read_text().splitlines()) == 3
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _probe_rows(out):
+    """The (lambda, s_lambda, pohozaev_A, converged) of each CSV probe row."""
+    header, *rows = out.splitlines()
+    assert header == "lambda,s_lambda,sstar_num,below_sstar,pohozaev_A,converged"
+    return [(float(c[0]), float(c[1]), float(c[4]), c[5] == "true")
+            for c in (row.split(",") for row in rows)]
+
+
+def test_bn_probe_builds_the_forms_and_lambda21_once(capsys, monkeypatch):
+    from ckn import bn_ball
+    from ckn.bn_ball import BNConfig, minimize_bn
+
+    calls = []
+    for name in ("_quadratic_forms", "_lambda21"):
+        def counting(*args, _fn=getattr(bn_ball, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(bn_ball, name, counting)
+    code, out, err = run(capsys, "bn-probe", "--n", "6", "--lambdas", "0,10,20",
+                         "--nr", "201", "--jobs", "1")
+    assert (code, err) == (EXIT_OK, "")
+    assert calls == ["_quadratic_forms", "_lambda21"]
+    # each row is the minimization that builds its own forms, bit for bit
+    for lam, s, pohozaev, converged in _probe_rows(out):
+        rep = minimize_bn(BNConfig(n=6, lam=lam, N_r=201))
+        assert s == rep.s_lambda
+        assert (pohozaev == rep.pohozaev_A_residual
+                or math.isnan(pohozaev) and math.isnan(rep.pohozaev_A_residual))
+        assert converged is rep.converged
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bn_probe_refuses_an_unconverged_lambda21_once(capsys, monkeypatch, jobs):
+    from ckn import bn_ball
+
+    monkeypatch.setattr(bn_ball, "LAMBDA21_MAX_ITERS", 2)
+    code, out, err = run(capsys, "bn-probe", "--n", "6", "--lambdas", "0,10,20",
+                         "--nr", "201", "--jobs", jobs)
+    assert code == EXIT_UNCONVERGED
+    assert len(err.splitlines()) == 1 and err.startswith("non-convergence: ")
+    assert out == ""
+
+
+def test_bn_probe_refuses_a_lambda21_below_its_floor_once(capsys, monkeypatch):
+    from ckn import bn_ball
+
+    monkeypatch.setattr(bn_ball, "_lambda21", lambda B, C, w: 1.0)
+    code, out, err = run(capsys, "bn-probe", "--n", "6", "--lambdas", "0,10",
+                         "--nr", "201", "--jobs", "1")
+    assert code == EXIT_DOMAIN
+    assert err == "error: lambda21=1.0 below n^2/4=9.0\n"
+    assert out == ""
 
 
 def test_json_text_of_numpy_values():

@@ -114,8 +114,8 @@ SUBCOMMANDS = (
 
 # refused with exit 1: a bad (n, q), a non-finite real or overflowing alpha,
 # a grid spacing out of range, an input whose integrands overflow or a bad
-# sample list where it enters, an unknown or removed flag, and a profile
-# with fewer than 4 nodes or a non-finite value
+# sample list where it enters, an unknown or removed flag, a profile with
+# fewer than 4 nodes or a non-finite value, and an empty entry in a list
 REFUSALS = (
     ("scan", "--n", "5", "--q", "1", "--alpha-range", "0,1,0.5", "--jobs", "1"),
     ("scan", "--n", "5", "--q", "nan", "--alpha-range", "0,1,0.5", "--jobs", "1"),
@@ -161,6 +161,9 @@ REFUSALS = (
     ("scan", "--n", "5", "--q", "3", "--alpha-range", "0,1e150,1e150", "--jobs", "1"),
     ("shifted-weight", "--n", "6", "--a", "-3", "--profile", f"{TMP}/three-nodes.txt"),
     ("shifted-weight", "--n", "6", "--a", "-3", "--profile", f"{TMP}/nan.txt"),
+    ("phase", "--n", "5", "--q", "3", "--alpha-range=0,,1,0.5", "--jobs", "1"),
+    ("ueps", "--n", "5", "--epsilons", "0.2,,0.1"),
+    ("bn-probe", "--n", "6", "--lambdas", "0,,1", "--nr", "201", "--jobs", "1"),
 )
 
 # the parser's own paths: usage and help, exit 0 or 1
