@@ -126,8 +126,8 @@ def _gram(A: sp.csr_matrix, w: np.ndarray) -> sp.csr_matrix:
 
 def _quadratic_forms(n: int, r: np.ndarray):
     """Energy form with the oscillation penalty sum w_j (delta^2 (Delta
-    u))_j^2 over the interior nodes, the gradient form, the map C: u -> u_r
-    it weighs, and the weights.
+    u))_j^2 over the interior nodes, the gradient form, the unpenalized
+    maps D: u -> Delta u and C: u -> u_r, and the weights.
 
     The penalty is O(spacing^4) relative on resolved profiles but O(1) on
     grid-scale spikes. Without it a two-node bubble beats the Sobolev
@@ -136,7 +136,7 @@ def _quadratic_forms(n: int, r: np.ndarray):
     D, C = _assemble_bn(n, r)
     w = _cell_weights(n, r)
     T = D[:-2] - 2.0 * D[1:-1] + D[2:]
-    return _gram(D, w) + _gram(T, w[1:-1]), _gram(C, w), C, w
+    return _gram(D, w) + _gram(T, w[1:-1]), _gram(C, w), D, C, w
 
 
 def _make_spd_solver(A: sp.csr_matrix):
@@ -165,7 +165,7 @@ def _make_spd_solver(A: sp.csr_matrix):
 LAMBDA21_MAX_ITERS = 100
 
 
-def _lambda21(B: sp.csr_matrix, C: sp.csr_matrix, w: np.ndarray) -> float:
+def bn_lambda21(B: sp.csr_matrix, C: sp.csr_matrix, w: np.ndarray) -> float:
     """Smallest eigenvalue of int|Delta u|^2 / int|grad u|^2: the shared
     inverse iteration at p = 2 on sum w (C u)^2 = 1, from a sine start."""
     M = B.shape[0]
@@ -181,14 +181,16 @@ def _lambda21(B: sp.csr_matrix, C: sp.csr_matrix, w: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class BallForms:
-    """What a minimization on the ball reads that does not depend on
-    lambda: the nodes `_bn_nodes(N_r)`, the energy and gradient forms B and
-    G and the cell weights w of `_quadratic_forms` on them at dimension n,
-    and lambda_21."""
+    """What the ball problem reads that does not depend on lambda: the
+    nodes `_bn_nodes(N_r)`, the energy and gradient forms B and G, the
+    unpenalized maps D and C and the cell weights w of `_quadratic_forms`
+    on them at dimension n, and lambda_21."""
     n: int
     r: np.ndarray
     B: sp.csr_matrix
     G: sp.csr_matrix
+    D: sp.csr_matrix
+    C: sp.csr_matrix
     w: np.ndarray
     lambda21: float
 
@@ -198,16 +200,17 @@ def ball_forms(n: int, N_r: int = 2001) -> BallForms:
     once for every lambda it serves.  A lambda_21 below its floor n^2/4
     means the discretization is wrong, whatever lambda is asked for."""
     r = _bn_nodes(N_r)
-    B, G, C, w = _quadratic_forms(n, r)
-    lambda21 = _lambda21(B, C, w)
+    B, G, D, C, w = _quadratic_forms(n, r)
+    lambda21 = bn_lambda21(B, C, w)
     if not lambda21 >= 0.25 * n**2 * (1.0 - 1e-6):
         raise ConsistencyError(f"lambda21={lambda21} below n^2/4={0.25 * n**2}")
-    return BallForms(n, r, B, G, w, lambda21)
+    return BallForms(n, r, B, G, D, C, w, lambda21)
 
 
-def bn_lambda21(n: int, N_r: int = 2001) -> float:
-    """lambda_21 on the grid `_bn_nodes(N_r)`."""
-    return ball_forms(n, N_r).lambda21
+def _check_forms(forms: BallForms, n: int, N_r: int) -> None:
+    if (forms.n, forms.r.size) != (n, N_r):
+        raise ValueError(f"forms of (n, N_r) = ({forms.n}, {forms.r.size}) "
+                         f"given for ({n}, {N_r})")
 
 
 def _bn_inits(n: int, r: np.ndarray) -> List[np.ndarray]:
@@ -235,9 +238,7 @@ def minimize_bn(cfg: BNConfig, forms: Optional[BallForms] = None) -> BNReport:
     default they are built here."""
     if forms is None:
         forms = ball_forms(cfg.n, cfg.N_r)
-    elif (forms.n, forms.r.size) != (cfg.n, cfg.N_r):
-        raise ValueError(f"forms of (n, N_r) = ({forms.n}, {forms.r.size}) "
-                         f"given for ({cfg.n}, {cfg.N_r})")
+    _check_forms(forms, cfg.n, cfg.N_r)
     n, lam, r, lambda21 = cfg.n, float(cfg.lam), forms.r, forms.lambda21
     if lam >= lambda21:
         raise ParameterDomainError(
@@ -289,7 +290,7 @@ def minimize_bn(cfg: BNConfig, forms: Optional[BallForms] = None) -> BNReport:
     # attained; at S** minimizing sequences may concentrate and the profile
     # solves nothing (Brezis-Nirenberg)
     if lam > 0.0 and converged and evidence == "dips-below":
-        res = pohozaev_residuals(report, lam)
+        res = pohozaev_residuals(report, lam, forms)
         report = replace(
             report,
             pohozaev_A_residual=res["res_A"],
@@ -298,11 +299,13 @@ def minimize_bn(cfg: BNConfig, forms: Optional[BallForms] = None) -> BNReport:
     return report
 
 
-def pohozaev_residuals(report: BNReport, lam: float) -> dict:
+def pohozaev_residuals(report: BNReport, lam: float, forms: BallForms) -> dict:
     """Residuals of the boundary identity 2 lambda int|grad u|^2 =
     omega_n u_rr(1)^2 on the multiplier-normalized solution, plus the
-    five-term r^3 identity in dimension 5."""
+    five-term r^3 identity in dimension 5; `forms` are those of the
+    report's grid, as `minimize_bn` takes them."""
     n, lam = report.profile.n, float(lam)
+    _check_forms(forms, n, report.profile.nodes.size)
     if lam == 0.0:
         raise DegenerateIdentityError(
             "the boundary identity degenerates to u_rr(1) = 0 at lambda = 0; "
@@ -315,14 +318,12 @@ def pohozaev_residuals(report: BNReport, lam: float) -> dict:
     # solves the Euler-Lagrange problem with multiplier 1
     scale = report.s_lambda ** (1.0 / (two_ss - 2.0))
     vals = np.asarray(report.profile.values, dtype=float) * scale
-    nodes = np.asarray(report.profile.nodes, dtype=float)
+    nodes = forms.r
     M = vals.size - 1
     u = vals[:-1]
 
     # the identities hold for the unpenalized forms
-    D, C = _assemble_bn(n, nodes)
-    w = _cell_weights(n, nodes)
-    grad_sq = float(u @ (_gram(C, w) @ u))
+    grad_sq = float(u @ (forms.G @ u))
     # one-sided u_rr(1) using u(1) = u'(1) = 0 and two interior values
     d1 = nodes[M] - nodes[M - 1]
     d2 = nodes[M] - nodes[M - 2]
@@ -334,10 +335,10 @@ def pohozaev_residuals(report: BNReport, lam: float) -> dict:
 
     if n == 5:
         w2 = _cell_weights(n, nodes, radial_power=2.0)
-        t1 = 5.0 * float(u @ (_gram(D, w2) @ u))
+        t1 = 5.0 * float(u @ (_gram(forms.D, w2) @ u))
         t2 = 6.0 * grad_sq
         t3 = 2.0 * lam * grad_sq
-        t4 = lam * float(u @ (_gram(C, w2) @ u))
+        t4 = lam * float(u @ (_gram(forms.C, w2) @ u))
         t5 = 1.4 * float(w2[:-1] @ np.abs(u) ** 10.0)
         scale_r3 = max(abs(t) for t in (t1, t2, t3, t4, t5))
         out["res_r3"] = abs(t1 - t2 - t3 + t4 + t5) / scale_r3

@@ -1,5 +1,6 @@
-"""The log change of variables from line profiles to radial functions, and
-the integral-identity cross-checks built on top of it."""
+"""The integral identities of the log change of variables u(r) =
+r^m w(-log r) from line profiles to radial functions, checked on one
+profile."""
 from __future__ import annotations
 
 import math
@@ -9,22 +10,9 @@ from typing import Dict
 import numpy as np
 
 from .errors import SupportWarning
-from .grids import LineGrid, LineProfile, RadialProfile, log_uniform_radial_nodes
+from .grids import LineGrid, log_uniform_radial_nodes
 from .params import DerivedParams
 from .quadrature import sphere_area, weighted_radial_integral
-
-
-def _transform_power(params: DerivedParams) -> float:
-    # exponent m in u(r) = r^m w(-log r)
-    return (4.0 - params.n - float(params.alpha)) / 2.0
-
-
-def emden_fowler_inverse(w: LineProfile) -> RadialProfile:
-    """u(r) = r^m w(-log r) sampled on the log-uniform radial nodes."""
-    m = _transform_power(w.params)
-    s = w.grid.s
-    u = (w.values * np.exp(-m * s))[::-1]
-    return RadialProfile(nodes=log_uniform_radial_nodes(w.grid), values=u, n=w.params.n)
 
 
 def _rel(a: float, b: float) -> float:
@@ -53,7 +41,7 @@ def norm_identity_check(params: DerivedParams, grid: LineGrid) -> Dict[str, floa
     beta = float(params.beta)
     gam = float(params.gamma)
     gbar = float(params.gbar)
-    m = _transform_power(params)
+    m = (4.0 - n - alpha) / 2.0  # u(r) = r^m w(-log r)
     L, h = grid.L, grid.h
 
     if math.exp(-L * L) > 1e-12:
@@ -91,8 +79,8 @@ def norm_identity_check(params: DerivedParams, grid: LineGrid) -> Dict[str, floa
     # plain second-order rules for the rate diagnostics; the energy is the
     # line solver's form, between hard zeros at s = -L and L, as sums of
     # squares (x.(Ax) cancels terms ~ 1/h^4)
-    w = LineProfile(grid=grid, values=np.exp(-grid.s**2), params=params)
-    x = np.pad(w.values[1:-1], 1)
+    w = np.exp(-grid.s**2)
+    x = np.pad(w[1:-1], 1)
     d2 = np.diff(x, 2) / h**2
     d1 = (x[2:] - x[:-2]) / (2.0 * h)
     energy_fd = omega * h * float(
@@ -101,7 +89,7 @@ def norm_identity_check(params: DerivedParams, grid: LineGrid) -> Dict[str, floa
     # m q = beta - n, so r^(n-1-beta) |u|^q = |w(-log r)|^q / r: no factor
     # overflows
     r = log_uniform_radial_nodes(grid)
-    mass_trap = omega * float(np.trapezoid(np.abs(w.values[::-1]) ** q / r, r))
+    mass_trap = omega * float(np.trapezoid(np.abs(w[::-1]) ** q / r, r))
 
     return {
         "q": _rel(mass_radial, mass_line),

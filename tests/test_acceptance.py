@@ -259,10 +259,10 @@ def test_criterion_09b_n6_small_lambda_dip():
 
 
 def test_criterion_09c_lambda21_floor():
-    from ckn.bn_ball import bn_lambda21
+    from ckn.bn_ball import ball_forms
 
     t0 = time.time()
-    vals = {n: bn_lambda21(n) for n in (5, 6, 7)}
+    vals = {n: ball_forms(n).lambda21 for n in (5, 6, 7)}
     ok = all(v >= n**2 / 4.0 * (1.0 - 1e-6) for n, v in vals.items())
     dt = time.time() - t0
     _report("09c", ok,

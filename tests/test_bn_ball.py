@@ -10,7 +10,7 @@ import scipy.sparse as sp
 
 from ckn import bn_ball
 from ckn.bn_ball import (BNConfig, BNReport, _bn_nodes, _quadratic_forms,
-                         bn_lambda21, dimension_probe, minimize_bn,
+                         ball_forms, dimension_probe, minimize_bn,
                          pohozaev_residuals)
 from ckn.descent import inverse_iteration, upper_bands
 from ckn.errors import (DegenerateIdentityError, ParameterDomainError,
@@ -39,34 +39,34 @@ def test_config_refuses_a_non_finite_lambda(lam):
 
 @pytest.mark.parametrize("n,frozen", [(5, 33.217), (6, 40.705), (7, 48.829)])
 def test_lambda21_frozen_values(n, frozen):
-    lam = bn_lambda21(n, N_r=1201)
+    lam = ball_forms(n, 1201).lambda21
     assert lam == pytest.approx(frozen, rel=5e-3)
     assert lam >= n**2 / 4.0 * (1.0 - 1e-6)
 
 
 def test_lambda21_stable_under_refinement():
-    a = bn_lambda21(6, N_r=801)
-    b = bn_lambda21(6, N_r=1601)
+    a = ball_forms(6, 801).lambda21
+    b = ball_forms(6, 1601).lambda21
     assert abs(a - b) / b <= 5e-3
 
 
 @pytest.mark.parametrize("N_r", [201, 801])
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_lambda21_matches_dense_pencil(n, N_r):
-    B, G, _, _ = _quadratic_forms(n, _bn_nodes(N_r))
+    B, G, _, _, _ = _quadratic_forms(n, _bn_nodes(N_r))
     m = B.shape[0]
     top = sla.eigh(G.toarray(), B.toarray(), eigvals_only=True,
                    subset_by_index=[m - 1, m - 1])[0]
-    assert bn_lambda21(n, N_r=N_r) == pytest.approx(1.0 / top, rel=1e-7)
+    assert ball_forms(n, N_r).lambda21 == pytest.approx(1.0 / top, rel=1e-7)
 
 
 def _lambda21_error(n, N_r):
-    """Relative error of `bn_lambda21` against its closed form: the square
+    """Relative error of lambda_21 against its closed form: the square
     of the first positive zero of J_{n/2}, the clamped ball's radial
     buckling load."""
     import mpmath
     exact = float(mpmath.besseljzero(mpmath.mpf(n) / 2, 1) ** 2)
-    return (bn_lambda21(n, N_r=N_r) - exact) / exact
+    return (ball_forms(n, N_r).lambda21 - exact) / exact
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -81,7 +81,7 @@ def test_lambda21_against_the_closed_form(n):
 @pytest.mark.parametrize("n", [5, 7])
 def test_spd_solver_matches_cho_solve_banded(n):
     # the closure calls LAPACK's pbtrs itself; scipy's wrapper is the reference
-    B, G, _, _ = _quadratic_forms(n, _bn_nodes(401))
+    B, G, _, _, _ = _quadratic_forms(n, _bn_nodes(401))
     s = 1.0 / np.sqrt(B.diagonal())
     cb = sla.cholesky_banded(upper_bands(sp.diags(s) @ B @ sp.diags(s), 4))
     for form in (B, G):
@@ -105,14 +105,14 @@ def test_lambda21_stops_on_the_residual_rule(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(bn_ball, "_make_spd_solver", counting)
-    bn_lambda21(6)
+    ball_forms(6)
     assert 0 < len(solves) <= 30
 
 
 def test_lambda21_cap_raises(monkeypatch):
     monkeypatch.setattr(bn_ball, "LAMBDA21_MAX_ITERS", 2)
     with pytest.raises(UnconvergedResultError):
-        bn_lambda21(6, N_r=201)
+        ball_forms(6, 201)
 
 
 def test_minimize_refuses_forms_of_another_grid():
@@ -121,6 +121,15 @@ def test_minimize_refuses_forms_of_another_grid():
         minimize_bn(BNConfig(n=6, lam=1.0, N_r=401), forms)
     with pytest.raises(ValueError, match="given for"):
         minimize_bn(BNConfig(n=7, lam=1.0, N_r=201), forms)
+
+
+def test_pohozaev_refuses_forms_of_another_grid():
+    cfg = BNConfig(n=6, lam=10.0, N_r=201)
+    rep = minimize_bn(cfg)
+    assert rep.attained_evidence == "dips-below"
+    for n, N_r in ((6, 401), (7, 201)):
+        with pytest.raises(ValueError, match="given for"):
+            pohozaev_residuals(rep, cfg.lam, ball_forms(n, N_r))
 
 
 def test_minimize_assembles_the_forms_once(monkeypatch):
@@ -142,7 +151,7 @@ def _full_multistart(cfg):
     stands for."""
     n = cfg.n
     r = _bn_nodes(cfg.N_r)
-    B, G, _, w = _quadratic_forms(n, r)
+    B, G, _, _, w = _quadratic_forms(n, r)
     A = (B - cfg.lam * G).tocsr()
     solve = bn_ball._make_spd_solver(A)
     runs = [inverse_iteration(A, solve, u0, w[:-1], 2.0 * n / (n - 4),
@@ -237,7 +246,7 @@ def test_pohozaev_halves_under_refinement():
 def test_pohozaev_rejects_degenerate_lambda():
     rep = minimize_bn(BNConfig(n=6, lam=0.0, **QUICK))
     with pytest.raises(DegenerateIdentityError):
-        pohozaev_residuals(rep, 0.0)
+        pohozaev_residuals(rep, 0.0, ball_forms(6, QUICK["N_r"]))
 
 
 def test_pohozaev_flags_manufactured_non_solution():
@@ -252,7 +261,7 @@ def test_pohozaev_flags_manufactured_non_solution():
         sstar_num=good.sstar_num, attained_evidence="dips-below",
         converged=True, iterations=1, el_residual=0.0,
     )
-    res = pohozaev_residuals(bogus, cfg.lam)
+    res = pohozaev_residuals(bogus, cfg.lam, ball_forms(cfg.n, cfg.N_r))
     assert res["res_A"] > 0.1
     assert res["res_A"] > 10.0 * good.pohozaev_A_residual
 

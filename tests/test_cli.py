@@ -718,7 +718,7 @@ def test_bn_probe_builds_the_forms_and_lambda21_once(capsys, monkeypatch):
     from ckn.bn_ball import BNConfig, minimize_bn
 
     calls = []
-    for name in ("_quadratic_forms", "_lambda21"):
+    for name in ("_quadratic_forms", "_assemble_bn", "bn_lambda21"):
         def counting(*args, _fn=getattr(bn_ball, name), _name=name):
             calls.append(_name)
             return _fn(*args)
@@ -726,9 +726,13 @@ def test_bn_probe_builds_the_forms_and_lambda21_once(capsys, monkeypatch):
     code, out, err = run(capsys, "bn-probe", "--n", "6", "--lambdas", "0,10,20",
                          "--nr", "201", "--jobs", "1")
     assert (code, err) == (EXIT_OK, "")
-    assert calls == ["_quadratic_forms", "_lambda21"]
+    assert calls == ["_quadratic_forms", "_assemble_bn", "bn_lambda21"]
+    rows = _probe_rows(out)
+    # the two rows that dip below S** take their Pohozaev residuals on the
+    # command's forms
+    assert [math.isfinite(row[2]) for row in rows] == [False, True, True]
     # each row is the minimization that builds its own forms, bit for bit
-    for lam, s, pohozaev, converged in _probe_rows(out):
+    for lam, s, pohozaev, converged in rows:
         rep = minimize_bn(BNConfig(n=6, lam=lam, N_r=201))
         assert s == rep.s_lambda
         assert (pohozaev == rep.pohozaev_A_residual
@@ -751,7 +755,7 @@ def test_bn_probe_refuses_an_unconverged_lambda21_once(capsys, monkeypatch, jobs
 def test_bn_probe_refuses_a_lambda21_below_its_floor_once(capsys, monkeypatch):
     from ckn import bn_ball
 
-    monkeypatch.setattr(bn_ball, "_lambda21", lambda B, C, w: 1.0)
+    monkeypatch.setattr(bn_ball, "bn_lambda21", lambda B, C, w: 1.0)
     code, out, err = run(capsys, "bn-probe", "--n", "6", "--lambdas", "0,10",
                          "--nr", "201", "--jobs", "1")
     assert code == EXIT_DOMAIN

@@ -1,12 +1,11 @@
-"""The change-of-variables transform and its integral identities."""
+"""The integral identities of the change of variables."""
 import math
 
-import numpy as np
 import pytest
 
 from ckn.errors import SupportWarning
-from ckn.grids import LineGrid, LineProfile
-from ckn.operators import emden_fowler_inverse, norm_identity_check
+from ckn.grids import LineGrid
+from ckn.operators import norm_identity_check
 from ckn.params import derive_params
 
 
@@ -43,21 +42,3 @@ def test_norm_identity_trapezoid_is_finite_in_high_dimension():
 def test_norm_identity_warns_on_fat_boundary():
     with pytest.warns(SupportWarning):
         identity_errors(L=3.0, N=301)
-
-
-@pytest.mark.parametrize("alpha", [0.0, 3.0, -2.5])
-def test_emden_fowler_inverse_is_r_m_w(alpha):
-    """u(r) = r^m w(-log r), m = (4 - n - alpha)/2, on the increasing
-    nodes r = e^(-s)."""
-    params = derive_params(5, alpha, 3.0)
-    grid = LineGrid(6.0, 1201)
-    w = LineProfile(grid=grid, values=np.exp(-grid.s**2) * (2.0 + np.sin(grid.s)),
-                    params=params)
-    u = emden_fowler_inverse(w)
-    assert np.all(np.diff(u.nodes) > 0.0)
-    assert np.allclose(u.nodes, np.exp(-grid.s[::-1]), rtol=1e-12, atol=0.0)
-    t = -np.log(u.nodes)
-    m = (4.0 - 5 - alpha) / 2.0
-    expected = u.nodes**m * np.exp(-t**2) * (2.0 + np.sin(t))
-    assert u.n == 5
-    assert np.allclose(u.values, expected, rtol=1e-9, atol=0.0)

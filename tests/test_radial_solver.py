@@ -206,6 +206,17 @@ def test_oracle_refuses_a_finite_form_whose_quotient_overflows():
             brute_force_oracle(n, alpha, 1000.0, grid)
 
 
+def test_the_sech2_start_overflows_silently_on_a_wide_grid():
+    # cosh(s)^2 overflows for |s| > 355; the start reads 0.0 there, with no
+    # warning from either solver
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = minimize_mu_q(7, -2.975, 4.0, MinimizationConfig(grid=LineGrid(400.0, 4001)))
+        oracle = brute_force_oracle(5, 0.0, 3.0, LineGrid(400.0, 41))
+    assert res.converged and res.mu_q > 0.0
+    assert np.isfinite(oracle) and oracle > 0.0
+
+
 @pytest.mark.parametrize("grid", [LineGrid(1e70, 5), COARSE], ids=["1e70,5", "12,41"])
 @pytest.mark.parametrize("alpha", [-1.0, 5.0, float(np.nextafter(-1.0, 0.0))])
 def test_oracle_refuses_the_degenerate_alpha(grid, alpha):

@@ -53,6 +53,28 @@ def test_traced_inline_probe_counts_its_nan_row(capsys):
     assert "NaN row at lambda=60.0" in capsys.readouterr().err
 
 
+def test_traced_probe_counts_one_lambda21_and_one_assembly():
+    """`bn-probe` builds the forms and lambda_21 once for all its lambdas,
+    and the spans `bn_ball.lambda21` and `bn_ball.assemble` see that call."""
+    from ckn import cli
+
+    tracing = _load_tracing()
+    inst = tracing.Instrumentation()
+    inst.install()
+    try:
+        inst.tracer = tracing.Tracer()
+        code = cli.dispatch(["bn-probe", "--n", "6", "--lambdas", "0,10,20",
+                             "--nr", "201", "--jobs", "1"])
+        calls, _ = inst.tracer.summary()
+    finally:
+        inst.tracer = None
+        inst.uninstall()
+    assert code == 0
+    assert calls["bn_ball.lambda21"] == 1
+    assert calls["bn_ball.assemble"] == 1
+    assert calls["bn_ball.minimize"] == 3
+
+
 def test_traced_scan_counts_a_nan_row_per_mirror_alpha(capsys, monkeypatch):
     """alpha = -0.5 and 4.5 share one failing solve; `cli.nan_rows` still
     counts both NaN rows, since each row goes through `scan_row`."""

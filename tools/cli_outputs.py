@@ -15,8 +15,9 @@ them):
   near 4e9 (sphere levels 4e9 apart, -gamma off them), alpha = 2e14 + 5
   (-gamma on a level) and 3e76, and line solves
   on a wide fine grid, on a coarse grid with a mirror pair alpha,
-  4 - alpha, and on the smallest grids (N = 5 and 7), and a degenerate
-  line solve next to alpha = 4 - n; `shifted-weight`
+  4 - alpha, and on the smallest grids (N = 5 and 7), a degenerate
+  line solve next to alpha = 4 - n, and one on a grid so wide that the
+  sech^2 start overflows; `shifted-weight`
   also reads a profile that `bn` saves (geometric nodes) and a 4-node one
   (the cubic spline);
 - the command lines that refuse a bad (n, q) (`phase` over an alpha range
@@ -85,6 +86,8 @@ SUBCOMMANDS = (
     # gamma rounds to 0 next to alpha = 4 - n: the degenerate zero result
     ("radial-min", "--n", "5", "--alpha=-0.9999999999999999", "--q", "3",
      "--grid", "1e70,5"),
+    # cosh(s)^2 of the sech^2 start overflows for |s| > 355
+    ("radial-min", "--n", "7", "--alpha=-2.975", "--q", "4", "--grid", "400,4001"),
     ("scan", "--n", "5", "--q", "3", "--alpha-range", "0,1,0.5",
      "--grid", "8,401", "--jobs", "1"),
     ("scan", "--n", "5", "--q", "3", "--alpha-range", "1,0,1", "--jobs", "1"),
