@@ -36,18 +36,10 @@ from .quadrature import sphere_area
 R_MIN = 1e-6
 
 
-@dataclass(frozen=True)
-class BNConfig:
-    n: int = 6
-    lam: float = 1.0
-    N_r: int = 2001
-
-    def __post_init__(self):
-        require_n5(self.n)
-        if not math.isfinite(self.lam):
-            raise ParameterDomainError(f"lambda={self.lam!r} must be finite")
-        if self.N_r < 9:
-            raise ParameterDomainError("need at least 9 radial nodes")
+def require_finite_lambda(lam: float) -> None:
+    """Reject a non-finite lambda before anything is solved at it."""
+    if not math.isfinite(lam):
+        raise ParameterDomainError(f"lambda={lam!r} must be finite")
 
 
 @dataclass(frozen=True)
@@ -197,20 +189,21 @@ class BallForms:
 
 def ball_forms(n: int, N_r: int = 2001) -> BallForms:
     """The lambda-independent data of the ball problem at (n, N_r), built
-    once for every lambda it serves.  A lambda_21 below its floor n^2/4
+    once for every lambda it serves.  A cell weight that underflows to 0
+    (from n = 50 the origin's does) or a lambda_21 below its floor n^2/4
     means the discretization is wrong, whatever lambda is asked for."""
+    require_n5(n)
+    if N_r < 9:
+        raise ParameterDomainError("need at least 9 radial nodes")
     r = _bn_nodes(N_r)
     B, G, D, C, w = _quadratic_forms(n, r)
+    if not np.all(w > 0.0):
+        raise ParameterDomainError(
+            f"a cell weight underflows to 0 at n={n}, N_r={N_r}")
     lambda21 = bn_lambda21(B, C, w)
     if not lambda21 >= 0.25 * n**2 * (1.0 - 1e-6):
         raise ConsistencyError(f"lambda21={lambda21} below n^2/4={0.25 * n**2}")
     return BallForms(n, r, B, G, D, C, w, lambda21)
-
-
-def _check_forms(forms: BallForms, n: int, N_r: int) -> None:
-    if (forms.n, forms.r.size) != (n, N_r):
-        raise ValueError(f"forms of (n, N_r) = ({forms.n}, {forms.r.size}) "
-                         f"given for ({n}, {N_r})")
 
 
 def _bn_inits(n: int, r: np.ndarray) -> List[np.ndarray]:
@@ -232,14 +225,11 @@ TOURNAMENT_ITERS = 20
 MAX_ITERS = 600
 
 
-def minimize_bn(cfg: BNConfig, forms: Optional[BallForms] = None) -> BNReport:
-    """The minimization at cfg, on `forms` = `ball_forms(cfg.n, cfg.N_r)`,
-    which a lambda sweep builds once and passes to each of its rows; by
-    default they are built here."""
-    if forms is None:
-        forms = ball_forms(cfg.n, cfg.N_r)
-    _check_forms(forms, cfg.n, cfg.N_r)
-    n, lam, r, lambda21 = cfg.n, float(cfg.lam), forms.r, forms.lambda21
+def minimize_bn(forms: BallForms, lam: float) -> BNReport:
+    """The minimization at lambda on `forms` = `ball_forms(n, N_r)`, which
+    a lambda sweep builds once and passes to each of its rows."""
+    require_finite_lambda(lam)
+    n, lam, r, lambda21 = forms.n, float(lam), forms.r, forms.lambda21
     if lam >= lambda21:
         raise ParameterDomainError(
             f"lambda={lam} >= lambda21={lambda21:.6f}: quotient not coercive"
@@ -258,8 +248,9 @@ def minimize_bn(cfg: BNConfig, forms: Optional[BallForms] = None) -> BNReport:
         best = replace(rest, iterations=k + rest.iterations)
     u, S = best.x, best.value
     # a stall at a residual floor <= 1e-3 still counts as converged: the
-    # n = 5, lambda = 0 run of criterion 09a stalls there (the infimum is not
-    # attained) and must read converged
+    # n = 5 runs at lambda = 0 and at criterion 09a's lambda = 2 stall there
+    # (residuals 4.2e-4 and 4.0e-4; the infimum is not attained) and must
+    # read converged
     converged = best.status == "residual" or (
         best.status == "stalled" and best.residual <= 1e-3)
     if u[np.argmax(np.abs(u))] < 0:
@@ -304,8 +295,10 @@ def pohozaev_residuals(report: BNReport, lam: float, forms: BallForms) -> dict:
     omega_n u_rr(1)^2 on the multiplier-normalized solution, plus the
     five-term r^3 identity in dimension 5; `forms` are those of the
     report's grid, as `minimize_bn` takes them."""
-    n, lam = report.profile.n, float(lam)
-    _check_forms(forms, n, report.profile.nodes.size)
+    n, N_r, lam = report.profile.n, report.profile.nodes.size, float(lam)
+    if (forms.n, forms.r.size) != (n, N_r):
+        raise ValueError(f"forms of (n, N_r) = ({forms.n}, {forms.r.size}) "
+                         f"given for ({n}, {N_r})")
     if lam == 0.0:
         raise DegenerateIdentityError(
             "the boundary identity degenerates to u_rr(1) = 0 at lambda = 0; "
@@ -355,12 +348,12 @@ class ProbeRow:
     converged: bool
 
 
-def dimension_probe(cfg: BNConfig, forms: Optional[BallForms] = None) -> ProbeRow:
-    """The probe row of one minimization at (cfg.n, cfg.lam), on `forms`
-    as `minimize_bn` takes them."""
-    rep = minimize_bn(cfg, forms)
+def dimension_probe(forms: BallForms, lam: float) -> ProbeRow:
+    """The probe row of one minimization at lambda, on `forms` as
+    `minimize_bn` takes them."""
+    rep = minimize_bn(forms, lam)
     return ProbeRow(
-        lam=float(cfg.lam),
+        lam=float(lam),
         s_lambda=rep.s_lambda,
         sstar_num=rep.sstar_num,
         below_sstar=rep.attained_evidence == "dips-below",

@@ -407,32 +407,27 @@ def _cmd_ueps(args) -> int:
     return EXIT_OK
 
 
-def _bn_config(args) -> "BNConfig":
-    from .bn_ball import BNConfig
-
-    return BNConfig(n=args.n, lam=getattr(args, "lam", 0.0), N_r=args.nr)
-
-
 def _cmd_bn(args) -> int:
-    from .bn_ball import minimize_bn
+    from .bn_ball import ball_forms, minimize_bn, require_finite_lambda
 
-    rep = minimize_bn(_bn_config(args))
+    require_finite_lambda(args.lam)
+    rep = minimize_bn(ball_forms(args.n, args.nr), args.lam)
     return _write_solve(args, rep, _fields(rep))
 
 
 def _cmd_bn_probe(args) -> int:
-    from .bn_ball import ProbeRow, ball_forms, dimension_probe
+    from .bn_ball import ProbeRow, ball_forms, dimension_probe, require_finite_lambda
 
-    cfg = _bn_config(args)
     lams = _float_list(args.lambdas)
     if not lams:
         raise ParameterDomainError("the list of lambda values is empty")
-    cfgs = [dataclasses.replace(cfg, lam=lam) for lam in lams]
+    for lam in lams:
+        require_finite_lambda(lam)
     jobs = _jobs(args)
     # the forms and lambda_21 depend on (n, N_r) alone: built once for every
     # row, and a failure of theirs would fail every row alike
-    forms = ball_forms(cfg.n, cfg.N_r)
-    rows = _fan_out(dimension_probe, [(c, forms) for c in cfgs], jobs)
+    forms = ball_forms(args.n, args.nr)
+    rows = _fan_out(dimension_probe, [(forms, lam) for lam in lams], jobs)
     _write_sweep(args, ProbeRow, lams, rows)
     return EXIT_OK
 

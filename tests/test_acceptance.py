@@ -225,10 +225,10 @@ def test_criterion_08_shifted_weight_lemma():
 
 
 def test_criterion_09a_n5_barrier():
-    from ckn.bn_ball import BNConfig, minimize_bn
+    from ckn.bn_ball import ball_forms, minimize_bn
 
     t0 = time.time()
-    rep = minimize_bn(BNConfig(n=5, lam=2.0))
+    rep = minimize_bn(ball_forms(5), 2.0)
     ok = rep.converged and rep.s_lambda >= rep.sstar_num * (1.0 - 5e-3)
     dt = time.time() - t0
     _report("09a", ok,
@@ -245,10 +245,10 @@ def test_criterion_09a_n5_barrier():
     "lambda=50 concentrating family",
 )
 def test_criterion_09b_n6_small_lambda_dip():
-    from ckn.bn_ball import BNConfig, minimize_bn
+    from ckn.bn_ball import ball_forms, minimize_bn
 
     t0 = time.time()
-    rep = minimize_bn(BNConfig(n=6, lam=1.0))
+    rep = minimize_bn(ball_forms(6), 1.0)
     ok = rep.converged and rep.s_lambda < rep.sstar_num
     dt = time.time() - t0
     margin = (rep.s_lambda - rep.sstar_num) / rep.sstar_num
@@ -272,12 +272,12 @@ def test_criterion_09c_lambda21_floor():
 
 
 def test_criterion_09d_pohozaev_halves():
-    from ckn.bn_ball import BNConfig, minimize_bn
+    from ckn.bn_ball import ball_forms, minimize_bn
 
     t0 = time.time()
     res = []
     for N in (1001, 2001, 4001):
-        rep = minimize_bn(BNConfig(n=6, lam=10.0, N_r=N))
+        rep = minimize_bn(ball_forms(6, N), 10.0)
         res.append(rep.pohozaev_A_residual)
     ok = rep.converged and rep.s_lambda < rep.sstar_num
     ok &= res[1] <= 0.55 * res[0] and res[2] <= 0.55 * res[1]

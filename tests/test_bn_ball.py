@@ -9,15 +9,14 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from ckn import bn_ball
-from ckn.bn_ball import (BNConfig, BNReport, _bn_nodes, _quadratic_forms,
-                         ball_forms, dimension_probe, minimize_bn,
-                         pohozaev_residuals)
+from ckn.bn_ball import (BNReport, _bn_nodes, _quadratic_forms, ball_forms,
+                         dimension_probe, minimize_bn, pohozaev_residuals)
 from ckn.descent import inverse_iteration, upper_bands
 from ckn.errors import (DegenerateIdentityError, ParameterDomainError,
                         UnconvergedResultError)
 from ckn.grids import RadialProfile
 
-QUICK = dict(N_r=801)
+QUICK = 801
 
 
 def test_nodes_geometric_and_anchored():
@@ -32,9 +31,22 @@ def test_nodes_geometric_and_anchored():
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf])
-def test_config_refuses_a_non_finite_lambda(lam):
+def test_minimize_refuses_a_non_finite_lambda(lam):
+    forms = ball_forms(6, 201)
+    with pytest.raises(ParameterDomainError, match="must be finite"):
+        minimize_bn(forms, lam)
+
+
+# n < 5, N_r < 9, and from n = 50 a zero cell weight: the origin's underflows
+@pytest.mark.parametrize("n,N_r", [(4, 2001), (6, 8), (50, 201), (50, 2001),
+                                   (52, 2001)])
+def test_ball_forms_refuse_a_bad_dimension_or_grid(n, N_r):
     with pytest.raises(ParameterDomainError):
-        BNConfig(n=6, lam=lam)
+        ball_forms(n, N_r)
+
+
+def test_ball_forms_accept_the_last_dimension_with_positive_weights():
+    assert ball_forms(49, 2001).lambda21 >= 49**2 / 4.0
 
 
 @pytest.mark.parametrize("n,frozen", [(5, 33.217), (6, 40.705), (7, 48.829)])
@@ -115,21 +127,12 @@ def test_lambda21_cap_raises(monkeypatch):
         ball_forms(6, 201)
 
 
-def test_minimize_refuses_forms_of_another_grid():
-    forms = bn_ball.ball_forms(6, 201)
-    with pytest.raises(ValueError, match="given for"):
-        minimize_bn(BNConfig(n=6, lam=1.0, N_r=401), forms)
-    with pytest.raises(ValueError, match="given for"):
-        minimize_bn(BNConfig(n=7, lam=1.0, N_r=201), forms)
-
-
 def test_pohozaev_refuses_forms_of_another_grid():
-    cfg = BNConfig(n=6, lam=10.0, N_r=201)
-    rep = minimize_bn(cfg)
+    rep = minimize_bn(ball_forms(6, 201), 10.0)
     assert rep.attained_evidence == "dips-below"
     for n, N_r in ((6, 401), (7, 201)):
         with pytest.raises(ValueError, match="given for"):
-            pohozaev_residuals(rep, cfg.lam, ball_forms(n, N_r))
+            pohozaev_residuals(rep, 10.0, ball_forms(n, N_r))
 
 
 def test_minimize_assembles_the_forms_once(monkeypatch):
@@ -141,18 +144,17 @@ def test_minimize_assembles_the_forms_once(monkeypatch):
         return assemble(n, r)
 
     monkeypatch.setattr(bn_ball, "_quadratic_forms", counting)
-    minimize_bn(BNConfig(n=6, lam=1.0, N_r=201))
+    minimize_bn(ball_forms(6, 201), 1.0)
     assert calls == [6]
 
 
-def _full_multistart(cfg):
+def _full_multistart(n, lam, N_r):
     """Every start of `_bn_inits` run to bn_ball.MAX_ITERS and the lowest kept,
     ties to the earliest: the reference `minimize_bn`'s tournament
     stands for."""
-    n = cfg.n
-    r = _bn_nodes(cfg.N_r)
+    r = _bn_nodes(N_r)
     B, G, _, _, w = _quadratic_forms(n, r)
-    A = (B - cfg.lam * G).tocsr()
+    A = (B - lam * G).tocsr()
     solve = bn_ball._make_spd_solver(A)
     runs = [inverse_iteration(A, solve, u0, w[:-1], 2.0 * n / (n - 4),
                               bn_ball.MAX_ITERS)
@@ -174,15 +176,15 @@ def _assert_report_is(rep, ref):
 # 20-iteration one (3.4e-8 at (6, 10))
 @pytest.mark.parametrize("n,lam", [(5, 0.0), (6, 10.0), (7, 1.0)])
 def test_tournament_matches_the_full_multistart(n, lam):
-    cfg = BNConfig(n=n, lam=lam, N_r=2001)
-    rep, ref = minimize_bn(cfg), _full_multistart(cfg)
+    rep = minimize_bn(ball_forms(n, 2001), lam)
+    ref = _full_multistart(n, lam, 2001)
     assert abs(rep.s_lambda - ref.value) <= 1e-7 * ref.value
 
 
 def test_tournament_winner_done_inside_the_tournament_is_final():
     # at (7, 0) the winner meets the residual rule after 8 iterations
-    cfg = BNConfig(n=7, lam=0.0, N_r=2001)
-    rep, ref = minimize_bn(cfg), _full_multistart(cfg)
+    rep = minimize_bn(ball_forms(7, 2001), 0.0)
+    ref = _full_multistart(7, 0.0, 2001)
     assert (ref.status, ref.iterations) == ("residual", 8)
     _assert_report_is(rep, ref)
 
@@ -195,7 +197,7 @@ def test_only_the_tournament_winner_runs_on(monkeypatch):
         return inverse_iteration(A, solve, x0, weights, p, max_iters, **kwargs)
 
     monkeypatch.setattr(bn_ball, "inverse_iteration", recording)
-    rep = minimize_bn(BNConfig(n=6, lam=10.0, N_r=401))
+    rep = minimize_bn(ball_forms(6, 401), 10.0)
     # lambda_21's iteration, seven starts, one continuation
     k, total = bn_ball.TOURNAMENT_ITERS, bn_ball.MAX_ITERS
     assert budgets == [bn_ball.LAMBDA21_MAX_ITERS] + [k] * 7 + [total - k]
@@ -204,11 +206,11 @@ def test_only_the_tournament_winner_runs_on(monkeypatch):
 
 def test_minimize_rejects_supercritical_lambda():
     with pytest.raises(ParameterDomainError):
-        minimize_bn(BNConfig(n=6, lam=60.0, **QUICK))
+        minimize_bn(ball_forms(6, QUICK), 60.0)
 
 
 def test_minimize_subcritical_dips_below():
-    rep = minimize_bn(BNConfig(n=6, lam=10.0, **QUICK))
+    rep = minimize_bn(ball_forms(6, QUICK), 10.0)
     assert rep.converged
     assert rep.s_lambda < rep.sstar_num
     assert rep.attained_evidence == "dips-below"
@@ -217,7 +219,7 @@ def test_minimize_subcritical_dips_below():
 
 def test_minimize_lambda0_flat_at_sstar():
     # full resolution: the residual floor scales with the grid here
-    rep = minimize_bn(BNConfig(n=5, lam=0.0, N_r=2001))
+    rep = minimize_bn(ball_forms(5, 2001), 0.0)
     assert rep.converged
     # the infimum is not attained: the discrete value sits just above S**
     assert rep.s_lambda >= rep.sstar_num * (1.0 - 5e-3)
@@ -226,9 +228,8 @@ def test_minimize_lambda0_flat_at_sstar():
 
 
 def test_determinism():
-    cfg = BNConfig(n=6, lam=10.0, **QUICK)
-    a = minimize_bn(cfg)
-    b = minimize_bn(cfg)
+    a = minimize_bn(ball_forms(6, QUICK), 10.0)
+    b = minimize_bn(ball_forms(6, QUICK), 10.0)
     assert a.s_lambda == b.s_lambda
     np.testing.assert_array_equal(a.profile.values, b.profile.values)
 
@@ -236,7 +237,7 @@ def test_determinism():
 def test_pohozaev_halves_under_refinement():
     res = []
     for N in (501, 1001, 2001):
-        rep = minimize_bn(BNConfig(n=6, lam=10.0, N_r=N))
+        rep = minimize_bn(ball_forms(6, N), 10.0)
         assert rep.converged
         res.append(rep.pohozaev_A_residual)
     assert res[1] <= 0.75 * res[0]
@@ -244,15 +245,16 @@ def test_pohozaev_halves_under_refinement():
 
 
 def test_pohozaev_rejects_degenerate_lambda():
-    rep = minimize_bn(BNConfig(n=6, lam=0.0, **QUICK))
+    forms = ball_forms(6, QUICK)
+    rep = minimize_bn(forms, 0.0)
     with pytest.raises(DegenerateIdentityError):
-        pohozaev_residuals(rep, 0.0, ball_forms(6, QUICK["N_r"]))
+        pohozaev_residuals(rep, 0.0, forms)
 
 
 def test_pohozaev_flags_manufactured_non_solution():
     """A profile that solves nothing must leave a large identity residual."""
-    cfg = BNConfig(n=6, lam=10.0, **QUICK)
-    good = minimize_bn(cfg)
+    forms = ball_forms(6, QUICK)
+    good = minimize_bn(forms, 10.0)
     r = good.profile.nodes
     fake = RadialProfile(nodes=r, values=np.where(r < 1.0, (1.0 - r**2), 0.0),
                          n=6)
@@ -261,13 +263,13 @@ def test_pohozaev_flags_manufactured_non_solution():
         sstar_num=good.sstar_num, attained_evidence="dips-below",
         converged=True, iterations=1, el_residual=0.0,
     )
-    res = pohozaev_residuals(bogus, cfg.lam, ball_forms(cfg.n, cfg.N_r))
+    res = pohozaev_residuals(bogus, 10.0, forms)
     assert res["res_A"] > 0.1
     assert res["res_A"] > 10.0 * good.pohozaev_A_residual
 
 
 def test_n5_r3_identity_reported():
-    rep = minimize_bn(BNConfig(n=5, lam=20.0, N_r=1001))
+    rep = minimize_bn(ball_forms(5, 1001), 20.0)
     assert rep.converged
     assert rep.attained_evidence == "dips-below"
     assert rep.r3_residual is not None
@@ -275,8 +277,9 @@ def test_n5_r3_identity_reported():
 
 
 def test_dimension_probe_rows():
-    flat = dimension_probe(BNConfig(n=6, lam=0.0, **QUICK))
-    dips = dimension_probe(BNConfig(n=6, lam=10.0, **QUICK))
+    forms = ball_forms(6, QUICK)
+    flat = dimension_probe(forms, 0.0)
+    dips = dimension_probe(forms, 10.0)
     assert [flat.lam, dips.lam] == [0.0, 10.0]
     assert not flat.below_sstar
     assert dips.below_sstar

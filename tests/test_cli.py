@@ -664,6 +664,9 @@ def test_bn_probe_refuses_empty_lambdas(capsys):
     "shifted-weight --n 6 --a 1e100",
     "bn --n 6 --lambda nan --nr 201",
     "bn-probe --n 6 --lambdas 0,nan --nr 201 --jobs 1",
+    # a cell weight of the ball grid underflows to 0
+    "bn --n 50 --lambda 1 --nr 201",
+    "bn-probe --n 52 --lambdas 0 --jobs 1",
     "radial-min --n 5 --alpha 1 --q 3 --grid nan,41",
     "scan --n 5 --q 3 --alpha-range 0,1,1 --grid inf,41",
     "constants --n 5 --alpha 1 --q inf",
@@ -715,7 +718,7 @@ def _probe_rows(out):
 
 def test_bn_probe_builds_the_forms_and_lambda21_once(capsys, monkeypatch):
     from ckn import bn_ball
-    from ckn.bn_ball import BNConfig, minimize_bn
+    from ckn.bn_ball import ball_forms, minimize_bn
 
     calls = []
     for name in ("_quadratic_forms", "_assemble_bn", "bn_lambda21"):
@@ -733,7 +736,7 @@ def test_bn_probe_builds_the_forms_and_lambda21_once(capsys, monkeypatch):
     assert [math.isfinite(row[2]) for row in rows] == [False, True, True]
     # each row is the minimization that builds its own forms, bit for bit
     for lam, s, pohozaev, converged in rows:
-        rep = minimize_bn(BNConfig(n=6, lam=lam, N_r=201))
+        rep = minimize_bn(ball_forms(6, 201), lam)
         assert s == rep.s_lambda
         assert (pohozaev == rep.pohozaev_A_residual
                 or math.isnan(pohozaev) and math.isnan(rep.pohozaev_A_residual))

@@ -21,9 +21,10 @@ them):
   also reads a profile that `bn` saves (geometric nodes) and a 4-node one
   (the cubic spline);
 - the command lines that refuse a bad (n, q) (`phase` over an alpha range
-  too), a non-finite real, an alpha whose alpha^4 overflows, a grid
-  spacing h whose h^4 or h^-4 is not a finite positive float or on which
-  the line form or its fold about s = 0 overflows, an input
+  too), a bad ball (n, N_r) or one whose cell weights underflow to 0, a
+  non-finite real (next to a bad n too), an alpha whose alpha^4
+  overflows, a grid spacing h whose h^4 or h^-4 is not a finite positive
+  float or on which the line form or its fold about s = 0 overflows, an input
   whose integrands overflow, a bad sample list, an epsilon below the
   quadrature's floor, a missing --alpha, a flag that no subcommand has, or
   a profile too short for its spline or with a non-finite node or value;
@@ -115,7 +116,8 @@ SUBCOMMANDS = (
     ("shifted-weight", "--n", "6", "--a", "-3", "--profile", f"{TMP}/four-nodes.txt"),
 )
 
-# refused with exit 1: a bad (n, q), a non-finite real or overflowing alpha,
+# refused with exit 1: a bad (n, q) or ball (n, N_r), a ball grid with a zero
+# cell weight, a non-finite real or overflowing alpha,
 # a grid spacing out of range, an input whose integrands overflow or a bad
 # sample list where it enters, an unknown or removed flag, a profile with
 # fewer than 4 nodes or a non-finite value, and an empty entry in a list
@@ -167,6 +169,12 @@ REFUSALS = (
     ("phase", "--n", "5", "--q", "3", "--alpha-range=0,,1,0.5", "--jobs", "1"),
     ("ueps", "--n", "5", "--epsilons", "0.2,,0.1"),
     ("bn-probe", "--n", "6", "--lambdas", "0,,1", "--nr", "201", "--jobs", "1"),
+    ("bn", "--n", "4", "--lambda", "1", "--nr", "201"),
+    ("bn-probe", "--n", "6", "--lambdas", "0", "--nr", "8", "--jobs", "1"),
+    ("bn", "--n", "50", "--lambda", "1", "--nr", "201"),
+    ("bn-probe", "--n", "52", "--lambdas", "0", "--jobs", "1"),
+    # two bad inputs: which one is named is part of the output
+    ("bn-probe", "--n", "4", "--lambdas", "0,nan", "--nr", "201", "--jobs", "1"),
 )
 
 # the parser's own paths: usage and help, exit 0 or 1
